@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -114,7 +115,9 @@ def _merge(defaults: dict, override: dict, where: str) -> dict:
     for key, base in defaults.items():
         if key not in override:
             merged[key] = copy.deepcopy(base)
-        elif isinstance(base, dict) and isinstance(override[key], dict):
+        elif isinstance(base, dict):
+            if not isinstance(override[key], dict):
+                raise ConfigError(f"{where}.{key} must be an object")
             merged[key] = _merge(base, override[key], f"{where}.{key}")
         else:
             merged[key] = copy.deepcopy(override[key])
@@ -126,6 +129,42 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# Leaf types; null is allowed only where the defaults hold or accept it.
+_INT_FIELDS = (
+    "seed", "task.n_content_tokens", "task.context_order", "task.n_prompts",
+    "task.prompt_length", "task.oracle_seed", "sampling.max_length", "sampling.n_samples",
+    "sft.epochs", "sft.batch_size", "po.epochs", "po.batch_size", "po.eval_every",
+    "eval.n_prompts", "eval.samples_per_prompt", "eval.prompt_seed", "schedule.total_steps",
+)
+_NUMBER_FIELDS = (
+    "task.length_penalty", "task.target_init_scale", "sampling.temperature", "sampling.top_p",
+    "data.split_fraction", "objective.beta", "objective.tau", "objective.gamma",
+    "schedule.target", "sft.optimizer.step_size", "sft.optimizer.warmup_fraction",
+    "po.optimizer.step_size", "po.optimizer.warmup_fraction", "po.eval_holdout_fraction",
+)
+_NULLABLE_FIELDS = ("schedule.total_steps", "objective.tau", "objective.gamma")
+
+
+def _is_number(value, integer: bool = False) -> bool:
+    """JSON numbers only: bool is an int subclass in Python but not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if integer else math.isfinite(value)
+
+
+def _check_types(d: dict) -> None:
+    for fields, integer in ((_INT_FIELDS, True), (_NUMBER_FIELDS, False)):
+        for path in fields:
+            value = d
+            for part in path.split("."):
+                value = value[part]
+            if value is None and path in _NULLABLE_FIELDS:
+                continue
+            _require(_is_number(value, integer), f"{path} must be {'an int' if integer else 'a number'}")
+    _require(isinstance(d["out_dir"], str), "out_dir must be a string")
+    _require(isinstance(d["data"]["include_yls"], bool), "data.include_yls must be true or false")
+
+
 @dataclass
 class RunConfig:
     """Validated view over the resolved configuration dictionary."""
@@ -135,8 +174,11 @@ class RunConfig:
     # -- validation ---------------------------------------------------------
     def validate(self) -> "RunConfig":
         d = self.raw
+        _check_types(d)
         task = d["task"]
-        _require(isinstance(d["seed"], int) and d["seed"] >= 0, "seed must be a non-negative int")
+        _require(d["seed"] >= 0, "seed must be a non-negative int")
+        _require(task["oracle_seed"] >= 0, "task.oracle_seed must be >= 0")
+        _require(d["eval"]["prompt_seed"] >= 0, "eval.prompt_seed must be >= 0")
         _require(task["n_content_tokens"] >= 2, "task.n_content_tokens must be >= 2")
         _require(task["context_order"] >= 1, "task.context_order must be >= 1")
         _require(task["n_prompts"] >= 1, "task.n_prompts must be >= 1")
@@ -152,6 +194,9 @@ class RunConfig:
             _check_keys(member, {"name", "sharpness", "noise"}, f"ensemble[{i}]")
             for key in ("name", "sharpness", "noise"):
                 _require(key in member, f"ensemble[{i}] is missing {key!r}")
+            _require(isinstance(member["name"], str), f"ensemble[{i}].name must be a string")
+            for key in ("sharpness", "noise"):
+                _require(_is_number(member[key]), f"ensemble[{i}].{key} must be a number")
         names = [m["name"] for m in d["ensemble"]]
         _require(len(set(names)) == len(names), "ensemble member names must be unique")
         samp = d["sampling"]

@@ -1,25 +1,33 @@
-"""The preference-objective family as pure functions of log-probabilities.
+"""The preference-objective family as one linear-margin table.
 
-Every loss consumes a LogProbBundle (per-role sequence log-probs under the
-policy and the reference) and returns the scalar loss together with the
-analytic derivative w.r.t. each policy log-prob, so parameter gradients
-compose with the policy's exact log-prob gradient.
+Every kind is link(z) over one linear margin of per-role rewards,
 
-Conventions shared by all kinds:
-  * internal reward of a response: beta * (theta_logp - ref_logp); the
-    length-normalized kinds use beta * theta_logp / length instead and
-    never consume the reference.
-  * -log sigmoid(z) is evaluated as softplus(-z) so that both the tiny
-    margins of beta = 0.01 and the huge 1/(2*tau) targets of the squared
-    kinds stay exact.
-  * the partition term of the reparameterized reward cancels in every
-    pairwise comparison and is therefore never computed.
+    z = preferred - dispreferred - offset,
+
+where a side is one role's reward, or a (source, target) pair fused as
+alpha * r_s + (1 - alpha) * r_t. Each kind is one row of ``_TABLE``: its
+preferred roles, its dispreferred roles, its link, its reward base and its
+offset. Adding a kind is adding a row.
+
+  * links: sigmoid is -log sigmoid(z), evaluated as softplus(-z) so that
+    tiny (beta = 0.01) and huge margins both stay exact; square is z^2
+    over unscaled log-ratios (beta = 1), as IPO defines it.
+  * reward bases: beta * (theta_logp - ref_logp), or the reference-free
+    beta * theta_logp / length.
+  * offsets: none, gamma, or the IPO target 1/(2*tau).
+
+The loss comes with its analytic derivative w.r.t. each policy log-prob,
++/- weight * scale * dlink/dz, which composes with the policy's exact
+log-prob gradient. Reported internal rewards always carry beta, so telemetry
+compares across kinds. The partition term of the reparameterized reward
+cancels in every pairwise comparison and is never computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 from scipy.special import expit, log_expit
@@ -32,6 +40,7 @@ __all__ = [
     "SIGMOID_KINDS",
     "REFERENCE_FREE_KINDS",
     "WRPO_KINDS",
+    "YLS_KINDS",
     "RoleLogProb",
     "LogProbBundle",
     "ObjectiveConfig",
@@ -50,11 +59,6 @@ __all__ = [
     "bundle_from_quadruple",
     "loss_gradient_wrt_params",
 ]
-
-KINDS = ("dpo", "ipo", "simpo", "wrpo_dpo", "wrpo_simpo", "wrpo_ipo", "wrpo_with_yls")
-SIGMOID_KINDS = ("dpo", "simpo", "wrpo_dpo", "wrpo_simpo", "wrpo_with_yls")
-REFERENCE_FREE_KINDS = ("simpo", "wrpo_simpo")
-WRPO_KINDS = ("wrpo_dpo", "wrpo_simpo", "wrpo_ipo", "wrpo_with_yls")
 
 
 @dataclass(frozen=True)
@@ -185,223 +189,140 @@ def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
     return alpha * r_ws + (1 - alpha) * r_wt
 
 
-def _neg_log_sigmoid(z: float) -> float:
-    return float(-log_expit(z))
+class _Link(NamedTuple):
+    loss: Callable[[float], float]
+    slope: Callable[[float], float]  # dlink/dz
+    beta_scaled: bool  # False: the margin is in unscaled log-ratios
 
 
-def dpo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """-log sigma(beta*delta_w - beta*delta_l)."""
-    w, l = bundle.role("w"), bundle.role("l")
-    beta = cfg.beta
-    r_w = beta * w.delta
-    r_l = beta * l.delta
-    z = r_w - r_l
-    s = float(expit(-z))
-    return LossResult(
-        loss=_neg_log_sigmoid(z),
-        internal_rewards={"w": r_w, "l": r_l},
-        grad_wrt_logps={"w": -beta * s, "l": beta * s},
-    )
+_SIGMOID = _Link(lambda z: float(-log_expit(z)), lambda z: -float(expit(-z)), True)
+_SQUARE = _Link(lambda z: z * z, lambda z: 2.0 * z, False)
 
 
-def ipo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """(delta_w - delta_l - 1/(2*tau))^2 on unscaled log-ratios.
-
-    The squared objective itself carries no beta; the reported internal
-    rewards keep the usual beta scaling so telemetry is comparable across
-    kinds.
-    """
-    w, l = bundle.role("w"), bundle.role("l")
-    tau = cfg.require_tau()
-    u = w.delta - l.delta - 1.0 / (2.0 * tau)
-    return LossResult(
-        loss=u * u,
-        internal_rewards={"w": cfg.beta * w.delta, "l": cfg.beta * l.delta},
-        grad_wrt_logps={"w": 2.0 * u, "l": -2.0 * u},
-    )
+def _log_ratio(r: RoleLogProb, beta: float) -> tuple[float, float]:
+    """beta * (theta - ref) and its slope in theta."""
+    return beta * r.delta, beta
 
 
-def simpo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """-log sigma(beta*avg_w - beta*avg_l - gamma); no reference model."""
-    w, l = bundle.role("w"), bundle.role("l")
-    beta, gamma = cfg.beta, cfg.require_gamma()
-    r_w = beta * w.theta / w.length
-    r_l = beta * l.theta / l.length
-    z = r_w - r_l - gamma
-    s = float(expit(-z))
-    return LossResult(
-        loss=_neg_log_sigmoid(z),
-        internal_rewards={"w": r_w, "l": r_l},
-        grad_wrt_logps={"w": -(beta / w.length) * s, "l": (beta / l.length) * s},
-    )
+def _length_normalized(r: RoleLogProb, beta: float) -> tuple[float, float]:
+    """beta * theta / length and its slope in theta; the reference is unused."""
+    return beta * r.theta / r.length, beta / r.length
 
 
-def wrpo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """-log sigma(alpha*beta*delta_ws + (1-alpha)*beta*delta_wt - beta*delta_l).
-
-    Reports the two margin components: on-policy (w_t vs l) and
-    hybrid-policy (w_s vs l).
-    """
-    w_s, w_t, l = bundle.role("w_s"), bundle.role("w_t"), bundle.role("l")
-    beta = cfg.beta
-    alpha = cfg.require_alpha()
-    r_ws = beta * w_s.delta
-    r_wt = beta * w_t.delta
-    r_l = beta * l.delta
-    z = compound_reward(r_ws, r_wt, alpha) - r_l
-    s = float(expit(-z))
-    return LossResult(
-        loss=_neg_log_sigmoid(z),
-        internal_rewards={"w_s": r_ws, "w_t": r_wt, "l": r_l},
-        grad_wrt_logps={
-            "w_s": -alpha * beta * s,
-            "w_t": -(1 - alpha) * beta * s,
-            "l": beta * s,
-        },
-        on_policy_margin=r_wt - r_l,
-        hybrid_policy_margin=r_ws - r_l,
-    )
+def _ipo_target(cfg: ObjectiveConfig) -> float:
+    return 1.0 / (2.0 * cfg.require_tau())
 
 
-def wrpo_simpo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """Length-normalized hybrid: the compound average log-prob margin minus gamma."""
-    w_s, w_t, l = bundle.role("w_s"), bundle.role("w_t"), bundle.role("l")
-    beta, gamma = cfg.beta, cfg.require_gamma()
-    alpha = cfg.require_alpha()
-    r_ws = beta * w_s.theta / w_s.length
-    r_wt = beta * w_t.theta / w_t.length
-    r_l = beta * l.theta / l.length
-    z = compound_reward(r_ws, r_wt, alpha) - r_l - gamma
-    s = float(expit(-z))
-    return LossResult(
-        loss=_neg_log_sigmoid(z),
-        internal_rewards={"w_s": r_ws, "w_t": r_wt, "l": r_l},
-        grad_wrt_logps={
-            "w_s": -alpha * (beta / w_s.length) * s,
-            "w_t": -(1 - alpha) * (beta / w_t.length) * s,
-            "l": (beta / l.length) * s,
-        },
-        on_policy_margin=r_wt - r_l,
-        hybrid_policy_margin=r_ws - r_l,
-    )
+class _Row(NamedTuple):
+    preferred: tuple[str, ...]  # one role, or a (source, target) pair
+    dispreferred: tuple[str, ...]
+    link: _Link
+    base: Callable[[RoleLogProb, float], tuple[float, float]]
+    offset: Callable[[ObjectiveConfig], float] | None
 
 
-def wrpo_ipo_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """(alpha*delta_ws + (1-alpha)*delta_wt - delta_l - 1/(2*tau))^2."""
-    w_s, w_t, l = bundle.role("w_s"), bundle.role("w_t"), bundle.role("l")
-    tau = cfg.require_tau()
-    alpha = cfg.require_alpha()
-    u = compound_reward(w_s.delta, w_t.delta, alpha) - l.delta - 1.0 / (2.0 * tau)
-    beta = cfg.beta
-    return LossResult(
-        loss=u * u,
-        internal_rewards={
-            "w_s": beta * w_s.delta,
-            "w_t": beta * w_t.delta,
-            "l": beta * l.delta,
-        },
-        grad_wrt_logps={
-            "w_s": 2.0 * u * alpha,
-            "w_t": 2.0 * u * (1 - alpha),
-            "l": -2.0 * u,
-        },
-        on_policy_margin=beta * w_t.delta - beta * l.delta,
-        hybrid_policy_margin=beta * w_s.delta - beta * l.delta,
-    )
-
-
-def wrpo_with_yls_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """Four-role variant with the dispreferred side also fusion-weighted.
-
-    Margins pair each preferred response with the dispreferred one of the
-    same origin: on-policy (w_t vs l_t), hybrid-policy (w_s vs l_s).
-    """
-    w_s, w_t = bundle.role("w_s"), bundle.role("w_t")
-    l_s, l_t = bundle.role("l_s"), bundle.role("l_t")
-    beta = cfg.beta
-    alpha = cfg.require_alpha()
-    r_ws, r_wt = beta * w_s.delta, beta * w_t.delta
-    r_ls, r_lt = beta * l_s.delta, beta * l_t.delta
-    z = compound_reward(r_ws, r_wt, alpha) - compound_reward(r_ls, r_lt, alpha)
-    s = float(expit(-z))
-    return LossResult(
-        loss=_neg_log_sigmoid(z),
-        internal_rewards={"w_s": r_ws, "w_t": r_wt, "l_s": r_ls, "l_t": r_lt},
-        grad_wrt_logps={
-            "w_s": -alpha * beta * s,
-            "w_t": -(1 - alpha) * beta * s,
-            "l_s": alpha * beta * s,
-            "l_t": (1 - alpha) * beta * s,
-        },
-        on_policy_margin=r_wt - r_lt,
-        hybrid_policy_margin=r_ws - r_ls,
-    )
-
-
-_DISPATCH = {
-    "dpo": dpo_loss,
-    "ipo": ipo_loss,
-    "simpo": simpo_loss,
-    "wrpo_dpo": wrpo_loss,
-    "wrpo_simpo": wrpo_simpo_loss,
-    "wrpo_ipo": wrpo_ipo_loss,
-    "wrpo_with_yls": wrpo_with_yls_loss,
+_GAMMA = ObjectiveConfig.require_gamma
+_FUSED = ("w_s", "w_t")
+_TABLE = {
+    "dpo": _Row(("w",), ("l",), _SIGMOID, _log_ratio, None),
+    "ipo": _Row(("w",), ("l",), _SQUARE, _log_ratio, _ipo_target),
+    "simpo": _Row(("w",), ("l",), _SIGMOID, _length_normalized, _GAMMA),
+    "wrpo_dpo": _Row(_FUSED, ("l",), _SIGMOID, _log_ratio, None),
+    "wrpo_simpo": _Row(_FUSED, ("l",), _SIGMOID, _length_normalized, _GAMMA),
+    "wrpo_ipo": _Row(_FUSED, ("l",), _SQUARE, _log_ratio, _ipo_target),
+    "wrpo_with_yls": _Row(_FUSED, ("l_s", "l_t"), _SIGMOID, _log_ratio, None),
 }
+
+KINDS = tuple(_TABLE)
+SIGMOID_KINDS = tuple(k for k, row in _TABLE.items() if row.link is _SIGMOID)
+REFERENCE_FREE_KINDS = tuple(k for k, row in _TABLE.items() if row.base is _length_normalized)
+WRPO_KINDS = tuple(k for k, row in _TABLE.items() if len(row.preferred) == 2)
+YLS_KINDS = tuple(k for k, row in _TABLE.items() if "l_s" in row.dispreferred)
+
+
+def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
+    """Reward of one side of the margin and the weight of each of its roles."""
+    if len(names) == 1:
+        return terms[names[0]], (1.0,)
+    return compound_reward(terms[names[0]], terms[names[1]], alpha), (alpha, 1 - alpha)
+
+
+def _evaluate(row: _Row, bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
+    # Pinned artifacts depend on this float order: a pair fused by compound_reward,
+    # the offset subtracted last, and each coefficient formed as (weight * scale) * dz.
+    alpha = cfg.require_alpha() if len(row.preferred) == 2 else None
+    margin_beta = cfg.beta if row.link.beta_scaled else 1.0
+    terms, scales = {}, {}
+    for name in row.preferred + row.dispreferred:
+        terms[name], scales[name] = row.base(bundle.role(name), margin_beta)
+    rewards = terms
+    if not row.link.beta_scaled:
+        rewards = {name: row.base(bundle.role(name), cfg.beta)[0] for name in terms}
+    z_w, weights_w = _side(row.preferred, terms, alpha)
+    z_l, weights_l = _side(row.dispreferred, terms, alpha)
+    z = z_w - z_l
+    if row.offset is not None:
+        z = z - row.offset(cfg)
+    dz = row.link.slope(z)
+    grads = {n: (w * scales[n]) * dz for n, w in zip(row.preferred, weights_w)}
+    grads.update({n: -((w * scales[n]) * dz) for n, w in zip(row.dispreferred, weights_l)})
+    loss = row.link.loss(z)
+    if alpha is None:
+        return LossResult(loss, rewards, grads)
+    # Each preferred response is compared with the dispreferred one of its origin.
+    l_s, l_t = row.dispreferred[0], row.dispreferred[-1]
+    on_policy, hybrid = rewards["w_t"] - rewards[l_t], rewards["w_s"] - rewards[l_s]
+    return LossResult(loss, rewards, grads, on_policy, hybrid)
 
 
 def evaluate_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    return _DISPATCH[cfg.kind](bundle, cfg)
+    return _evaluate(_TABLE[cfg.kind], bundle, cfg)
 
 
-def _role_logprob(model, ref, seq, kind: str) -> RoleLogProb:
-    theta = policy_mod.sequence_log_prob(model, seq)
-    if kind in REFERENCE_FREE_KINDS or ref is None:
-        ref_lp = 0.0
-    else:
-        ref_lp = policy_mod.sequence_log_prob(ref, seq)
-    return RoleLogProb(theta=theta, ref=ref_lp, length=len(seq.response))
+# The named losses pin their own row, whatever cfg.kind names.
+dpo_loss = partial(_evaluate, _TABLE["dpo"])
+ipo_loss = partial(_evaluate, _TABLE["ipo"])
+simpo_loss = partial(_evaluate, _TABLE["simpo"])
+wrpo_loss = partial(_evaluate, _TABLE["wrpo_dpo"])
+wrpo_simpo_loss = partial(_evaluate, _TABLE["wrpo_simpo"])
+wrpo_ipo_loss = partial(_evaluate, _TABLE["wrpo_ipo"])
+wrpo_with_yls_loss = partial(_evaluate, _TABLE["wrpo_with_yls"])
+
+# Quadruple field of each role; "w" is taken by pairing.
+_ROLE_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "y_ls"}
+_PAIRED_FIELDS = {"on_policy": "y_wt", "hybrid": "y_ws"}
 
 
-def bundle_from_quadruple(
-    model,
-    ref,
-    quadruple,
-    kind: str,
-    pairing: str = "on_policy",
-):
+def bundle_from_quadruple(model, ref, quadruple, kind: str, pairing: str = "on_policy"):
     """Build (bundle, role -> Sequence) for one preference record.
 
-    The pair-based kinds (dpo/ipo/simpo) take their preferred side from
-    the target's best response (pairing="on_policy") or the source's best
-    (pairing="hybrid"). The dataset's dispreferred response doubles as
-    l_t for the four-role kind.
+    Each role of the kind's row reads one quadruple field: w_s is y_ws,
+    w_t is y_wt, l and l_t are y_l, l_s is y_ls. The single preferred role
+    w of the pair-based kinds is the target's best response
+    (pairing="on_policy") or the source's best (pairing="hybrid"). Kinds
+    that use the reference raise InputError when ref is None; the
+    reference-free kinds never read it.
     """
-    if pairing not in ("on_policy", "hybrid"):
+    if pairing not in _PAIRED_FIELDS:
         raise InputError(f"unknown pairing {pairing!r}")
     if kind not in KINDS:
         raise InputError(f"unknown objective kind {kind!r}")
-    if kind in ("dpo", "ipo", "simpo"):
-        chosen = quadruple.y_wt if pairing == "on_policy" else quadruple.y_ws
-        seqs = {"w": chosen.sequence, "l": quadruple.y_l.sequence}
-    elif kind == "wrpo_with_yls":
-        if quadruple.y_ls is None:
-            raise InputError("quadruple has no y_ls; regenerate data with include_yls")
-        seqs = {
-            "w_s": quadruple.y_ws.sequence,
-            "w_t": quadruple.y_wt.sequence,
-            "l_s": quadruple.y_ls.sequence,
-            "l_t": quadruple.y_l.sequence,
-        }
-    else:
-        seqs = {
-            "w_s": quadruple.y_ws.sequence,
-            "w_t": quadruple.y_wt.sequence,
-            "l": quadruple.y_l.sequence,
-        }
-    bundle = LogProbBundle(
-        roles={name: _role_logprob(model, ref, seq, kind) for name, seq in seqs.items()}
-    )
-    return bundle, seqs
+    row = _TABLE[kind]
+    if row.base is _length_normalized:
+        ref = None
+    elif ref is None:
+        raise InputError(f"objective kind {kind!r} needs a reference model")
+    fields = {**_ROLE_FIELDS, "w": _PAIRED_FIELDS[pairing]}
+    seqs, roles = {}, {}
+    for name in row.preferred + row.dispreferred:
+        response = getattr(quadruple, fields[name])
+        if response is None:
+            raise InputError(f"quadruple has no {fields[name]}; regenerate data with include_yls")
+        seq = seqs[name] = response.sequence
+        theta = policy_mod.sequence_log_prob(model, seq)
+        ref_lp = 0.0 if ref is None else policy_mod.sequence_log_prob(ref, seq)
+        roles[name] = RoleLogProb(theta=theta, ref=ref_lp, length=len(seq.response))
+    return LogProbBundle(roles=roles), seqs
 
 
 def loss_gradient_wrt_params(
@@ -422,6 +343,5 @@ def loss_gradient_wrt_params(
     result = evaluate_loss(bundle, cfg)
     grad = np.zeros_like(model.logits)
     for name, seq in seqs.items():
-        coeff = result.grad_wrt_logps[name]
-        grad += coeff * policy_mod.log_prob_gradient(model, seq)
+        grad += result.grad_wrt_logps[name] * policy_mod.log_prob_gradient(model, seq)
     return result, grad

@@ -289,8 +289,8 @@ def run_preference_optimization(
             raise ConfigError(f"objective {objective.kind!r} requires a reference model")
         if not ref.frozen:
             raise ConfigError("reference model must be frozen")
-    if objective.kind == "wrpo_with_yls" and any(q.y_ls is None for q in quadruples):
-        raise DataError("wrpo_with_yls needs y_ls on every quadruple")
+    if objective.kind in obj.YLS_KINDS and any(q.y_ls is None for q in quadruples):
+        raise DataError(f"{objective.kind} needs y_ls on every quadruple")
 
     policy = policy_init.copy(frozen=False)
     total = n_optimizer_steps(len(quadruples), batch_size, epochs)

@@ -61,6 +61,22 @@ class TestGenData:
         path = write_config(tmp_path, {"sampling": {"top_p": 1.5}})
         assert run_cli("gen-data", "--config", path) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"task": {"n_prompts": "30"}},
+            {"ensemble": [{"name": "solo", "sharpness": "x", "noise": 0.3}]},
+            {"sampling": {"n_samples": True}},
+            {"data": {"include_yls": "no"}},
+            {"objective": {"beta": True}},
+            {"task": 5},
+        ],
+        ids=["str-int", "str-sharpness", "bool-int", "str-bool", "bool-float", "int-section"],
+    )
+    def test_wrong_value_type_exit_2(self, tmp_path, overrides):
+        path = write_config(tmp_path, overrides)
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+
     def test_default_config_mirrors_reference_knobs(self):
         d = default_config_dict()
         assert d["sampling"]["n_samples"] == 5

@@ -481,6 +481,69 @@ class TestComposedParameterGradient:
             )
 
 
+class TestBundleFromQuadruple:
+    # Which quadruple field each role reads, in role order; "w" follows pairing.
+    FIELDS = {
+        "dpo": {"w": None, "l": "y_l"},
+        "ipo": {"w": None, "l": "y_l"},
+        "simpo": {"w": None, "l": "y_l"},
+        "wrpo_dpo": {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l"},
+        "wrpo_simpo": {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l"},
+        "wrpo_ipo": {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l"},
+        "wrpo_with_yls": {"w_s": "y_ws", "w_t": "y_wt", "l_s": "y_ls", "l_t": "y_l"},
+    }
+
+    def _instance(self, y_ls=True):
+        vocab = default_vocabulary(6)
+        prompt = (2, 3)
+
+        def resp(body, score, model, idx):
+            seq = Sequence(prompt=prompt, response=(*body, vocab.eos_id))
+            return datagen.ScoredResponse(seq, score, model, idx)
+
+        quad = datagen.PreferenceQuadruple(
+            prompt,
+            resp((2,), 3.0, "s", 0),
+            resp((3, 4), 2.0, "t", 0),
+            resp((5, 6, 7), 0.0, "t", 1),
+            resp((4, 4, 4, 4), 1.0, "s", 1) if y_ls else None,
+        )
+        model = PolicyModel.random_init(vocab, 1, 1.0, seed=1)
+        ref = PolicyModel.random_init(vocab, 1, 1.0, seed=2, frozen=True)
+        return model, ref, quad
+
+    @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_roles_read_their_fields(self, kind, pairing):
+        model, ref, quad = self._instance()
+        bundle, seqs = obj.bundle_from_quadruple(model, ref, quad, kind, pairing)
+        paired = "y_wt" if pairing == "on_policy" else "y_ws"
+        expected = {
+            name: getattr(quad, field or paired).sequence
+            for name, field in self.FIELDS[kind].items()
+        }
+        assert list(seqs) == list(expected) == list(bundle.roles)
+        assert seqs == expected
+        for name, seq in seqs.items():
+            assert bundle.roles[name].length == len(seq.response)
+
+    def test_yls_kind_without_yls_rejected(self):
+        model, ref, quad = self._instance(y_ls=False)
+        with pytest.raises(InputError):
+            obj.bundle_from_quadruple(model, ref, quad, "wrpo_with_yls")
+
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_missing_reference(self, kind):
+        model, ref, quad = self._instance()
+        cfg = cfg_for(kind, np.random.default_rng(0))
+        if kind in ("simpo", "wrpo_simpo"):
+            res, _ = obj.loss_gradient_wrt_params(model, None, quad, cfg)
+            assert res == obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0]
+        else:
+            with pytest.raises(InputError):
+                obj.loss_gradient_wrt_params(model, None, quad, cfg)
+
+
 class TestBundleValidation:
     def test_positive_log_prob_rejected(self):
         with pytest.raises(InputError):
