@@ -15,17 +15,15 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from itertools import repeat
 from pathlib import Path
 
-import numpy as np
-
-from . import datagen, trainer
+from . import datagen, pipeline, trainer
 from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_config
 from .errors import ConfigError, DataError, InputError, NumericError
 from .objectives import WRPO_KINDS
-from .policy import derive_seed, load_checkpoint, parameter_hash, save_checkpoint, stream_salt
-from .schedule import FusionSchedule
-from .trainer import EvalSettings, n_optimizer_steps
+from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -53,56 +51,26 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     """Generate candidates, assemble quadruples, write the data artifacts."""
     out = _out_dir(cfg)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    oracle = cfg.oracle()
-    prompts = cfg.prompts()
-    ensemble = cfg.ensemble()
-    target = cfg.target_init().copy(frozen=True)
-    target_ensemble = datagen.SourceEnsemble.single(
-        "target-init", target, cfg.sampling_config()
-    )
-    n = cfg.n_samples()
-    source_cands = datagen.generate_candidates(ensemble, prompts, n, oracle)
-    target_cands = datagen.generate_candidates(target_ensemble, prompts, n, oracle)
-    quadruples, attribution = datagen.assemble_quadruples(
-        source_cands, target_cands, include_yls=cfg.raw["data"]["include_yls"]
-    )
-    datagen.write_quadruples(out / DATASET_FILE, quadruples)
-    datagen.write_attribution_csv(out / ATTRIBUTION_FILE, attribution)
-    report = datagen.distribution_deviation_report(target, quadruples)
+    data = pipeline.build_dataset(cfg)
+    datagen.write_quadruples(out / DATASET_FILE, data.quadruples)
+    datagen.write_attribution_csv(out / ATTRIBUTION_FILE, data.attribution)
+    report = datagen.distribution_deviation_report(data.target_init, data.quadruples)
     with open(out / DEVIATION_FILE, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    save_checkpoint(target, out / INIT_CKPT, label="target-init")
-    print(f"wrote {len(quadruples)} quadruples to {out / DATASET_FILE}")
+    save_checkpoint(data.target_init, out / INIT_CKPT, label="target-init")
+    print(f"wrote {len(data.quadruples)} quadruples to {out / DATASET_FILE}")
     return 0
 
 
-def _load_dataset(out: Path) -> list[datagen.PreferenceQuadruple]:
-    path = out / DATASET_FILE
+def _existing(path: Path, hint: str) -> Path:
     if not path.exists():
-        raise DataError(f"{path} not found; run gen-data first")
-    return datagen.read_quadruples(path)
+        raise DataError(f"{path} not found; {hint}")
+    return path
 
 
-def _split(cfg: RunConfig, quadruples):
-    return datagen.split_dataset(
-        quadruples,
-        cfg.raw["data"]["split_fraction"],
-        seed=derive_seed(cfg.seed, stream_salt("split")),
-    )
-
-
-def _run_sft_stage(cfg: RunConfig, out: Path):
-    split = _split(cfg, _load_dataset(out))
-    target = cfg.target_init()
-    snapshot, losses = trainer.run_sft(
-        target,
-        split.sft_records,
-        cfg.optimizer_config("sft"),
-        epochs=cfg.raw["sft"]["epochs"],
-        batch_size=cfg.raw["sft"]["batch_size"],
-        seed=derive_seed(cfg.seed, stream_salt("sft")),
-    )
+def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
+    snapshot, losses = pipeline.sft(cfg, quadruples)
     save_checkpoint(snapshot, out / SFT_CKPT, label="target-sft")
     with open(out / SFT_TELEMETRY, "w") as fh:
         for i, loss in enumerate(losses):
@@ -111,197 +79,100 @@ def _run_sft_stage(cfg: RunConfig, out: Path):
     return snapshot
 
 
-def _prepare_po_data(cfg: RunConfig, out: Path, snapshot):
-    """Regenerate on-policy pairs from the SFT snapshot and carve a held-out set."""
-    split = _split(cfg, _load_dataset(out))
-    regenerated = trainer.regenerate_target_pairs(
-        snapshot,
-        split.po_records,
-        cfg.n_samples(),
-        cfg.sampling_config(),
-        cfg.oracle(),
-    )
-    datagen.write_quadruples(out / PO_DATASET_FILE, regenerated)
-    holdout_fraction = cfg.raw["po"]["eval_holdout_fraction"]
-    n_hold = int(holdout_fraction * len(regenerated))
-    if n_hold > 0:
-        rng = np.random.default_rng(derive_seed(cfg.seed, stream_salt("holdout")))
-        perm = rng.permutation(len(regenerated))
-        heldout = [regenerated[i] for i in perm[:n_hold]]
-        train = [regenerated[i] for i in perm[n_hold:]]
-    else:
-        heldout, train = [], regenerated
-    return train, heldout
-
-
-def _run_po_stage(cfg: RunConfig, out: Path, snapshot=None) -> int:
-    if snapshot is None:
-        path = out / SFT_CKPT
-        if not path.exists():
-            raise DataError(f"{path} not found; run the sft stage first")
-        snapshot = load_checkpoint(path)
-    train, heldout = _prepare_po_data(cfg, out, snapshot)
-    objective = cfg.objective_config()
-    is_wrpo = objective.kind in WRPO_KINDS
-    po = cfg.raw["po"]
-    total = n_optimizer_steps(len(train), po["batch_size"], po["epochs"])
-    schedule = cfg.fusion_schedule(total) if is_wrpo else None
-    oracle = cfg.oracle()
-    evals = EvalSettings(
-        every=po["eval_every"],
-        quadruples=heldout or None,
-        oracle=oracle,
-        prompts=cfg.eval_prompts(),
-        sampling=cfg.sampling_config(),
-        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
-    )
-    model, telemetry = trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        train,
-        objective,
-        cfg.optimizer_config("po"),
-        schedule=schedule,
-        epochs=po["epochs"],
-        batch_size=po["batch_size"],
-        seed=derive_seed(cfg.seed, stream_salt("po")),
-        pairing=cfg.pairing(),
-        evals=evals,
-    )
-    save_checkpoint(model, out / PO_CKPT, label=f"target-po-{objective.kind}")
+def _po_stage(cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel) -> None:
+    pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
+    datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
+    model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
+    save_checkpoint(model, out / PO_CKPT, label=f"target-po-{cfg.raw['objective']['kind']}")
     trainer.write_telemetry(out / PO_TELEMETRY, telemetry)
-
-    accuracy = None
-    if heldout:
-        accuracy = trainer.eval_reward_accuracy(model, snapshot, heldout, objective.beta)
     baseline = load_checkpoint(out / INIT_CKPT) if (out / INIT_CKPT).exists() else snapshot
-    quality = trainer.eval_policy_quality(
-        model,
-        baseline,
-        cfg.eval_prompts(),
-        cfg.sampling_config(),
-        oracle,
-        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
-    )
-    metrics = {
-        "objective": objective.kind,
-        "reward_accuracy": accuracy,
-        "candidate_mean_score": quality.candidate_mean,
-        "baseline_mean_score": quality.baseline_mean,
-        "win_rate": quality.win_rate,
-        "wins": quality.wins,
-        "ties": quality.ties,
-        "losses": quality.losses,
-        "n_eval_prompts": quality.n_prompts,
-    }
+    metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
     with open(out / METRICS_FILE, "w") as fh:
         json.dump(metrics, fh, indent=2)
         fh.write("\n")
     print(
         f"po: {len(telemetry.steps)} steps, checkpoint hash "
-        f"{parameter_hash(model)[:12]}, win rate {quality.win_rate:.2f}"
+        f"{parameter_hash(model)[:12]}, win rate {metrics['win_rate']:.2f}"
     )
-    return 0
 
 
 def cmd_train(cfg: RunConfig, stage: str) -> int:
+    if stage not in ("sft", "po", "full"):
+        raise ConfigError(f"unknown stage {stage!r}")
     out = _out_dir(cfg)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    if stage == "sft":
-        _run_sft_stage(cfg, out)
-        return 0
+    quadruples = datagen.read_quadruples(_existing(out / DATASET_FILE, "run gen-data first"))
     if stage == "po":
-        return _run_po_stage(cfg, out)
-    if stage == "full":
-        snapshot = _run_sft_stage(cfg, out)
-        return _run_po_stage(cfg, out, snapshot)
-    raise ConfigError(f"unknown stage {stage!r}")
+        snapshot = load_checkpoint(_existing(out / SFT_CKPT, "run the sft stage first"))
+    else:
+        snapshot = _sft_stage(cfg, out, quadruples)
+    if stage != "sft":
+        _po_stage(cfg, out, quadruples, snapshot)
+    return 0
 
 
-def _sweep_one(args: tuple) -> dict:
-    """One PO run of the sweep; runs in its own process when parallel."""
-    raw, target, kind, out_dir = args
-    cfg = RunConfig(raw=raw).validate()
-    out = Path(out_dir)
-    snapshot = load_checkpoint(out / SFT_CKPT)
-    train, heldout = _prepare_po_data(cfg, out, snapshot)
-    objective = cfg.objective_config()
-    po = cfg.raw["po"]
-    total = n_optimizer_steps(len(train), po["batch_size"], po["epochs"])
-    steps = cfg.raw["schedule"]["total_steps"]
-    schedule = FusionSchedule(
-        kind=kind, target=target, total_steps=steps if steps is not None else max(1, total)
-    )
-    model, _ = trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        train,
-        objective,
-        cfg.optimizer_config("po"),
-        schedule=schedule,
-        epochs=po["epochs"],
-        batch_size=po["batch_size"],
-        seed=derive_seed(cfg.seed, stream_salt("po")),
-        pairing=cfg.pairing(),
-    )
-    accuracy = (
-        trainer.eval_reward_accuracy(model, snapshot, heldout, objective.beta)
-        if heldout
-        else None
-    )
-    quality = trainer.eval_policy_quality(
-        model,
-        snapshot,
-        cfg.eval_prompts(),
-        cfg.sampling_config(),
-        cfg.oracle(),
-        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
-    )
-    return {
-        "target": target,
-        "kind": kind,
-        "reward_accuracy": accuracy,
-        "mean_oracle_score": quality.candidate_mean,
-        "win_rate": quality.win_rate,
+def _job_config(cfg: RunConfig, target: float, kind: str) -> RunConfig:
+    """cfg with the fusion schedule set to (kind, target) and in-loop evaluation off."""
+    raw = {
+        **cfg.raw,
+        "schedule": {**cfg.raw["schedule"], "kind": kind, "target": target},
+        "po": {**cfg.raw["po"], "eval_every": 0},
     }
+    return RunConfig(raw=raw).validate()
+
+
+def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel, keep_pairs: bool = False):
+    """One sweep job, scored against the SFT snapshot: its row, and its pairs if ``keep_pairs``."""
+    pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
+    model, _ = pipeline.run_po(cfg, snapshot, train, heldout)
+    metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline=snapshot)
+    row = {
+        "target": cfg.raw["schedule"]["target"],
+        "kind": cfg.raw["schedule"]["kind"],
+        "reward_accuracy": metrics["reward_accuracy"],
+        "mean_oracle_score": metrics["candidate_mean_score"],
+        "win_rate": metrics["win_rate"],
+    }
+    return row, pairs if keep_pairs else None
 
 
 def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> int:
     """One PO run per (alpha target, schedule kind) off a shared SFT snapshot."""
     if cfg.objective_config().kind not in WRPO_KINDS:
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
-    for t in targets:
-        if not 0 <= t <= 1:
-            raise ConfigError(f"sweep target {t} outside [0, 1]")
+    jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
     out = _out_dir(cfg)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if not (out / DATASET_FILE).exists():
         cmd_gen_data(cfg)
-    if not (out / SFT_CKPT).exists():
-        _run_sft_stage(cfg, out)
-    jobs = [(cfg.raw, t, k, str(out)) for t in targets for k in kinds]
-    threads = int(os.environ.get("MICROWRPO_THREADS", "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
+    quadruples = datagen.read_quadruples(out / DATASET_FILE)
+    if (out / SFT_CKPT).exists():
+        snapshot = load_checkpoint(out / SFT_CKPT)
     else:
-        rows = [_sweep_one(job) for job in jobs]
+        snapshot = _sft_stage(cfg, out, quadruples)
+    # Every job regenerates the same pairs; only the first job's are sent back and written.
+    args = (jobs, repeat(quadruples), repeat(snapshot), [i == 0 for i in range(len(jobs))])
+    threads = int(os.environ.get("MICROWRPO_THREADS", "1"))
+    rows = []
+    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        for row, pairs in (pool.map if threads > 1 else map)(_sweep_one, *args):
+            if pairs is not None:
+                datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
+            rows.append(row)
     rows.sort(key=lambda r: (r["target"], r["kind"]))
     with open(out / SWEEP_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["target", "kind", "reward_accuracy", "mean_oracle_score", "win_rate"])
         for r in rows:
-            writer.writerow(
-                [
-                    repr(r["target"]),
-                    r["kind"],
-                    "" if r["reward_accuracy"] is None else repr(r["reward_accuracy"]),
-                    repr(r["mean_oracle_score"]),
-                    repr(r["win_rate"]),
-                ]
-            )
+            values = (r["reward_accuracy"], r["mean_oracle_score"], r["win_rate"])
+            writer.writerow([repr(r["target"]), r["kind"], *map(_cell, values)])
     print(f"wrote {len(rows)} sweep rows to {out / SWEEP_FILE}")
     return 0
+
+
+def _cell(value: float | None) -> str:
+    """A CSV cell that round-trips the float exactly; empty for None."""
+    return "" if value is None else repr(value)
 
 
 def cmd_export_figures(
@@ -310,46 +181,41 @@ def cmd_export_figures(
     sweep_path: str | None,
     out_dir: str,
 ) -> int:
-    """Plot-ready CSV bundles; tolerant of missing or empty inputs."""
+    """Plot-ready CSV bundles; tolerant of empty inputs, and writes nothing on a bad one."""
+    for path in (*telemetry_paths, deviation_path, sweep_path):
+        if path is not None and not Path(path).exists():
+            raise DataError(f"input file not found: {path}")
+    telemetries = [(path, trainer.read_telemetry(path)) for path in telemetry_paths]
+    if deviation_path is not None:
+        try:
+            with open(deviation_path) as fh:
+                report = json.load(fh)
+            edges, roles = report["bin_edges"], report["roles"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise DataError(f"{deviation_path}: malformed deviation report ({exc!r})") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for tpath in telemetry_paths:
-        if not Path(tpath).exists():
-            raise DataError(f"telemetry file not found: {tpath}")
-        telemetry = trainer.read_telemetry(tpath)
+    for tpath, telemetry in telemetries:
         dest = out / f"margin_dynamics__{Path(tpath).stem}.csv"
         with open(dest, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "alpha", "on_policy_margin", "hybrid_policy_margin"])
             for s in telemetry.steps:
-                writer.writerow(
-                    [
-                        s.step,
-                        "" if s.alpha is None else repr(s.alpha),
-                        "" if s.on_policy_margin is None else repr(s.on_policy_margin),
-                        "" if s.hybrid_policy_margin is None else repr(s.hybrid_policy_margin),
-                    ]
-                )
+                values = (s.alpha, s.on_policy_margin, s.hybrid_policy_margin)
+                writer.writerow([s.step, *map(_cell, values)])
         if not telemetry.steps:
             log.warning("telemetry %s has no step records; wrote headers only", tpath)
         print(f"wrote {dest}")
     if deviation_path is not None:
-        if not Path(deviation_path).exists():
-            raise DataError(f"deviation report not found: {deviation_path}")
-        with open(deviation_path) as fh:
-            report = json.load(fh)
-        edges = report["bin_edges"]
         dest = out / "deviation_histogram.csv"
         with open(dest, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["role", "bin_left", "bin_right", "count"])
-            for role, stats in report["roles"].items():
+            for role, stats in roles.items():
                 for i, count in enumerate(stats["histogram"]):
                     writer.writerow([role, repr(edges[i]), repr(edges[i + 1]), count])
         print(f"wrote {dest}")
     if sweep_path is not None:
-        if not Path(sweep_path).exists():
-            raise DataError(f"sweep file not found: {sweep_path}")
         dest = out / "alpha_sweep.csv"
         dest.write_text(Path(sweep_path).read_text())
         print(f"wrote {dest}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .datagen import (
     make_prompts,
     make_source_ensemble,
 )
-from .errors import ConfigError
+from .errors import ConfigError, is_number
 from .objectives import KINDS, ObjectiveConfig
 from .policy import PolicyModel, SamplingConfig, Vocabulary, default_vocabulary, derive_seed, stream_salt
 from .schedule import SCHEDULE_KINDS, FusionSchedule
@@ -145,13 +144,6 @@ _NUMBER_FIELDS = (
 _NULLABLE_FIELDS = ("schedule.total_steps", "objective.tau", "objective.gamma")
 
 
-def _is_number(value, integer: bool = False) -> bool:
-    """JSON numbers only: bool is an int subclass in Python but not a number here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return isinstance(value, int) if integer else math.isfinite(value)
-
-
 def _check_types(d: dict) -> None:
     for fields, integer in ((_INT_FIELDS, True), (_NUMBER_FIELDS, False)):
         for path in fields:
@@ -160,7 +152,7 @@ def _check_types(d: dict) -> None:
                 value = value[part]
             if value is None and path in _NULLABLE_FIELDS:
                 continue
-            _require(_is_number(value, integer), f"{path} must be {'an int' if integer else 'a number'}")
+            _require(is_number(value, integer), f"{path} must be {'an int' if integer else 'a number'}")
     _require(isinstance(d["out_dir"], str), "out_dir must be a string")
     _require(isinstance(d["data"]["include_yls"], bool), "data.include_yls must be true or false")
 
@@ -196,7 +188,7 @@ class RunConfig:
                 _require(key in member, f"ensemble[{i}] is missing {key!r}")
             _require(isinstance(member["name"], str), f"ensemble[{i}].name must be a string")
             for key in ("sharpness", "noise"):
-                _require(_is_number(member[key]), f"ensemble[{i}].{key} must be a number")
+                _require(is_number(member[key]), f"ensemble[{i}].{key} must be a number")
         names = [m["name"] for m in d["ensemble"]]
         _require(len(set(names)) == len(names), "ensemble member names must be unique")
         samp = d["sampling"]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError
+from .errors import DataError, InputError, is_number
 from .policy import (
     PolicyModel,
     SamplingConfig,
@@ -436,12 +436,47 @@ def _role_dict(r: ScoredResponse) -> dict:
     }
 
 
-def _role_from_dict(prompt: tuple[int, ...], d: dict) -> ScoredResponse:
+def _is_token_list(value, nonempty: bool = False) -> bool:
+    return (
+        isinstance(value, list)
+        and (len(value) > 0 or not nonempty)
+        and all(is_number(t, integer=True) and t >= 0 for t in value)
+    )
+
+
+# role field -> (type test, what the field must be)
+_ROLE_FIELDS = {
+    "tokens": (lambda v: _is_token_list(v, nonempty=True), "a non-empty list of token ids"),
+    "score": (is_number, "a finite number"),
+    "model": (lambda v: isinstance(v, str), "a string"),
+    "sample_index": (lambda v: is_number(v, integer=True), "an int"),
+}
+
+
+def _role_from_dict(prompt: tuple[int, ...], d, role: str) -> ScoredResponse:
+    if not isinstance(d, dict):
+        raise DataError(f"{role} must be an object")
+    for key, (ok, what) in _ROLE_FIELDS.items():
+        if not ok(d.get(key)):
+            raise DataError(f"{role}.{key} must be {what}")
     return ScoredResponse(
         sequence=Sequence(prompt=prompt, response=tuple(d["tokens"])),
         score=float(d["score"]),
         model=d["model"],
         sample_index=int(d["sample_index"]),
+    )
+
+
+def _quadruple_from_dict(d: dict) -> PreferenceQuadruple:
+    if not _is_token_list(d.get("prompt")):
+        raise DataError("prompt must be a list of token ids")
+    prompt = tuple(d["prompt"])
+    roles = {role: _role_from_dict(prompt, d.get(role), role) for role in ("y_ws", "y_wt", "y_l")}
+    y_ls = d.get("y_ls")
+    return PreferenceQuadruple(
+        prompt=prompt,
+        **roles,
+        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls"),
     )
 
 
@@ -471,25 +506,17 @@ def read_quadruples(path) -> list[PreferenceQuadruple]:
                 d = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            if not isinstance(d, dict):
+                raise DataError(f"{path}:{line_no}: a record must be a JSON object")
             if d.get("schema_version") != SCHEMA_VERSION:
                 raise DataError(
                     f"{path}:{line_no}: unsupported schema version "
                     f"{d.get('schema_version')!r}"
                 )
-            prompt = tuple(d["prompt"])
-            quadruples.append(
-                PreferenceQuadruple(
-                    prompt=prompt,
-                    y_ws=_role_from_dict(prompt, d["y_ws"]),
-                    y_wt=_role_from_dict(prompt, d["y_wt"]),
-                    y_l=_role_from_dict(prompt, d["y_l"]),
-                    y_ls=(
-                        _role_from_dict(prompt, d["y_ls"])
-                        if d.get("y_ls") is not None
-                        else None
-                    ),
-                )
-            )
+            try:
+                quadruples.append(_quadruple_from_dict(d))
+            except DataError as exc:
+                raise DataError(f"{path}:{line_no}: {exc}") from None
     return quadruples
 
 

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the JSON type test behind them.
 
 The CLI maps these onto exit codes: ConfigError -> 2, InputError and
 DataError -> 3, NumericError -> 4.
 """
+
+import math
 
 
 class InputError(ValueError):
@@ -23,3 +25,10 @@ class DataError(ValueError):
 
 class NumericError(ArithmeticError):
     """Training produced a non-finite quantity."""
+
+
+def is_number(value, integer: bool = False) -> bool:
+    """JSON numbers only: bool is an int subclass in Python but not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if integer else math.isfinite(value)

@@ -1,0 +1,154 @@
+"""The WRPO stage chain in memory: dataset, SFT, on-policy pairs, PO, evaluation.
+
+Each stage derives its seed streams (``split``, ``sft``, ``holdout``, ``po``)
+and the fusion schedule from the run config, so every caller runs the same
+wiring. No stage touches the file system.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import datagen, trainer
+from .config import RunConfig
+from .datagen import CandidateSet, PreferenceQuadruple
+from .objectives import WRPO_KINDS
+from .policy import PolicyModel, derive_seed, stream_salt
+
+__all__ = ["Dataset", "build_dataset", "sft", "prepare_po", "run_po", "evaluate"]
+
+
+def _seed(cfg: RunConfig, stream: str) -> int:
+    return derive_seed(cfg.seed, stream_salt(stream))
+
+
+@dataclass
+class Dataset:
+    """The quadruples, the frozen initial target and the candidates they were selected from."""
+
+    target_init: PolicyModel
+    quadruples: list[PreferenceQuadruple]
+    attribution: list[tuple[str, int, float]]
+    source_candidates: CandidateSet
+    target_candidates: CandidateSet
+
+
+def build_dataset(cfg: RunConfig) -> Dataset:
+    """N scored samples per (prompt, source member) and from the initial target, selected."""
+    oracle = cfg.oracle()
+    prompts = cfg.prompts()
+    target = cfg.target_init().copy(frozen=True)
+    target_ensemble = datagen.SourceEnsemble.single("target-init", target, cfg.sampling_config())
+    n = cfg.n_samples()
+    src = datagen.generate_candidates(cfg.ensemble(), prompts, n, oracle)
+    tgt = datagen.generate_candidates(target_ensemble, prompts, n, oracle)
+    quadruples, attribution = datagen.assemble_quadruples(
+        src, tgt, include_yls=cfg.raw["data"]["include_yls"]
+    )
+    return Dataset(target, quadruples, attribution, src, tgt)
+
+
+def _split(cfg: RunConfig, quadruples: list[PreferenceQuadruple]) -> datagen.DatasetSplit:
+    return datagen.split_dataset(
+        quadruples, cfg.raw["data"]["split_fraction"], seed=_seed(cfg, "split")
+    )
+
+
+def sft(cfg: RunConfig, quadruples: list[PreferenceQuadruple]) -> tuple[PolicyModel, list[float]]:
+    """SFT of the initial target on the SFT split's y_ws: a frozen snapshot and per-step losses."""
+    stage = cfg.raw["sft"]
+    return trainer.run_sft(
+        cfg.target_init(),
+        _split(cfg, quadruples).sft_records,
+        cfg.optimizer_config("sft"),
+        epochs=stage["epochs"],
+        batch_size=stage["batch_size"],
+        seed=_seed(cfg, "sft"),
+    )
+
+
+def prepare_po(
+    cfg: RunConfig, snapshot: PolicyModel, quadruples: list[PreferenceQuadruple]
+) -> tuple[list[PreferenceQuadruple], list[PreferenceQuadruple], list[PreferenceQuadruple]]:
+    """(pairs, train, heldout): y_wt / y_l regenerated from the snapshot in PO-split
+    order, then po.eval_holdout_fraction of them held out."""
+    pairs = trainer.regenerate_target_pairs(
+        snapshot,
+        _split(cfg, quadruples).po_records,
+        cfg.n_samples(),
+        cfg.sampling_config(),
+        cfg.oracle(),
+    )
+    n_hold = int(cfg.raw["po"]["eval_holdout_fraction"] * len(pairs))
+    if n_hold == 0:
+        return pairs, pairs, []
+    perm = np.random.default_rng(_seed(cfg, "holdout")).permutation(len(pairs))
+    return pairs, [pairs[i] for i in perm[n_hold:]], [pairs[i] for i in perm[:n_hold]]
+
+
+def run_po(
+    cfg: RunConfig,
+    snapshot: PolicyModel,
+    train: list[PreferenceQuadruple],
+    heldout: list[PreferenceQuadruple],
+) -> tuple[PolicyModel, trainer.TrainingTelemetry]:
+    """Preference optimization from the snapshot, which is also the reference."""
+    objective = cfg.objective_config()
+    stage = cfg.raw["po"]
+    total = trainer.n_optimizer_steps(len(train), stage["batch_size"], stage["epochs"])
+    evals = trainer.EvalSettings(
+        every=stage["eval_every"],
+        quadruples=heldout or None,
+        oracle=cfg.oracle(),
+        prompts=cfg.eval_prompts(),
+        sampling=cfg.sampling_config(),
+        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
+    )
+    return trainer.run_preference_optimization(
+        snapshot.copy(frozen=False),
+        snapshot,
+        train,
+        objective,
+        cfg.optimizer_config("po"),
+        schedule=cfg.fusion_schedule(total) if objective.kind in WRPO_KINDS else None,
+        epochs=stage["epochs"],
+        batch_size=stage["batch_size"],
+        seed=_seed(cfg, "po"),
+        pairing=cfg.pairing(),
+        evals=evals,
+    )
+
+
+def evaluate(
+    cfg: RunConfig,
+    model: PolicyModel,
+    snapshot: PolicyModel,
+    heldout: list[PreferenceQuadruple],
+    baseline: PolicyModel,
+) -> dict:
+    """Held-out reward accuracy against the snapshot; fresh-sample quality against ``baseline``."""
+    objective = cfg.objective_config()
+    accuracy = (
+        trainer.eval_reward_accuracy(model, snapshot, heldout, objective.beta) if heldout else None
+    )
+    quality = trainer.eval_policy_quality(
+        model,
+        baseline,
+        cfg.eval_prompts(),
+        cfg.sampling_config(),
+        cfg.oracle(),
+        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
+    )
+    return {
+        "objective": objective.kind,
+        "reward_accuracy": accuracy,
+        "candidate_mean_score": quality.candidate_mean,
+        "baseline_mean_score": quality.baseline_mean,
+        "win_rate": quality.win_rate,
+        "wins": quality.wins,
+        "ties": quality.ties,
+        "losses": quality.losses,
+        "n_eval_prompts": quality.n_prompts,
+    }

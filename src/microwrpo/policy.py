@@ -12,12 +12,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError, UsageError
+from .errors import DataError, InputError, UsageError, is_number
 
 __all__ = [
     "Vocabulary",
@@ -341,20 +342,31 @@ def save_checkpoint(model: PolicyModel, path, label: str | None = None) -> None:
 
 
 def load_checkpoint(path) -> PolicyModel:
+    """Read a checkpoint written by save_checkpoint; malformed content raises DataError."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a policy checkpoint")
-    raw = base64.b64decode(payload["params"]["data_b64"])
-    table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(
-        payload["params"]["shape"]
-    )
-    return PolicyModel(
-        vocab=Vocabulary.from_dict(payload["vocab"]),
-        order=int(payload["order"]),
-        logits=table,
-        frozen=bool(payload["frozen"]),
-    )
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
+    try:
+        params, order, frozen = payload["params"], payload["order"], payload["frozen"]
+        shape = params["shape"]
+        if not isinstance(shape, list) or not all(is_number(n, integer=True) for n in shape):
+            raise TypeError("params.shape must be a list of ints")
+        if not is_number(order, integer=True) or not isinstance(frozen, bool):
+            raise TypeError("order must be an int and frozen a bool")
+        raw = base64.b64decode(params["data_b64"], validate=True)
+        vocab = Vocabulary.from_dict(payload["vocab"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
+    if any(n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
+        raise DataError(f"{path}: {len(raw)} parameter bytes do not fill shape {shape}")
+    table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return PolicyModel(vocab=vocab, order=order, logits=table, frozen=frozen)
 
 
 def parameter_hash(model: PolicyModel) -> str:

@@ -22,7 +22,7 @@ from .datagen import (
     ScoredResponse,
     SftRecord,
 )
-from .errors import ConfigError, DataError, InputError, NumericError, UsageError
+from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
 from .policy import (
     PolicyModel,
     SamplingConfig,
@@ -505,7 +505,37 @@ def write_telemetry(path, telemetry: TrainingTelemetry) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _number(value, nullable: bool = False, integer: bool = False):
+    if (value is None and nullable) or is_number(value, integer=integer):
+        return value
+    raise TypeError(f"expected {'an int' if integer else 'a number'}, got {value!r}")
+
+
+def _step_record(rec: dict) -> StepRecord:
+    rewards = rec["internal_rewards"]
+    if not isinstance(rewards, dict):
+        raise TypeError("internal_rewards must be an object")
+    return StepRecord(
+        step=_number(rec["step"], integer=True),
+        alpha=_number(rec["alpha"], nullable=True),
+        loss=float(_number(rec["loss"])),
+        internal_rewards={k: float(_number(v)) for k, v in rewards.items()},
+        on_policy_margin=_number(rec["on_policy_margin"], nullable=True),
+        hybrid_policy_margin=_number(rec["hybrid_policy_margin"], nullable=True),
+        grad_norm=float(_number(rec["grad_norm"])),
+    )
+
+
+def _eval_record(rec: dict) -> EvalRecord:
+    return EvalRecord(
+        step=_number(rec["step"], integer=True),
+        reward_accuracy=_number(rec["reward_accuracy"], nullable=True),
+        mean_oracle_score=_number(rec["mean_oracle_score"], nullable=True),
+    )
+
+
 def read_telemetry(path) -> TrainingTelemetry:
+    """Read write_telemetry's JSONL; a malformed record raises DataError."""
     telemetry = TrainingTelemetry()
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -516,28 +546,14 @@ def read_telemetry(path) -> TrainingTelemetry:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if rec.get("type") == "step":
-                telemetry.steps.append(
-                    StepRecord(
-                        step=int(rec["step"]),
-                        alpha=rec["alpha"],
-                        loss=float(rec["loss"]),
-                        internal_rewards={
-                            k: float(v) for k, v in rec["internal_rewards"].items()
-                        },
-                        on_policy_margin=rec["on_policy_margin"],
-                        hybrid_policy_margin=rec["hybrid_policy_margin"],
-                        grad_norm=float(rec["grad_norm"]),
-                    )
-                )
-            elif rec.get("type") == "eval":
-                telemetry.evals.append(
-                    EvalRecord(
-                        step=int(rec["step"]),
-                        reward_accuracy=rec["reward_accuracy"],
-                        mean_oracle_score=rec["mean_oracle_score"],
-                    )
-                )
-            else:
+            kind = rec.get("type") if isinstance(rec, dict) else None
+            if kind not in ("step", "eval"):
                 raise DataError(f"{path}:{line_no}: unknown record type")
+            try:
+                if kind == "step":
+                    telemetry.steps.append(_step_record(rec))
+                else:
+                    telemetry.evals.append(_eval_record(rec))
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{line_no}: malformed {kind} record ({exc!r})") from exc
     return telemetry

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import datagen, objectives as obj, trainer
+from . import datagen, objectives as obj, pipeline, trainer
+from .config import load_config
 from .policy import (
     PolicyModel,
     SamplingConfig,
@@ -164,45 +165,39 @@ def _check_schedule(rng, n) -> str | None:
     return None
 
 
-def _toy_dataset(seed=0, n_prompts=24, n_samples=3):
-    vocab = default_vocabulary(6)
-    oracle = datagen.make_oracle(vocab, seed=5)
-    sampling = SamplingConfig(max_length=8, seed=seed)
-    ensemble = datagen.make_source_ensemble(
-        vocab, 2, oracle, [("a", 6.0, 0.3), ("b", 3.0, 0.8)], sampling, seed=seed
-    )
-    target = PolicyModel.random_init(vocab, 2, 0.5, seed=seed + 1, frozen=True)
-    prompts = datagen.make_prompts(vocab, n_prompts, prompt_length=2, seed=seed)
-    src = datagen.generate_candidates(ensemble, prompts, n_samples, oracle)
-    tgt = datagen.generate_candidates(
-        datagen.SourceEnsemble.single("target", target, sampling),
-        prompts,
-        n_samples,
-        oracle,
-    )
-    quadruples, attribution = datagen.assemble_quadruples(src, tgt, include_yls=True)
-    return vocab, oracle, target, quadruples, attribution, src, tgt
+_TOY_TASK = {
+    "task": {"n_content_tokens": 6, "n_prompts": 24, "prompt_length": 2, "oracle_seed": 5},
+    "ensemble": [
+        {"name": "a", "sharpness": 6.0, "noise": 0.3},
+        {"name": "b", "sharpness": 3.0, "noise": 0.8},
+    ],
+    "sampling": {"n_samples": 3, "max_length": 8},
+}
+
+
+def _toy_dataset(seed: int) -> pipeline.Dataset:
+    return pipeline.build_dataset(load_config(overrides=_TOY_TASK, seed=seed))
 
 
 def _check_selection_optimality(rng, n) -> str | None:
-    _, _, _, quadruples, attribution, src, tgt = _toy_dataset(seed=int(rng.integers(1000)))
-    for p_idx, quad in enumerate(quadruples):
-        pool = [c for per_model in src.samples[p_idx] for c in per_model]
+    data = _toy_dataset(int(rng.integers(1000)))
+    for p_idx, quad in enumerate(data.quadruples):
+        pool = [c for per_model in data.source_candidates.samples[p_idx] for c in per_model]
         if quad.y_ws.score != max(c.score for c in pool):
             return "y_ws is not score-maximal among source samples"
-        tpool = [c for per_model in tgt.samples[p_idx] for c in per_model]
+        tpool = [c for per_model in data.target_candidates.samples[p_idx] for c in per_model]
         if quad.y_wt.score != max(c.score for c in tpool):
             return "y_wt is not score-maximal among target samples"
         if quad.y_l.score != min(c.score for c in tpool):
             return "y_l is not score-minimal among target samples"
-    total = sum(pct for _, _, pct in attribution)
+    total = sum(pct for _, _, pct in data.attribution)
     if abs(total - 100.0) > 0.01:
         return f"attribution percentages sum to {total}"
     return None
 
 
 def _check_end_to_end_reduction(rng, n) -> str | None:
-    _, _, _, quadruples, _, _, _ = _toy_dataset(seed=3)
+    quadruples = _toy_dataset(3).quadruples
     snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=9, frozen=True)
     opt = trainer.OptimizerConfig(kind="adam", step_size=0.05)
     common = dict(epochs=1, batch_size=8, seed=11)
@@ -234,7 +229,7 @@ def _check_end_to_end_reduction(rng, n) -> str | None:
 
 
 def _check_reference_immutability(rng, n) -> str | None:
-    _, _, _, quadruples, _, _, _ = _toy_dataset(seed=4)
+    quadruples = _toy_dataset(4).quadruples
     snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=2, frozen=True)
     before = parameter_hash(snapshot)
     trainer.run_preference_optimization(
@@ -254,7 +249,7 @@ def _check_reference_immutability(rng, n) -> str | None:
 
 
 def _check_telemetry_bookkeeping(rng, n) -> str | None:
-    _, _, _, quadruples, _, _, _ = _toy_dataset(seed=5)
+    quadruples = _toy_dataset(5).quadruples
     snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=2, frozen=True)
     sched = FusionSchedule(kind="linear", target=0.4, total_steps=6)
     _, telemetry = trainer.run_preference_optimization(

@@ -4,62 +4,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
-from microwrpo import datagen, trainer
+from microwrpo import pipeline
 from microwrpo.config import load_config
-from microwrpo.policy import derive_seed, stream_salt
 
 
 @lru_cache(maxsize=8)
-def pipeline_env(seed: int, holdout: int = 50):
-    """Dataset + SFT snapshot + regenerated PO pairs for one root seed.
-
-    Mirrors the CLI's stage wiring (same derived seeds) so tests exercise
-    the same trajectories users get.
-    """
-    cfg = load_config(None, seed=seed)
-    oracle = cfg.oracle()
-    prompts = cfg.prompts()
-    ensemble = cfg.ensemble()
-    target_init = cfg.target_init().copy(frozen=True)
-    target_ens = datagen.SourceEnsemble.single(
-        "target-init", target_init, cfg.sampling_config()
-    )
-    n = cfg.n_samples()
-    src = datagen.generate_candidates(ensemble, prompts, n, oracle)
-    tgt = datagen.generate_candidates(target_ens, prompts, n, oracle)
-    quadruples, attribution = datagen.assemble_quadruples(src, tgt, include_yls=True)
-    split = datagen.split_dataset(
-        quadruples, 1.0 / 3.0, seed=derive_seed(seed, stream_salt("split"))
-    )
-    snapshot, sft_losses = trainer.run_sft(
-        cfg.target_init(),
-        split.sft_records,
-        cfg.optimizer_config("sft"),
-        epochs=1,
-        batch_size=16,
-        seed=derive_seed(seed, stream_salt("sft")),
-    )
-    regen = trainer.regenerate_target_pairs(
-        snapshot, split.po_records, n, cfg.sampling_config(), oracle
-    )
-    rng = np.random.default_rng(derive_seed(seed, stream_salt("holdout")))
-    perm = rng.permutation(len(regen))
-    heldout = [regen[i] for i in perm[:holdout]]
-    train = [regen[i] for i in perm[holdout:]]
+def pipeline_env(seed: int):
+    """The CLI's stages for one root seed on the default config, with 50 of the
+    200 regenerated PO pairs held out, so tests exercise the trajectories users get."""
+    cfg = load_config(overrides={"po": {"eval_holdout_fraction": 0.25}}, seed=seed)
+    data = pipeline.build_dataset(cfg)
+    snapshot, _ = pipeline.sft(cfg, data.quadruples)
+    _, train, heldout = pipeline.prepare_po(cfg, snapshot, data.quadruples)
     return {
         "cfg": cfg,
-        "oracle": oracle,
-        "target_init": target_init,
-        "quadruples": quadruples,
-        "attribution": attribution,
-        "source_candidates": src,
-        "target_candidates": tgt,
-        "split": split,
+        "oracle": cfg.oracle(),
+        "target_init": data.target_init,
+        "quadruples": data.quadruples,
         "snapshot": snapshot,
-        "sft_losses": sft_losses,
         "po_train": train,
         "po_heldout": heldout,
     }

@@ -5,6 +5,7 @@ import json
 import time
 
 import pytest
+from conftest import pipeline_env
 
 from microwrpo import cli, datagen, trainer
 from microwrpo.config import default_config_dict, load_config
@@ -116,6 +117,15 @@ class TestTrain:
         for name in ("target_sft.json", "target_po.json", "po_telemetry.jsonl", "metrics.json", "po_dataset.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_fixture_snapshot_is_the_cli_sft_checkpoint(self, tmp_path):
+        out = tmp_path / "default"
+        assert run_cli("gen-data", "--out", str(out), "--seed", "0") == 0
+        assert run_cli("train", "--stage", "sft", "--out", str(out), "--seed", "0") == 0
+        env = pipeline_env(0)
+        cli_hash = parameter_hash(load_checkpoint(out / "target_sft.json"))
+        assert parameter_hash(env["snapshot"]) == cli_hash
+        assert (len(env["po_train"]), len(env["po_heldout"])) == (150, 50)
+
     def test_default_objective_runs_end_to_end_quickly(self, tmp_path):
         # the reference configuration on 300 prompts, one CPU core
         path = write_config(tmp_path, {})
@@ -165,11 +175,35 @@ class TestSweepAlpha:
         assert {r["kind"] for r in rows} == {"linear", "static"}
         # cross-check one row against a direct sweep-runner invocation
         cfg = load_config(path, seed=6, out_dir=str(out))
-        direct = cli._sweep_one((cfg.raw, 0.3, "linear", str(out)))
+        direct, _ = cli._sweep_one(
+            cli._job_config(cfg, 0.3, "linear"),
+            datagen.read_quadruples(out / "dataset.jsonl"),
+            load_checkpoint(out / "target_sft.json"),
+        )
         row = next(r for r in rows if r["kind"] == "linear")
         assert float(row["reward_accuracy"]) == direct["reward_accuracy"]
         assert float(row["mean_oracle_score"]) == direct["mean_oracle_score"]
         assert float(row["win_rate"]) == direct["win_rate"]
+
+    def test_row_matches_train_po_with_that_schedule(self, tmp_path):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "sweep"
+        run_cli("gen-data", "--config", path, "--out", str(out), "--seed", "6")
+        run_cli("train", "--config", path, "--stage", "sft", "--out", str(out), "--seed", "6")
+        assert run_cli(
+            "sweep-alpha", "--config", path, "--out", str(out), "--seed", "6",
+            "--targets", "0.3", "--kinds", "static",
+        ) == 0
+        sweep_pairs = (out / "po_dataset.jsonl").read_bytes()
+        with open(out / "sweep.csv") as fh:
+            (row,) = list(csv.DictReader(fh))
+        po_cfg = {**MINI_CONFIG, "schedule": {"kind": "static", "target": 0.3}}
+        po_path = write_config(tmp_path, po_cfg, name="po.json")
+        assert run_cli("train", "--config", po_path, "--stage", "po", "--out", str(out), "--seed", "6") == 0
+        assert (out / "po_dataset.jsonl").read_bytes() == sweep_pairs
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert float(row["reward_accuracy"]) == metrics["reward_accuracy"]
+        assert float(row["mean_oracle_score"]) == metrics["candidate_mean_score"]
 
     def test_requires_wrpo_kind(self, tmp_path):
         cfg = dict(MINI_CONFIG)
@@ -192,6 +226,7 @@ class TestSweepAlpha:
         # each run is internally deterministic, so worker scheduling cannot
         # change the row contents
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
+        assert (out1 / "po_dataset.jsonl").read_bytes() == (out2 / "po_dataset.jsonl").read_bytes()
 
 
 class TestEnvOverrides:
@@ -237,6 +272,95 @@ class TestExportFigures:
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert run_cli("export-figures", "--telemetry", str(tmp_path / "nope.jsonl")) == 3
+
+    def test_failed_run_creates_no_output_dir(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"type": "step", "step": 0}\n')
+        figs = tmp_path / "figs"
+        for telemetry in (tmp_path / "nope.jsonl", bad):
+            assert run_cli("export-figures", "--telemetry", str(telemetry), "--out", str(figs)) == 3
+            assert not figs.exists()
+
+
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload) + "\n")
+
+
+def _edit_first_line(path, edit):
+    first, *rest = path.read_text().splitlines(keepends=True)
+    record = json.loads(first)
+    edit(record)
+    path.write_text("".join([json.dumps(record) + "\n", *rest]))
+
+
+class TestMalformedInput:
+    """Corrupt dataset, checkpoint and telemetry files exit with code 3, not a traceback."""
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "run"
+        for argv in (("gen-data",), ("train", "--stage", "full")):
+            assert run_cli(*argv, "--config", path, "--out", str(out), "--seed", "2") == 0
+        return path, out
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("y_ws"),
+            lambda r: r["y_wt"].update(score="high"),
+            lambda r: r["y_l"].update(tokens="abc"),
+            lambda r: r["y_ws"].update(sample_index=True),
+            lambda r: r.update(prompt=None),
+        ],
+        ids=["missing-y_ws", "str-score", "str-tokens", "bool-index", "null-prompt"],
+    )
+    def test_bad_dataset_line(self, run_dir, edit):
+        path, out = run_dir
+        _edit_first_line(out / "dataset.jsonl", edit)
+        assert run_cli("train", "--config", path, "--stage", "sft", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p["params"].update(data_b64=p["params"]["data_b64"][:-4]),
+            lambda p: p["params"].update(data_b64=p["params"]["data_b64"][:-1]),
+            lambda p: p["params"].update(shape="10x10"),
+            lambda p: p.pop("params"),
+            lambda p: p.update(order="2"),
+        ],
+        ids=["short-buffer", "cut-b64", "str-shape", "missing-params", "str-order"],
+    )
+    def test_bad_checkpoint(self, run_dir, edit):
+        path, out = run_dir
+        _edit_json(out / "target_sft.json", edit)
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    def test_checkpoint_not_json(self, run_dir):
+        path, out = run_dir
+        (out / "target_sft.json").write_text("not a checkpoint\n")
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.pop("loss"),
+            lambda r: r.update(loss="low"),
+            lambda r: r.update(internal_rewards=[1.0]),
+            lambda r: r.update(step=1.5),
+        ],
+        ids=["missing-loss", "str-loss", "list-rewards", "float-step"],
+    )
+    def test_bad_telemetry(self, run_dir, tmp_path, edit):
+        _, out = run_dir
+        _edit_first_line(out / "po_telemetry.jsonl", edit)
+        figs = tmp_path / "figs"
+        assert run_cli(
+            "export-figures", "--telemetry", str(out / "po_telemetry.jsonl"), "--out", str(figs)
+        ) == 3
+        assert not figs.exists()
 
 
 class TestVerifyCommand:
