@@ -2,8 +2,8 @@
 
 Every command validates its config up front, writes the resolved config
 next to its outputs, and keeps wall-clock noise (timestamps) out of data
-files so reruns are byte-identical. Exit codes: 0 ok, 2 config error,
-3 data error, 4 numeric failure.
+files so reruns are byte-identical. Exit codes: 0 ok, 1 a verify check
+failed, 2 config error, 3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -69,6 +69,26 @@ def _existing(path: Path, hint: str) -> Path:
     return path
 
 
+def _load_model(cfg: RunConfig, path: Path) -> PolicyModel:
+    """A frozen model from a checkpoint that must fit the config's vocabulary and context order."""
+    model = load_checkpoint(path)
+    vocab, order = cfg.vocabulary(), cfg.raw["task"]["context_order"]
+    if model.vocab != vocab or model.order != order:
+        raise DataError(
+            f"{path}: checkpoint vocabulary {list(model.vocab.tokens)} with context order "
+            f"{model.order} does not match the config's {list(vocab.tokens)} with order {order}"
+        )
+    return model.freeze()
+
+
+def _threads() -> int:
+    raw = os.environ.get("MICROWRPO_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"MICROWRPO_THREADS must be an integer, got {raw!r}") from None
+
+
 def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
     snapshot, losses = pipeline.sft(cfg, quadruples)
     save_checkpoint(snapshot, out / SFT_CKPT, label="target-sft")
@@ -85,7 +105,7 @@ def _po_stage(cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel) -> N
     model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
     save_checkpoint(model, out / PO_CKPT, label=f"target-po-{cfg.raw['objective']['kind']}")
     trainer.write_telemetry(out / PO_TELEMETRY, telemetry)
-    baseline = load_checkpoint(out / INIT_CKPT) if (out / INIT_CKPT).exists() else snapshot
+    baseline = _load_model(cfg, out / INIT_CKPT) if (out / INIT_CKPT).exists() else snapshot
     metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
     with open(out / METRICS_FILE, "w") as fh:
         json.dump(metrics, fh, indent=2)
@@ -103,7 +123,7 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     quadruples = datagen.read_quadruples(_existing(out / DATASET_FILE, "run gen-data first"))
     if stage == "po":
-        snapshot = load_checkpoint(_existing(out / SFT_CKPT, "run the sft stage first"))
+        snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
     else:
         snapshot = _sft_stage(cfg, out, quadruples)
     if stage != "sft":
@@ -141,18 +161,18 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     if cfg.objective_config().kind not in WRPO_KINDS:
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
     jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
+    threads = _threads()
     out = _out_dir(cfg)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if not (out / DATASET_FILE).exists():
         cmd_gen_data(cfg)
     quadruples = datagen.read_quadruples(out / DATASET_FILE)
     if (out / SFT_CKPT).exists():
-        snapshot = load_checkpoint(out / SFT_CKPT)
+        snapshot = _load_model(cfg, out / SFT_CKPT)
     else:
         snapshot = _sft_stage(cfg, out, quadruples)
     # Every job regenerates the same pairs; only the first job's are sent back and written.
     args = (jobs, repeat(quadruples), repeat(snapshot), [i == 0 for i in range(len(jobs))])
-    threads = int(os.environ.get("MICROWRPO_THREADS", "1"))
     rows = []
     with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         for row, pairs in (pool.map if threads > 1 else map)(_sweep_one, *args):

@@ -21,7 +21,7 @@ from .datagen import (
     make_prompts,
     make_source_ensemble,
 )
-from .errors import ConfigError, is_number
+from .errors import ConfigError, InputError, is_number
 from .objectives import KINDS, ObjectiveConfig
 from .policy import PolicyModel, SamplingConfig, Vocabulary, default_vocabulary, derive_seed, stream_salt
 from .schedule import SCHEDULE_KINDS, FusionSchedule
@@ -222,9 +222,12 @@ class RunConfig:
         _require(d["eval"]["n_prompts"] >= 1, "eval.n_prompts must be >= 1")
         _require(d["eval"]["samples_per_prompt"] >= 1, "eval.samples_per_prompt must be >= 1")
         # Try constructing the typed configs so their own checks run early.
-        self.objective_config()
-        self.optimizer_config("sft")
-        self.optimizer_config("po")
+        try:
+            self.objective_config()
+            self.optimizer_config("sft")
+            self.optimizer_config("po")
+        except InputError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
     # -- builders ------------------------------------------------------------

@@ -139,9 +139,11 @@ class PolicyModel:
     frozen: bool = False
 
     def __post_init__(self):
+        # size**65 exceeds any array length, so a larger order can never fit a
+        # table and is rejected before the power is formed.
+        if not 1 <= self.order <= 64:
+            raise InputError(f"context order must be in [1, 64] (got {self.order})")
         expected = (self.vocab.size**self.order, self.vocab.size)
-        if self.order < 1:
-            raise InputError("context order must be >= 1")
         self.logits = np.asarray(self.logits, dtype=np.float64)
         if self.logits.shape != expected:
             raise InputError(

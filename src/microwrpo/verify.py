@@ -1,12 +1,17 @@
-"""Built-in invariant battery behind the `verify` subcommand.
+"""The invariant checks behind the `verify` subcommand and the pytest suite.
 
-A quick self-check of the library's core contracts (normalization,
-gradient exactness, reduction identities, selection optimality,
-determinism, telemetry bookkeeping). The pytest suite is the exhaustive
-version; this battery runs in seconds and needs no fixtures.
+Each check is ``check(rng, n) -> str | None``: it draws ``n`` random
+instances from ``rng`` and returns a message for the first violation, or
+None. The suite calls every check at its own seed and size; `verify` runs
+them all at the sizes in ``CHECKS`` (normalization, gradient exactness,
+reduction identities, selection optimality, determinism, telemetry
+bookkeeping) in about a second and needs no fixtures.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,51 +29,63 @@ from .policy import (
 )
 from .schedule import FusionSchedule, alpha_at
 
+HYBRID_TO_PAIR = {"wrpo_dpo": "dpo", "wrpo_simpo": "simpo", "wrpo_ipo": "ipo"}
 
-def _random_sequence(rng, vocab, max_len=6) -> Sequence:
-    content = list(vocab.content_ids)
-    prompt = tuple(rng.choice(content, size=2))
-    body = tuple(rng.choice(content, size=int(rng.integers(1, max_len))))
+
+def random_sequence(rng, vocab, prompt=None, max_body=6) -> Sequence:
+    """A random 2-token prompt (unless given) and a body of 1..max_body-1 tokens plus eos."""
+    if prompt is None:
+        prompt = tuple(rng.choice(vocab.content_ids, size=2))
+    body = tuple(rng.choice(vocab.content_ids, size=int(rng.integers(1, max_body))))
     return Sequence(prompt=prompt, response=(*body, vocab.eos_id))
 
 
-def _random_quadruple(rng, vocab, include_yls=False) -> datagen.PreferenceQuadruple:
-    prompt = tuple(rng.choice(list(vocab.content_ids), size=2))
+def random_quadruple(rng, vocab) -> datagen.PreferenceQuadruple:
+    """Four randomly scored responses to one random prompt, y_ls included."""
+    prompt = tuple(rng.choice(vocab.content_ids, size=2))
 
     def scored(model_name, idx):
-        seq = _random_sequence(rng, vocab)
-        seq = Sequence(prompt=prompt, response=seq.response)
+        seq = random_sequence(rng, vocab, prompt, max_body=5)
         return datagen.ScoredResponse(seq, float(rng.normal()), model_name, idx)
 
     return datagen.PreferenceQuadruple(
-        prompt=prompt,
-        y_ws=scored("src", 0),
-        y_wt=scored("tgt", 0),
-        y_l=scored("tgt", 1),
-        y_ls=scored("src", 1) if include_yls else None,
+        prompt, scored("s", 0), scored("t", 0), scored("t", 1), scored("s", 1)
     )
 
 
-def _check_normalization(rng, n) -> str | None:
+def random_objective_config(rng, kind) -> obj.ObjectiveConfig:
+    """The kind at its operating point (gamma 0 for the wrpo kinds), with a random alpha."""
+    return obj.ObjectiveConfig(
+        kind=kind,
+        beta=10.0 if "simpo" in kind else 0.01,
+        tau=0.01,
+        gamma=0.0 if "wrpo" in kind else 1.0,
+        alpha=float(rng.uniform(0, 1)),
+    )
+
+
+def _random_model(rng, scale) -> PolicyModel:
+    """An order-2 model over 2 to 4 content tokens."""
+    vocab = default_vocabulary(int(rng.integers(2, 5)))
+    return PolicyModel.random_init(vocab, 2, scale, int(rng.integers(1 << 31)))
+
+
+def check_normalization(rng, n) -> str | None:
     for _ in range(n):
-        model = PolicyModel.random_init(
-            default_vocabulary(4), order=2, scale=2.0, seed=int(rng.integers(1 << 31))
-        )
+        model = _random_model(rng, scale=4.0)
         probs = np.exp(model.log_softmax_rows(np.arange(model.logits.shape[0])))
         if not np.allclose(probs.sum(axis=1), 1.0, atol=1e-9):
             return "softmax row does not sum to 1 within 1e-9"
     return None
 
 
-def _check_policy_gradient(rng, n) -> str | None:
-    vocab = default_vocabulary(4)
+def check_policy_gradient(rng, n) -> str | None:
+    """Central differences at 25 random logits per instance."""
+    h = 1e-5
     for _ in range(n):
-        model = PolicyModel.random_init(
-            vocab, order=2, scale=1.0, seed=int(rng.integers(1 << 31))
-        )
-        seq = _random_sequence(rng, vocab)
-        grad = log_prob_gradient(model, seq)
-        h = 1e-5
+        model = _random_model(rng, scale=1.5)
+        seq = random_sequence(rng, model.vocab)
+        grad = log_prob_gradient(model, seq).ravel()
         flat = model.logits.ravel()
         for k in rng.choice(flat.size, size=25, replace=False):
             orig = flat[k]
@@ -78,78 +95,91 @@ def _check_policy_gradient(rng, n) -> str | None:
             down = sequence_log_prob(model, seq)
             flat[k] = orig
             fd = (up - down) / (2 * h)
-            if abs(grad.ravel()[k] - fd) > max(1e-7, 1e-4 * abs(fd)):
-                return f"gradient mismatch: analytic {grad.ravel()[k]} vs fd {fd}"
+            if abs(grad[k] - fd) > max(1e-7, 1e-4 * abs(fd)):
+                return f"gradient mismatch at logit {k}: analytic {grad[k]} vs fd {fd}"
     return None
 
 
-def _check_sampling_determinism(rng, n) -> str | None:
-    vocab = default_vocabulary(4)
-    cfg = SamplingConfig(temperature=0.9, top_p=0.9, max_length=8, seed=123)
+def check_sampling_determinism(rng, n) -> str | None:
     for _ in range(n):
-        model = PolicyModel.random_init(
-            vocab, order=2, scale=1.0, seed=int(rng.integers(1 << 31))
+        model = _random_model(rng, scale=1.0)
+        prompt = tuple(rng.choice(model.vocab.content_ids, size=2))
+        cfg = SamplingConfig(
+            temperature=float(rng.uniform(0.5, 1.5)),
+            top_p=float(1.0 - rng.uniform(0, 0.5)),
+            max_length=int(rng.integers(1, 13)),
+            seed=int(rng.integers(1 << 31)),
         )
-        a = sample_response(model, (2, 3), cfg)
-        b = sample_response(model, (2, 3), cfg)
-        if a != b:
-            return "same seed produced different samples"
+        if sample_response(model, prompt, cfg) != sample_response(model, prompt, cfg):
+            return f"same seed produced different samples under {cfg}"
     return None
 
 
-def _check_reduction_identities(rng, n) -> str | None:
+def check_reduction_identities(rng, n) -> str | None:
+    """Each wrpo_* kind at alpha=0 is its pair kind on (y_wt, y_l), and at
+    alpha=1 on (y_ws, y_l): loss and parameter gradient agree to 1e-12."""
     vocab = default_vocabulary(4)
     for _ in range(n):
-        model = PolicyModel.random_init(vocab, 2, 1.0, int(rng.integers(1 << 31)))
-        ref = PolicyModel.random_init(
-            vocab, 2, 1.0, int(rng.integers(1 << 31)), frozen=True
-        )
-        quad = _random_quadruple(rng, vocab)
-        for alpha, chosen_pairing in ((0.0, "on_policy"), (1.0, "hybrid")):
-            wrpo_cfg = obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01, alpha=alpha)
-            dpo_cfg = obj.ObjectiveConfig(kind="dpo", beta=0.01)
-            res_w, grad_w = obj.loss_gradient_wrt_params(model, ref, quad, wrpo_cfg)
-            res_d, grad_d = obj.loss_gradient_wrt_params(
-                model, ref, quad, dpo_cfg, pairing=chosen_pairing
-            )
-            if abs(res_w.loss - res_d.loss) > 1e-12:
-                return f"wrpo(alpha={alpha}) loss differs from dpo"
-            if np.abs(grad_w - grad_d).max() > 1e-12:
-                return f"wrpo(alpha={alpha}) gradient differs from dpo"
+        for hybrid_kind, pair_kind in HYBRID_TO_PAIR.items():
+            for alpha, pairing in ((0.0, "on_policy"), (1.0, "hybrid")):
+                model = PolicyModel.random_init(vocab, 2, 1.0, int(rng.integers(1 << 31)))
+                ref = PolicyModel.random_init(
+                    vocab, 2, 1.0, int(rng.integers(1 << 31)), frozen=True
+                )
+                quad = random_quadruple(rng, vocab)
+                h_cfg = replace(random_objective_config(rng, hybrid_kind), alpha=alpha)
+                p_cfg = replace(h_cfg, kind=pair_kind, alpha=None)
+                res_h, grad_h = obj.loss_gradient_wrt_params(model, ref, quad, h_cfg)
+                res_p, grad_p = obj.loss_gradient_wrt_params(model, ref, quad, p_cfg, pairing)
+                if abs(res_h.loss - res_p.loss) > 1e-12:
+                    return f"{hybrid_kind}(alpha={alpha}) loss differs from {pair_kind}"
+                if np.abs(grad_h - grad_p).max() > 1e-12:
+                    return f"{hybrid_kind}(alpha={alpha}) gradient differs from {pair_kind}"
     return None
 
 
-def _check_initialization_constants(rng, n) -> str | None:
-    log2 = float(np.log(2.0))
+_NAMED_LOSSES = {
+    "dpo": obj.dpo_loss,
+    "ipo": obj.ipo_loss,
+    "simpo": obj.simpo_loss,
+    "wrpo_dpo": obj.wrpo_loss,
+    "wrpo_simpo": obj.wrpo_simpo_loss,
+    "wrpo_ipo": obj.wrpo_ipo_loss,
+    "wrpo_with_yls": obj.wrpo_with_yls_loss,
+}
+
+
+def check_initialization_constants(rng, n) -> str | None:
+    """With pi_theta == pi_ref and equal lengths every margin is zero: the
+    sigmoid kinds (gamma = 0) lose log 2, the squared kinds (1/(2 tau))^2."""
+    log2 = math.log(2.0)
     for _ in range(n):
-        lp = float(-rng.uniform(1, 20))
+        lp = float(-rng.uniform(0.5, 30))
         role = obj.RoleLogProb(theta=lp, ref=lp, length=int(rng.integers(1, 9)))
-        bundle3 = obj.LogProbBundle.triple(role, role, role)
-        bundle2 = obj.LogProbBundle.pair(role, role)
-        checks = [
-            obj.dpo_loss(bundle2, obj.ObjectiveConfig(kind="dpo", beta=0.01)).loss,
-            obj.wrpo_loss(
-                bundle3, obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01, alpha=0.3)
-            ).loss,
-        ]
-        if any(abs(c - log2) > 1e-12 for c in checks):
-            return "zero-margin sigmoid loss is not log 2"
-        tau = 0.01
-        ipo = obj.ipo_loss(bundle2, obj.ObjectiveConfig(kind="ipo", tau=tau)).loss
-        if abs(ipo - (1 / (2 * tau)) ** 2) > 1e-9:
-            return "zero-margin ipo loss is not (1/(2 tau))^2"
+        bundle = obj.LogProbBundle({r: role for r in ("w", "l", "w_s", "w_t", "l_s", "l_t")})
+        beta, alpha = float(rng.uniform(0.01, 10)), float(rng.uniform(0, 1))
+        for kind, loss_fn in _NAMED_LOSSES.items():
+            for tau in (0.01, 0.1, 1.0):
+                cfg = obj.ObjectiveConfig(kind, beta=beta, tau=tau, gamma=0.0, alpha=alpha)
+                if kind in obj.SIGMOID_KINDS:
+                    expected, tol = log2, 1e-12
+                else:
+                    expected, tol = (1.0 / (2.0 * tau)) ** 2, 1e-9
+                for loss in (loss_fn(bundle, cfg).loss, obj.evaluate_loss(bundle, cfg).loss):
+                    if abs(loss - expected) > tol:
+                        return f"zero-margin {kind} loss {loss} != {expected} (tau={tau})"
     return None
 
 
-def _check_bt_complement(rng, n) -> str | None:
+def check_bt_complement(rng, n) -> str | None:
     for _ in range(n):
-        a, b = rng.normal(scale=10, size=2)
+        a, b = rng.normal(scale=20, size=2)
         if abs(obj.bt_probability(a, b) + obj.bt_probability(b, a) - 1.0) > 1e-12:
             return "bt_probability complement violated"
     return None
 
 
-def _check_schedule(rng, n) -> str | None:
+def check_schedule(rng, n) -> str | None:
     for _ in range(n):
         sched = FusionSchedule(
             kind="linear",
@@ -166,124 +196,128 @@ def _check_schedule(rng, n) -> str | None:
 
 
 _TOY_TASK = {
-    "task": {"n_content_tokens": 6, "n_prompts": 24, "prompt_length": 2, "oracle_seed": 5},
+    "task": {"n_content_tokens": 6, "n_prompts": 25, "prompt_length": 2, "oracle_seed": 5},
     "ensemble": [
         {"name": "a", "sharpness": 6.0, "noise": 0.3},
         {"name": "b", "sharpness": 3.0, "noise": 0.8},
     ],
-    "sampling": {"n_samples": 3, "max_length": 8},
+    "sampling": {"n_samples": 4, "max_length": 8},
+    "data": {"include_yls": True},
 }
 
 
-def _toy_dataset(seed: int) -> pipeline.Dataset:
-    return pipeline.build_dataset(load_config(overrides=_TOY_TASK, seed=seed))
+def _toy_config(rng):
+    return load_config(overrides=_TOY_TASK, seed=int(rng.integers(1000)))
 
 
-def _check_selection_optimality(rng, n) -> str | None:
-    data = _toy_dataset(int(rng.integers(1000)))
-    for p_idx, quad in enumerate(data.quadruples):
-        pool = [c for per_model in data.source_candidates.samples[p_idx] for c in per_model]
-        if quad.y_ws.score != max(c.score for c in pool):
-            return "y_ws is not score-maximal among source samples"
-        tpool = [c for per_model in data.target_candidates.samples[p_idx] for c in per_model]
-        if quad.y_wt.score != max(c.score for c in tpool):
-            return "y_wt is not score-maximal among target samples"
-        if quad.y_l.score != min(c.score for c in tpool):
-            return "y_l is not score-minimal among target samples"
-    total = sum(pct for _, _, pct in data.attribution)
-    if abs(total - 100.0) > 0.01:
-        return f"attribution percentages sum to {total}"
+def check_selection_optimality(rng, n) -> str | None:
+    """Every stored score is the oracle's score of its tokens, and each
+    quadruple holds the extreme candidates of its prompt."""
+    for _ in range(n):
+        cfg = _toy_config(rng)
+        data, oracle = pipeline.build_dataset(cfg), cfg.oracle()
+        for p_idx, quad in enumerate(data.quadruples):
+            pool = [c for per_model in data.source_candidates.samples[p_idx] for c in per_model]
+            tpool = [c for per_model in data.target_candidates.samples[p_idx] for c in per_model]
+            for cand in pool + tpool:
+                if cand.score != oracle.score(quad.prompt, cand.sequence.response):
+                    return f"prompt {p_idx}: a stored score differs from its rescoring"
+            same = [c.score for c in pool if c.model == quad.y_ws.model]
+            if quad.y_ws.score != max(c.score for c in pool):
+                return "y_ws is not score-maximal among source samples"
+            if quad.y_ls.score != min(same):
+                return "y_ls is not score-minimal among y_ws's model's samples"
+            if quad.y_wt.score != max(c.score for c in tpool):
+                return "y_wt is not score-maximal among target samples"
+            if quad.y_l.score != min(c.score for c in tpool):
+                return "y_l is not score-minimal among target samples"
+        total = sum(pct for _, _, pct in data.attribution)
+        if abs(total - 100.0) > 0.01:
+            return f"attribution percentages sum to {total}"
     return None
 
 
-def _check_end_to_end_reduction(rng, n) -> str | None:
-    quadruples = _toy_dataset(3).quadruples
-    snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=9, frozen=True)
-    opt = trainer.OptimizerConfig(kind="adam", step_size=0.05)
-    common = dict(epochs=1, batch_size=8, seed=11)
-    wrpo_model, wrpo_tel = trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        quadruples,
-        obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01),
-        opt,
-        schedule=FusionSchedule(kind="static", target=0.0, total_steps=1),
-        **common,
-    )
-    dpo_model, dpo_tel = trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        quadruples,
-        obj.ObjectiveConfig(kind="dpo", beta=0.01),
-        trainer.OptimizerConfig(kind="adam", step_size=0.05),
-        **common,
-    )
-    if parameter_hash(wrpo_model) != parameter_hash(dpo_model):
-        return "wrpo(alpha=0) final parameters differ from dpo"
-    for a, b in zip(wrpo_tel.steps, dpo_tel.steps):
-        if a.loss != b.loss or a.on_policy_margin != b.on_policy_margin:
-            return "wrpo(alpha=0) telemetry differs from dpo"
-    if len(wrpo_tel.steps) != len(dpo_tel.steps):
-        return "telemetry lengths differ"
+def _toy_po(rng):
+    """A toy dataset and a run(kind, schedule) of two Adam epochs from its frozen initial target."""
+    data = pipeline.build_dataset(_toy_config(rng))
+    seed = int(rng.integers(1000))
+
+    def run(kind, schedule):
+        return trainer.run_preference_optimization(
+            data.target_init.copy(frozen=False),
+            data.target_init,
+            data.quadruples,
+            obj.ObjectiveConfig(kind=kind, beta=0.01),
+            trainer.OptimizerConfig(kind="adam", step_size=0.05),
+            schedule=schedule,
+            epochs=2,
+            batch_size=8,
+            seed=seed,
+        )
+
+    return data, run
+
+
+def check_end_to_end_reduction(rng, n) -> str | None:
+    for _ in range(n):
+        _, run = _toy_po(rng)
+        wrpo_model, wrpo_tel = run("wrpo_dpo", FusionSchedule("static", 0.0, 1))
+        dpo_model, dpo_tel = run("dpo", None)
+        if parameter_hash(wrpo_model) != parameter_hash(dpo_model):
+            return "wrpo(alpha=0) final parameters differ from dpo"
+        if len(wrpo_tel.steps) != len(dpo_tel.steps):
+            return "telemetry lengths differ"
+        for a, b in zip(wrpo_tel.steps, dpo_tel.steps):
+            w, d = a.internal_rewards, b.internal_rewards
+            if (a.loss, a.grad_norm, a.on_policy_margin, w["w_t"], w["l"]) != (
+                b.loss, b.grad_norm, b.on_policy_margin, d["w"], d["l"]
+            ):
+                return f"wrpo(alpha=0) telemetry differs from dpo at step {a.step}"
     return None
 
 
-def _check_reference_immutability(rng, n) -> str | None:
-    quadruples = _toy_dataset(4).quadruples
-    snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=2, frozen=True)
-    before = parameter_hash(snapshot)
-    trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        quadruples,
-        obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01),
-        trainer.OptimizerConfig(step_size=0.05),
-        schedule=FusionSchedule(kind="linear", target=0.5, total_steps=10),
-        epochs=1,
-        batch_size=8,
-        seed=0,
-    )
-    if parameter_hash(snapshot) != before:
-        return "reference parameters changed during preference optimization"
+def check_reference_immutability(rng, n) -> str | None:
+    for _ in range(n):
+        data, run = _toy_po(rng)
+        before = parameter_hash(data.target_init)
+        run("wrpo_dpo", FusionSchedule(kind="linear", target=0.5, total_steps=10))
+        if parameter_hash(data.target_init) != before:
+            return "reference parameters changed during preference optimization"
     return None
 
 
-def _check_telemetry_bookkeeping(rng, n) -> str | None:
-    quadruples = _toy_dataset(5).quadruples
-    snapshot = PolicyModel.random_init(default_vocabulary(6), 2, 0.5, seed=2, frozen=True)
-    sched = FusionSchedule(kind="linear", target=0.4, total_steps=6)
-    _, telemetry = trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
-        snapshot,
-        quadruples,
-        obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01),
-        trainer.OptimizerConfig(step_size=0.05),
-        schedule=sched,
-        epochs=2,
-        batch_size=8,
-        seed=0,
-    )
-    expected = trainer.n_optimizer_steps(len(quadruples), 8, 2)
-    if len(telemetry.steps) != expected:
-        return f"{len(telemetry.steps)} step records != {expected} optimizer steps"
-    for rec in telemetry.steps:
-        if rec.alpha != alpha_at(sched, rec.step):
-            return "alpha column does not match the schedule"
+def check_telemetry_bookkeeping(rng, n) -> str | None:
+    for _ in range(n):
+        data, run = _toy_po(rng)
+        sched = FusionSchedule(
+            kind="linear", target=float(rng.uniform(0, 1)), total_steps=int(rng.integers(1, 12))
+        )
+        _, telemetry = run("wrpo_dpo", sched)
+        expected = trainer.n_optimizer_steps(len(data.quadruples), 8, 2)
+        if len(telemetry.steps) != expected:
+            return f"{len(telemetry.steps)} step records != {expected} optimizer steps"
+        for rec in telemetry.steps:
+            if rec.alpha != alpha_at(sched, rec.step):
+                return "alpha column does not match the schedule"
+            if rec.on_policy_margin is None or rec.hybrid_policy_margin is None:
+                return f"step {rec.step} lacks a margin"
+            if not (math.isfinite(rec.loss) and math.isfinite(rec.grad_norm)):
+                return f"step {rec.step} has a non-finite loss or grad_norm"
     return None
 
 
 CHECKS = [
-    ("softmax normalization", _check_normalization, 10, 3),
-    ("policy log-prob gradient vs finite differences", _check_policy_gradient, 10, 3),
-    ("sampling determinism", _check_sampling_determinism, 10, 3),
-    ("wrpo endpoint reduction identities", _check_reduction_identities, 25, 5),
-    ("zero-margin initialization constants", _check_initialization_constants, 50, 10),
-    ("bradley-terry complement", _check_bt_complement, 1000, 100),
-    ("fusion schedule monotonicity", _check_schedule, 50, 10),
-    ("selection optimality and attribution", _check_selection_optimality, 1, 1),
-    ("end-to-end wrpo(alpha=0) == dpo", _check_end_to_end_reduction, 1, 1),
-    ("reference immutability", _check_reference_immutability, 1, 1),
-    ("telemetry completeness and alpha column", _check_telemetry_bookkeeping, 1, 1),
+    ("softmax normalization", check_normalization, 10, 3),
+    ("policy log-prob gradient vs finite differences", check_policy_gradient, 10, 3),
+    ("sampling determinism", check_sampling_determinism, 10, 3),
+    ("wrpo endpoint reduction identities", check_reduction_identities, 25, 5),
+    ("zero-margin initialization constants", check_initialization_constants, 50, 10),
+    ("bradley-terry complement", check_bt_complement, 1000, 100),
+    ("fusion schedule monotonicity", check_schedule, 50, 10),
+    ("selection optimality and attribution", check_selection_optimality, 1, 1),
+    ("end-to-end wrpo(alpha=0) == dpo", check_end_to_end_reduction, 1, 1),
+    ("reference immutability", check_reference_immutability, 1, 1),
+    ("telemetry completeness and alpha column", check_telemetry_bookkeeping, 1, 1),
 ]
 
 

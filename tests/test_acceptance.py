@@ -15,12 +15,11 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import pipeline_env
-from microwrpo import cli, datagen, trainer
+from microwrpo import cli, datagen, trainer, verify
 from microwrpo import objectives as obj
 from microwrpo.config import load_config
 from microwrpo.policy import (
     PolicyModel,
-    Sequence,
     default_vocabulary,
     derive_seed,
     parameter_hash,
@@ -31,31 +30,6 @@ from microwrpo.schedule import FusionSchedule
 
 def report(num: int, description: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {description}")
-
-
-# ---------------------------------------------------------------------------
-# shared random-instance machinery for the objective-level criteria
-
-
-def rand_quadruple(rng, vocab):
-    prompt = tuple(rng.choice(vocab.content_ids, size=2))
-
-    def seq():
-        body = tuple(rng.choice(vocab.content_ids, size=int(rng.integers(1, 5))))
-        return Sequence(prompt=prompt, response=(*body, vocab.eos_id))
-
-    mk = lambda m, i: datagen.ScoredResponse(seq(), float(rng.normal()), m, i)
-    return datagen.PreferenceQuadruple(prompt, mk("s", 0), mk("t", 0), mk("t", 1), mk("s", 1))
-
-
-def rand_cfg(kind, rng):
-    return obj.ObjectiveConfig(
-        kind=kind,
-        beta=10.0 if "simpo" in kind else 0.01,
-        tau=0.01,
-        gamma=0.0 if "wrpo" in kind else 1.0,
-        alpha=float(rng.uniform(0, 1)),
-    )
 
 
 def composed_loss(model, ref, quad, cfg, pairing):
@@ -77,8 +51,8 @@ class TestCriterion1GradientSuite:
                 ref = PolicyModel(
                     vocab, 1, rng.standard_normal((size, size)), frozen=True
                 )
-                quad = rand_quadruple(rng, vocab)
-                cfg = rand_cfg(kind, rng)
+                quad = verify.random_quadruple(rng, vocab)
+                cfg = verify.random_objective_config(rng, kind)
                 pairing = "on_policy" if rng.random() < 0.5 else "hybrid"
                 _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg, pairing)
                 flat = model.logits.ravel()
@@ -98,34 +72,14 @@ class TestCriterion1GradientSuite:
 
 
 class TestCriterion2ReductionIdentities:
-    HYBRID_TO_PAIR = {"wrpo_dpo": "dpo", "wrpo_simpo": "simpo", "wrpo_ipo": "ipo"}
-
     def test_per_instance_endpoints(self):
-        rng = np.random.default_rng(7)
-        vocab = default_vocabulary(4)
-        for hybrid_kind, pair_kind in self.HYBRID_TO_PAIR.items():
-            for alpha, pairing in ((0.0, "on_policy"), (1.0, "hybrid")):
-                for _ in range(50):
-                    model = PolicyModel.random_init(vocab, 2, 1.0, int(rng.integers(1 << 31)))
-                    ref = PolicyModel.random_init(
-                        vocab, 2, 1.0, int(rng.integers(1 << 31)), frozen=True
-                    )
-                    quad = rand_quadruple(rng, vocab)
-                    h_cfg = replace(rand_cfg(hybrid_kind, rng), alpha=alpha)
-                    p_cfg = replace(rand_cfg(pair_kind, rng), alpha=None,
-                                    beta=h_cfg.beta, tau=h_cfg.tau, gamma=h_cfg.gamma)
-                    res_h, grad_h = obj.loss_gradient_wrt_params(model, ref, quad, h_cfg)
-                    res_p, grad_p = obj.loss_gradient_wrt_params(
-                        model, ref, quad, p_cfg, pairing=pairing
-                    )
-                    assert abs(res_h.loss - res_p.loss) <= 1e-12
-                    assert np.abs(grad_h - grad_p).max() <= 1e-12
+        assert verify.check_reduction_identities(np.random.default_rng(7), 50) is None
 
     def test_end_to_end_telemetry_identical(self):
         env = pipeline_env(0)
         snap, quads = env["snapshot"], env["po_train"][:64]
         opt = trainer.OptimizerConfig(kind="adam", step_size=0.05)
-        for hybrid_kind, pair_kind in self.HYBRID_TO_PAIR.items():
+        for hybrid_kind, pair_kind in verify.HYBRID_TO_PAIR.items():
             h_cfg = obj.ObjectiveConfig(
                 kind=hybrid_kind,
                 beta=10.0 if "simpo" in hybrid_kind else 0.01,
@@ -155,44 +109,7 @@ class TestCriterion2ReductionIdentities:
 
 class TestCriterion3InitializationConstants:
     def test_zero_margin_values(self):
-        rng = np.random.default_rng(3)
-        log2 = math.log(2.0)
-        for _ in range(50):
-            theta = float(-rng.uniform(0.5, 30))
-            # pi_theta == pi_ref, equal lengths: every margin is exactly zero
-            r = obj.RoleLogProb(theta=theta, ref=theta, length=int(rng.integers(1, 9)))
-            pair = obj.LogProbBundle.pair(r, r)
-            triple = obj.LogProbBundle.triple(r, r, r)
-            quad = obj.LogProbBundle.quad(r, r, r, r)
-            alpha = float(rng.uniform(0, 1))
-            assert abs(obj.dpo_loss(pair, obj.ObjectiveConfig("dpo", beta=0.01)).loss - log2) <= 1e-12
-            assert abs(
-                obj.wrpo_loss(triple, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=alpha)).loss
-                - log2
-            ) <= 1e-12
-            assert abs(
-                obj.simpo_loss(pair, obj.ObjectiveConfig("simpo", beta=10.0, gamma=0.0)).loss - log2
-            ) <= 1e-12
-            assert abs(
-                obj.wrpo_simpo_loss(
-                    triple, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=alpha)
-                ).loss
-                - log2
-            ) <= 1e-12
-            assert abs(
-                obj.wrpo_with_yls_loss(
-                    quad, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=alpha)
-                ).loss
-                - log2
-            ) <= 1e-12
-            for tau in (0.01, 0.1, 1.0):
-                expected = (1.0 / (2.0 * tau)) ** 2
-                got = obj.ipo_loss(pair, obj.ObjectiveConfig("ipo", tau=tau)).loss
-                assert abs(got - expected) <= 1e-9
-                got = obj.wrpo_ipo_loss(
-                    triple, obj.ObjectiveConfig("wrpo_ipo", tau=tau, alpha=alpha)
-                ).loss
-                assert abs(got - expected) <= 1e-9
+        assert verify.check_initialization_constants(np.random.default_rng(3), 50) is None
         report(3, "zero-margin losses equal log 2; squared kinds equal (1/(2 tau))^2")
 
 

@@ -7,9 +7,15 @@ import time
 import pytest
 from conftest import pipeline_env
 
-from microwrpo import cli, datagen, trainer
+from microwrpo import cli, datagen, trainer, verify
 from microwrpo.config import default_config_dict, load_config
-from microwrpo.policy import load_checkpoint, parameter_hash
+from microwrpo.policy import (
+    PolicyModel,
+    default_vocabulary,
+    load_checkpoint,
+    parameter_hash,
+    save_checkpoint,
+)
 
 MINI_CONFIG = {
     "task": {"n_prompts": 24, "n_content_tokens": 6, "prompt_length": 2},
@@ -61,6 +67,11 @@ class TestGenData:
     def test_invalid_value_exit_2(self, tmp_path):
         path = write_config(tmp_path, {"sampling": {"top_p": 1.5}})
         assert run_cli("gen-data", "--config", path) == 2
+
+    def test_invalid_objective_value_exit_2(self, tmp_path):
+        path = write_config(tmp_path, {"objective": {"tau": -1.0}})
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -228,6 +239,17 @@ class TestSweepAlpha:
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
         assert (out1 / "po_dataset.jsonl").read_bytes() == (out2 / "po_dataset.jsonl").read_bytes()
 
+    def test_non_integer_threads_exit_2_before_any_output(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "sweep"
+        monkeypatch.setenv("MICROWRPO_THREADS", "abc")
+        monkeypatch.delenv("MICROWRPO_OUT", raising=False)
+        assert run_cli(
+            "sweep-alpha", "--config", path, "--out", str(out), "--targets", "0.5", "--kinds", "static"
+        ) == 2
+        assert "MICROWRPO_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnvOverrides:
     def test_out_dir_env_var_wins(self, tmp_path, monkeypatch):
@@ -330,13 +352,37 @@ class TestMalformedInput:
             lambda p: p["params"].update(shape="10x10"),
             lambda p: p.pop("params"),
             lambda p: p.update(order="2"),
+            lambda p: p.update(order=2**64),
         ],
-        ids=["short-buffer", "cut-b64", "str-shape", "missing-params", "str-order"],
+        ids=["short-buffer", "cut-b64", "str-shape", "missing-params", "str-order", "huge-order"],
     )
     def test_bad_checkpoint(self, run_dir, edit):
         path, out = run_dir
         _edit_json(out / "target_sft.json", edit)
         assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "command, name, n_content, order",
+        [
+            (("train", "--stage", "po"), "target_sft.json", 8, 2),
+            (("train", "--stage", "po"), "target_sft.json", 6, 3),
+            (("train", "--stage", "po"), "target_init.json", 8, 2),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "static"), "target_sft.json", 8, 2),
+        ],
+        ids=["po-sft-vocab", "po-sft-order", "po-init-vocab", "sweep-sft-vocab"],
+    )
+    def test_checkpoint_mismatching_config(self, run_dir, command, name, n_content, order):
+        path, out = run_dir
+        model = PolicyModel.random_init(default_vocabulary(n_content), order, 0.5, frozen=True)
+        save_checkpoint(model, out / name, label="mismatch")
+        assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+
+    def test_unfrozen_checkpoint_is_used_frozen(self, run_dir):
+        path, out = run_dir
+        before = (out / "target_po.json").read_bytes()
+        _edit_json(out / "target_sft.json", lambda p: p.update(frozen=False))
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out), "--seed", "2") == 0
+        assert (out / "target_po.json").read_bytes() == before
 
     def test_checkpoint_not_json(self, run_dir):
         path, out = run_dir
@@ -366,3 +412,12 @@ class TestMalformedInput:
 class TestVerifyCommand:
     def test_battery_passes(self):
         assert run_cli("verify", "--fast") == 0
+
+    def test_failed_check_exit_1(self, monkeypatch, capsys):
+        name, _, n_full, n_fast = verify.CHECKS[0]
+        failing = (name, lambda rng, n: "injected failure", n_full, n_fast)
+        monkeypatch.setattr(verify, "CHECKS", [failing, *verify.CHECKS[1:]])
+        assert run_cli("verify", "--fast") == 1
+        out = capsys.readouterr().out
+        assert f"[!!] {name}: FAIL (injected failure)" in out
+        assert f"1/{len(verify.CHECKS)} checks failed" in out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from microwrpo import datagen
+from microwrpo import datagen, verify
 from microwrpo.errors import InputError
 from microwrpo.policy import (
     PolicyModel,
@@ -104,21 +104,7 @@ class TestGenerateCandidates:
 
 class TestAssembleQuadruples:
     def test_selection_optimality_brute_force(self):
-        oracle, _, _, _, src, tgt = small_world(n_prompts=25, n_samples=4)
-        quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
-        for p_idx, quad in enumerate(quads):
-            pool = [c for per_model in src.samples[p_idx] for c in per_model]
-            # independent rescoring from raw sequences
-            rescored = [
-                oracle.score(quad.prompt, c.sequence.response) for c in pool
-            ]
-            assert quad.y_ws.score == max(rescored)
-            tpool = [c for per_model in tgt.samples[p_idx] for c in per_model]
-            t_scores = [oracle.score(quad.prompt, c.sequence.response) for c in tpool]
-            assert quad.y_wt.score == max(t_scores)
-            assert quad.y_l.score == min(t_scores)
-            same = [c for c in pool if c.model == quad.y_ws.model]
-            assert quad.y_ls.score == min(c.score for c in same)
+        assert verify.check_selection_optimality(np.random.default_rng(0), 1) is None
 
     def test_single_source_gets_full_attribution(self):
         _, _, _, _, src, tgt = small_world(specs=[("solo", 5.0, 0.5)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microwrpo import datagen
+from microwrpo import datagen, verify
 from microwrpo import objectives as obj
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import PolicyModel, Sequence, default_vocabulary, stream_salt
@@ -64,10 +64,7 @@ class TestBtProbability:
         )
 
     def test_complement_1000_random_pairs(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):
-            a, b = rng.normal(scale=20, size=2)
-            assert abs(obj.bt_probability(a, b) + obj.bt_probability(b, a) - 1) <= 1e-12
+        assert verify.check_bt_complement(np.random.default_rng(0), 1000) is None
 
 
 class TestCompoundReward:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from microwrpo import verify
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import (
     PolicyModel,
@@ -42,12 +43,6 @@ def brute_force_log_prob(model, seq):
 
 def random_model(seed, vocab=VOCAB4, order=2, scale=1.0):
     return PolicyModel.random_init(vocab, order=order, scale=scale, seed=seed)
-
-
-def random_sequence(rng, vocab=VOCAB4, max_body=6):
-    prompt = tuple(rng.choice(vocab.content_ids, size=2))
-    body = tuple(rng.choice(vocab.content_ids, size=int(rng.integers(1, max_body))))
-    return Sequence(prompt=prompt, response=(*body, vocab.eos_id))
 
 
 class TestVocabulary:
@@ -88,7 +83,7 @@ class TestSequenceLogProb:
         rng = np.random.default_rng(7)
         for i in range(50):
             model = random_model(i, order=int(rng.integers(1, 4)))
-            seq = random_sequence(rng)
+            seq = verify.random_sequence(rng, VOCAB4)
             assert sequence_log_prob(model, seq) == pytest.approx(
                 brute_force_log_prob(model, seq), rel=1e-12, abs=1e-12
             )
@@ -97,7 +92,7 @@ class TestSequenceLogProb:
         model = random_model(0, scale=30.0)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert math.isfinite(sequence_log_prob(model, random_sequence(rng)))
+            assert math.isfinite(sequence_log_prob(model, verify.random_sequence(rng, VOCAB4)))
 
     def test_out_of_range_token_rejected(self):
         model = PolicyModel.uniform(VOCAB4)
@@ -130,7 +125,7 @@ class TestAvgLogProb:
     def test_is_sum_oracle_over_length(self):
         rng = np.random.default_rng(11)
         model = random_model(9)
-        seq = random_sequence(rng)
+        seq = verify.random_sequence(rng, VOCAB4)
         expected = brute_force_log_prob(model, seq) / len(seq.response)
         assert avg_log_prob(model, seq) == pytest.approx(expected, rel=1e-12)
 
@@ -152,23 +147,7 @@ class TestLogProbGradient:
         assert np.all(grad[mask] == 0.0)
 
     def test_matches_finite_differences_100_pairs(self):
-        rng = np.random.default_rng(13)
-        h = 1e-5
-        for i in range(100):
-            model = random_model(i, scale=1.5)
-            seq = random_sequence(rng)
-            grad = log_prob_gradient(model, seq)
-            flat = model.logits.ravel()
-            gflat = grad.ravel()
-            for k in rng.choice(flat.size, size=12, replace=False):
-                orig = flat[k]
-                flat[k] = orig + h
-                up = sequence_log_prob(model, seq)
-                flat[k] = orig - h
-                down = sequence_log_prob(model, seq)
-                flat[k] = orig
-                fd = (up - down) / (2 * h)
-                assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd))
+        assert verify.check_policy_gradient(np.random.default_rng(13), 100) is None
 
     def test_unvisited_contexts_exactly_zero(self):
         model = random_model(4)
@@ -188,9 +167,7 @@ class TestLogProbGradient:
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        model = random_model(21)
-        cfg = SamplingConfig(temperature=0.8, top_p=0.95, max_length=10, seed=77)
-        assert sample_response(model, (2, 3), cfg) == sample_response(model, (2, 3), cfg)
+        assert verify.check_sampling_determinism(np.random.default_rng(21), 1) is None
 
     def test_dominant_token_with_smaller_top_p_is_always_emitted(self):
         # One token holds 0.97 mass; top_p = 0.95 keeps a nucleus of size 1.
@@ -252,10 +229,7 @@ class TestSampling:
 
 class TestNormalization:
     def test_softmax_rows_sum_to_one(self):
-        for seed in range(10):
-            model = random_model(seed, scale=4.0)
-            probs = np.exp(model.log_softmax_rows(np.arange(model.logits.shape[0])))
-            assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        assert verify.check_normalization(np.random.default_rng(0), 10) is None
 
 
 class TestSerialization:
