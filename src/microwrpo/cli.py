@@ -121,7 +121,8 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
         raise ConfigError(f"unknown stage {stage!r}")
     out = _out_dir(cfg)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    quadruples = datagen.read_quadruples(_existing(out / DATASET_FILE, "run gen-data first"))
+    dataset = _existing(out / DATASET_FILE, "run gen-data first")
+    quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
     else:
@@ -166,7 +167,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if not (out / DATASET_FILE).exists():
         cmd_gen_data(cfg)
-    quadruples = datagen.read_quadruples(out / DATASET_FILE)
+    quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary().size)
     if (out / SFT_CKPT).exists():
         snapshot = _load_model(cfg, out / SFT_CKPT)
     else:

@@ -42,6 +42,11 @@ PAPER_OBJECTIVE_SETTINGS = {
 
 ALPHA_SWEEP_TARGETS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
+# The most entries a config may ask for in one logit table, (n_content_tokens + 2) **
+# (context_order + 1), or in the prompt space make_prompts permutes, n_content_tokens **
+# prompt_length: 1 MiB of float64. The benchmark's largest table is 26**3 = 17,576.
+MAX_SPACE = 2**17
+
 
 def default_config_dict() -> dict:
     return {
@@ -144,6 +149,15 @@ _NUMBER_FIELDS = (
 _NULLABLE_FIELDS = ("schedule.total_steps", "objective.tau", "objective.gamma")
 
 
+def _require_space(base: int, exponent: int, what: str) -> None:
+    # base >= 2, so an exponent of MAX_SPACE's bit length or more is over the cap;
+    # it is rejected before the power is formed, which could take forever.
+    _require(
+        exponent < MAX_SPACE.bit_length() and base**exponent <= MAX_SPACE,
+        f"{what} must be at most {MAX_SPACE} entries",
+    )
+
+
 def _check_types(d: dict) -> None:
     for fields, integer in ((_INT_FIELDS, True), (_NUMBER_FIELDS, False)):
         for path in fields:
@@ -176,6 +190,16 @@ class RunConfig:
         _require(task["n_prompts"] >= 1, "task.n_prompts must be >= 1")
         _require(task["prompt_length"] >= 1, "task.prompt_length must be >= 1")
         _require(task["length_penalty"] >= 0, "task.length_penalty must be >= 0")
+        _require_space(
+            task["n_content_tokens"] + 2,
+            task["context_order"] + 1,
+            "the logit table, (task.n_content_tokens + 2) ** (task.context_order + 1),",
+        )
+        _require_space(
+            task["n_content_tokens"],
+            task["prompt_length"],
+            "the prompt space, task.n_content_tokens ** task.prompt_length,",
+        )
         _require(
             isinstance(d["ensemble"], list) and len(d["ensemble"]) >= 1,
             "ensemble must be a non-empty list",

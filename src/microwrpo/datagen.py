@@ -41,6 +41,7 @@ __all__ = [
     "SftRecord",
     "DatasetSplit",
     "make_prompts",
+    "sample_scored",
     "generate_candidates",
     "assemble_quadruples",
     "split_dataset",
@@ -226,42 +227,50 @@ def make_prompts(
     return prompts
 
 
+def sample_scored(
+    model: PolicyModel,
+    label: str,
+    prompts: list[tuple[int, ...]],
+    n_samples: int,
+    cfg: SamplingConfig,
+    oracle: BigramRewardOracle,
+    salt: str,
+) -> list[list[ScoredResponse]]:
+    """n_samples scored draws per prompt from ``model``, as [prompt][sample].
+
+    Draw (p, s) uses its own counter-derived stream keyed by (salt, p, s),
+    so draws never depend on the order they are made in.
+    """
+    if n_samples < 1:
+        raise InputError("n_samples must be >= 1")
+    key = stream_salt(salt)
+    scored = []
+    for p_idx, prompt in enumerate(prompts):
+        draws = []
+        for s_idx in range(n_samples):
+            seq = sample_response(model, prompt, cfg, rng=derive_rng(cfg.seed, key, p_idx, s_idx))
+            draws.append(ScoredResponse(seq, oracle.score(prompt, seq.response), label, s_idx))
+        scored.append(draws)
+    return scored
+
+
 def generate_candidates(
     ensemble: SourceEnsemble,
     prompts: list[tuple[int, ...]],
     n_samples: int,
     oracle: BigramRewardOracle,
 ) -> CandidateSet:
-    """Exactly n_samples scored draws per (prompt, member).
-
-    Each draw uses its own counter-derived stream keyed by (member name,
-    prompt index, sample index), so generation order never matters.
-    """
+    """Exactly n_samples scored draws per (prompt, member), salted by the member's name."""
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
-    samples: list[list[list[ScoredResponse]]] = []
-    for p_idx, prompt in enumerate(prompts):
-        per_model = []
-        for member in ensemble.members:
-            salt = stream_salt(member.name)
-            draws = []
-            for s_idx in range(n_samples):
-                rng = derive_rng(member.sampling.seed, salt, p_idx, s_idx)
-                seq = sample_response(member.model, prompt, member.sampling, rng=rng)
-                draws.append(
-                    ScoredResponse(
-                        sequence=seq,
-                        score=oracle.score(prompt, seq.response),
-                        model=member.name,
-                        sample_index=s_idx,
-                    )
-                )
-            per_model.append(draws)
-        samples.append(per_model)
+    per_member = [
+        sample_scored(m.model, m.name, prompts, n_samples, m.sampling, oracle, m.name)
+        for m in ensemble.members
+    ]
     return CandidateSet(
-        prompts=list(prompts), model_names=list(ensemble.names), samples=samples
+        prompts=list(prompts),
+        model_names=list(ensemble.names),
+        samples=[list(per_prompt) for per_prompt in zip(*per_member)],
     )
 
 
@@ -453,12 +462,18 @@ _ROLE_FIELDS = {
 }
 
 
-def _role_from_dict(prompt: tuple[int, ...], d, role: str) -> ScoredResponse:
+def _check_range(tokens: list[int], vocab_size: int, field: str) -> None:
+    if any(t >= vocab_size for t in tokens):
+        raise DataError(f"{field} has a token id outside the vocabulary of size {vocab_size}")
+
+
+def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab_size: int) -> ScoredResponse:
     if not isinstance(d, dict):
         raise DataError(f"{role} must be an object")
     for key, (ok, what) in _ROLE_FIELDS.items():
         if not ok(d.get(key)):
             raise DataError(f"{role}.{key} must be {what}")
+    _check_range(d["tokens"], vocab_size, f"{role}.tokens")
     return ScoredResponse(
         sequence=Sequence(prompt=prompt, response=tuple(d["tokens"])),
         score=float(d["score"]),
@@ -467,16 +482,20 @@ def _role_from_dict(prompt: tuple[int, ...], d, role: str) -> ScoredResponse:
     )
 
 
-def _quadruple_from_dict(d: dict) -> PreferenceQuadruple:
-    if not _is_token_list(d.get("prompt")):
-        raise DataError("prompt must be a list of token ids")
+def _quadruple_from_dict(d: dict, vocab_size: int) -> PreferenceQuadruple:
+    if not _is_token_list(d.get("prompt"), nonempty=True):
+        raise DataError("prompt must be a non-empty list of token ids")
+    _check_range(d["prompt"], vocab_size, "prompt")
     prompt = tuple(d["prompt"])
-    roles = {role: _role_from_dict(prompt, d.get(role), role) for role in ("y_ws", "y_wt", "y_l")}
+    roles = {
+        role: _role_from_dict(prompt, d.get(role), role, vocab_size)
+        for role in ("y_ws", "y_wt", "y_l")
+    }
     y_ls = d.get("y_ls")
     return PreferenceQuadruple(
         prompt=prompt,
         **roles,
-        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls"),
+        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls", vocab_size),
     )
 
 
@@ -495,7 +514,9 @@ def write_quadruples(path, quadruples: list[PreferenceQuadruple]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_quadruples(path) -> list[PreferenceQuadruple]:
+def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:
+    """Read write_quadruples' JSONL; a malformed record, an empty prompt or a token id
+    outside a vocabulary of ``vocab_size`` tokens raises DataError."""
     quadruples = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -514,7 +535,7 @@ def read_quadruples(path) -> list[PreferenceQuadruple]:
                     f"{d.get('schema_version')!r}"
                 )
             try:
-                quadruples.append(_quadruple_from_dict(d))
+                quadruples.append(_quadruple_from_dict(d, vocab_size))
             except DataError as exc:
                 raise DataError(f"{path}:{line_no}: {exc}") from None
     return quadruples

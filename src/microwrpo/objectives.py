@@ -25,12 +25,12 @@ cancels in every pairwise comparison and is never computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
-from scipy.special import expit, log_expit
 
 from . import policy as policy_mod
 from .errors import InputError, UsageError
@@ -179,7 +179,7 @@ def bt_probability(reward_w: float, reward_l: float) -> float:
     """Bradley-Terry win probability sigma(reward_w - reward_l)."""
     if not (np.isfinite(reward_w) and np.isfinite(reward_l)):
         raise InputError("rewards must be finite")
-    return float(expit(reward_w - reward_l))
+    return expit(reward_w - reward_l)
 
 
 def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
@@ -189,13 +189,26 @@ def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
     return alpha * r_ws + (1 - alpha) * r_wt
 
 
+def expit(x: float) -> float:
+    """The logistic function 1 / (1 + e^-x); 0.0 once e^-x overflows (x < -709.78)."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def log_expit(x: float) -> float:
+    """log expit(x), with the exponent kept <= 0 so neither branch overflows."""
+    return x - math.log1p(math.exp(x)) if x < 0 else -math.log1p(math.exp(-x))
+
+
 class _Link(NamedTuple):
     loss: Callable[[float], float]
     slope: Callable[[float], float]  # dlink/dz
     beta_scaled: bool  # False: the margin is in unscaled log-ratios
 
 
-_SIGMOID = _Link(lambda z: float(-log_expit(z)), lambda z: -float(expit(-z)), True)
+_SIGMOID = _Link(lambda z: float(-log_expit(z)), lambda z: -expit(-z), True)
 _SQUARE = _Link(lambda z: z * z, lambda z: 2.0 * z, False)
 
 

@@ -16,22 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives as obj
-from .datagen import (
-    BigramRewardOracle,
-    PreferenceQuadruple,
-    ScoredResponse,
-    SftRecord,
-)
+from .datagen import BigramRewardOracle, PreferenceQuadruple, SftRecord, _argbest, sample_scored
 from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
-from .policy import (
-    PolicyModel,
-    SamplingConfig,
-    derive_rng,
-    log_prob_gradient,
-    sample_response,
-    sequence_log_prob,
-    stream_salt,
-)
+from .policy import PolicyModel, SamplingConfig, log_prob_gradient, sequence_log_prob
 from .schedule import FusionSchedule, alpha_at
 
 __all__ = [
@@ -216,29 +203,19 @@ def regenerate_target_pairs(
     oracle: BigramRewardOracle,
     model_name: str = "target-sft",
 ) -> list[PreferenceQuadruple]:
-    """Replace y_wt / y_l with max/min-score fresh samples from the snapshot."""
+    """Replace y_wt / y_l with max/min-score fresh samples from the snapshot;
+    the earliest sample wins a tie."""
     if not snapshot.frozen:
         raise UsageError("pair regeneration requires a frozen snapshot")
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
-    salt = stream_salt("regen:" + model_name)
+    prompts = [q.prompt for q in quadruples]
+    scored = sample_scored(
+        snapshot, model_name, prompts, n_samples, cfg, oracle, "regen:" + model_name
+    )
     out = []
     degenerate = 0
-    for q_idx, quad in enumerate(quadruples):
-        scored = []
-        for s_idx in range(n_samples):
-            rng = derive_rng(cfg.seed, salt, q_idx, s_idx)
-            seq = sample_response(snapshot, quad.prompt, cfg, rng=rng)
-            scored.append(
-                ScoredResponse(
-                    sequence=seq,
-                    score=oracle.score(quad.prompt, seq.response),
-                    model=model_name,
-                    sample_index=s_idx,
-                )
-            )
-        y_wt = max(scored, key=lambda c: (c.score, -c.sample_index))
-        y_l = min(scored, key=lambda c: (c.score, c.sample_index))
+    for quad, draws in zip(quadruples, scored):
+        y_wt = _argbest(draws, want_max=True)
+        y_l = _argbest(draws, want_max=False)
         if y_wt.score == y_l.score:
             degenerate += 1
         out.append(replace(quad, y_wt=y_wt, y_l=y_l))
@@ -362,15 +339,11 @@ def _run_eval(
         accuracy = eval_reward_accuracy(policy, ref, evals.quadruples, objective.beta)
     mean_score = None
     if evals.oracle is not None and evals.prompts and evals.sampling is not None:
-        scores = []
-        for p_idx, prompt in enumerate(evals.prompts):
-            for s_idx in range(evals.samples_per_prompt):
-                rng = derive_rng(
-                    evals.sampling.seed, stream_salt("eval-quality"), p_idx, s_idx
-                )
-                seq = sample_response(policy, prompt, evals.sampling, rng=rng)
-                scores.append(evals.oracle.score(prompt, seq.response))
-        mean_score = _mean(scores)
+        scored = sample_scored(
+            policy, "policy", evals.prompts, evals.samples_per_prompt, evals.sampling,
+            evals.oracle, "eval-quality",
+        )
+        mean_score = _mean([r.score for draws in scored for r in draws])
     return EvalRecord(step=step, reward_accuracy=accuracy, mean_oracle_score=mean_score)
 
 
@@ -433,23 +406,15 @@ def eval_policy_quality(
     """
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
-    if samples_per_prompt < 1:
-        raise InputError("samples_per_prompt must be >= 1")
-    salt = stream_salt("quality-eval")
-    cand_all: list[float] = []
-    base_all: list[float] = []
+
+    def scores(model: PolicyModel, label: str) -> list[list[float]]:
+        draws = sample_scored(model, label, prompts, samples_per_prompt, cfg, oracle, "quality-eval")
+        return [[r.score for r in row] for row in draws]
+
+    cand, base = scores(candidate, "candidate"), scores(baseline, "baseline")
     wins = ties = losses = 0
-    for p_idx, prompt in enumerate(prompts):
-        cand_scores = []
-        base_scores = []
-        for s_idx in range(samples_per_prompt):
-            for model, sink in ((candidate, cand_scores), (baseline, base_scores)):
-                rng = derive_rng(cfg.seed, salt, p_idx, s_idx)
-                seq = sample_response(model, prompt, cfg, rng=rng)
-                sink.append(oracle.score(prompt, seq.response))
+    for cand_scores, base_scores in zip(cand, base):
         c, b = _mean(cand_scores), _mean(base_scores)
-        cand_all.extend(cand_scores)
-        base_all.extend(base_scores)
         if c > b:
             wins += 1
         elif c < b:
@@ -457,8 +422,8 @@ def eval_policy_quality(
         else:
             ties += 1
     return QualityReport(
-        candidate_mean=_mean(cand_all),
-        baseline_mean=_mean(base_all),
+        candidate_mean=_mean([s for row in cand for s in row]),
+        baseline_mean=_mean([s for row in base for s in row]),
         wins=wins,
         ties=ties,
         losses=losses,

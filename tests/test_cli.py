@@ -46,7 +46,7 @@ class TestGenData:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert run_cli("gen-data", "--config", path, "--out", str(out)) == 0
-        quads = datagen.read_quadruples(out / "dataset.jsonl")
+        quads = datagen.read_quadruples(out / "dataset.jsonl", default_vocabulary(6).size)
         assert len(quads) == 4
         assert (out / "attribution.csv").exists()
         assert (out / "deviation.json").exists()
@@ -67,6 +67,15 @@ class TestGenData:
     def test_invalid_value_exit_2(self, tmp_path):
         path = write_config(tmp_path, {"sampling": {"top_p": 1.5}})
         assert run_cli("gen-data", "--config", path) == 2
+
+    @pytest.mark.parametrize("value", [64, 2**64], ids=["64", "2**64"])
+    @pytest.mark.parametrize("field", ["n_content_tokens", "context_order", "prompt_length"])
+    def test_oversized_task_exit_2_quickly(self, tmp_path, field, value):
+        path = write_config(tmp_path, {"task": {**MINI_CONFIG["task"], field: value}})
+        start = time.monotonic()
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert time.monotonic() - start < 1.0
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_objective_value_exit_2(self, tmp_path):
         path = write_config(tmp_path, {"objective": {"tau": -1.0}})
@@ -188,7 +197,7 @@ class TestSweepAlpha:
         cfg = load_config(path, seed=6, out_dir=str(out))
         direct, _ = cli._sweep_one(
             cli._job_config(cfg, 0.3, "linear"),
-            datagen.read_quadruples(out / "dataset.jsonl"),
+            datagen.read_quadruples(out / "dataset.jsonl", cfg.vocabulary().size),
             load_checkpoint(out / "target_sft.json"),
         )
         row = next(r for r in rows if r["kind"] == "linear")
@@ -343,6 +352,26 @@ class TestMalformedInput:
         path, out = run_dir
         _edit_first_line(out / "dataset.jsonl", edit)
         assert run_cli("train", "--config", path, "--stage", "sft", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        [("train", "--stage", "full"), ("sweep-alpha", "--targets", "0.5", "--kinds", "static")],
+        ids=["train", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r["y_ls"].update(tokens=[2, 9, 1]),
+            lambda r: r.update(prompt=[3, 8]),
+            lambda r: r.update(prompt=[]),
+        ],
+        ids=["y_ls-token-9", "prompt-token-8", "empty-prompt"],
+    )
+    def test_dataset_token_outside_vocabulary(self, run_dir, command, edit):
+        # MINI_CONFIG's vocabulary has 8 tokens; wrpo_dpo never reads y_ls.
+        path, out = run_dir
+        _edit_first_line(out / "dataset.jsonl", edit)
+        assert run_cli(*command, "--config", path, "--out", str(out)) == 3
 
     @pytest.mark.parametrize(
         "edit",

@@ -11,6 +11,9 @@ from microwrpo.policy import (
     Sequence,
     avg_log_prob,
     default_vocabulary,
+    derive_rng,
+    sample_response,
+    stream_salt,
 )
 
 VOCAB = default_vocabulary(6)
@@ -66,6 +69,36 @@ class TestMakePrompts:
     def test_too_many_prompts_rejected(self):
         with pytest.raises(InputError):
             datagen.make_prompts(VOCAB, 37, prompt_length=2, seed=0)  # 6^2 = 36
+
+
+class TestSampleScored:
+    def test_draw_p_s_uses_stream_salt_p_s(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
+        model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
+        prompts = [(2, 3), (4, 5), (3, 3)]
+        out = datagen.sample_scored(model, "m", prompts, 4, SAMPLING, oracle, "salt")
+        assert [len(draws) for draws in out] == [4, 4, 4]
+        for p, prompt in enumerate(prompts):
+            for s, r in enumerate(out[p]):
+                rng = derive_rng(SAMPLING.seed, stream_salt("salt"), p, s)
+                assert r.sequence == sample_response(model, prompt, SAMPLING, rng=rng)
+                assert (r.score, r.model, r.sample_index) == (
+                    oracle.score(prompt, r.sequence.response), "m", s
+                )
+
+    def test_candidates_are_per_member_draws_transposed(self):
+        oracle, ensemble, _, prompts, src, _ = small_world(n_prompts=4)
+        for m, member in enumerate(ensemble.members):
+            draws = datagen.sample_scored(
+                member.model, member.name, prompts, 3, member.sampling, oracle, member.name
+            )
+            assert [per_prompt[m] for per_prompt in src.samples] == draws
+
+    def test_zero_samples_rejected(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
+        model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
+        with pytest.raises(InputError):
+            datagen.sample_scored(model, "m", [(2, 3)], 0, SAMPLING, oracle, "salt")
 
 
 class TestGenerateCandidates:
@@ -255,8 +288,6 @@ class TestDeviationReport:
     def test_greedy_sequence_takes_per_step_argmax(self):
         # near-zero top_p degenerates to greedy; each step picks the argmax token
         model = PolicyModel.random_init(VOCAB, 2, 1.0, seed=4, frozen=True)
-        from microwrpo.policy import sample_response
-
         greedy = sample_response(
             model, (2, 3), SamplingConfig(temperature=1.0, top_p=1e-12, max_length=6, seed=0)
         )
@@ -289,7 +320,7 @@ class TestJsonlRoundTrip:
         quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         datagen.write_quadruples(p1, quads)
-        again = datagen.read_quadruples(p1)
+        again = datagen.read_quadruples(p1, VOCAB.size)
         assert again == quads
         datagen.write_quadruples(p2, again)
         assert p1.read_bytes() == p2.read_bytes()
@@ -300,4 +331,4 @@ class TestJsonlRoundTrip:
         from microwrpo.errors import DataError
 
         with pytest.raises(DataError):
-            datagen.read_quadruples(path)
+            datagen.read_quadruples(path, VOCAB.size)

@@ -23,7 +23,7 @@ TINY = {
     "eval": {"n_prompts": 4, "samples_per_prompt": 1},
 }
 
-# Small numbers only: a fuzzed size that happens to be valid must stay cheap.
+# Small numbers only: a fuzzed size that happens to be valid must stay cheap...
 VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -34,6 +34,10 @@ VALUES = st.one_of(
     st.lists(st.integers(-2, 9), max_size=3),
     st.just({}),
 )
+
+# ...except where the config caps the size, so that a huge value must exit with code 2.
+HUGE = st.sampled_from([2**31, 2**64])
+CAPPED_LEAVES = (("task", "n_content_tokens"), ("task", "context_order"), ("task", "prompt_length"))
 
 # Files may also carry integers past int64; in a config they would be valid, slow sizes.
 FILE_VALUES = st.one_of(VALUES, st.sampled_from([2**64, -(2**64)]), st.just(...))
@@ -88,9 +92,7 @@ def tiny_run(tmp_path_factory) -> Path:
     return root
 
 
-@FUZZ
-@given(path=st.sampled_from(CONFIG_LEAVES), value=VALUES)
-def test_config_leaf(path, value):
+def check_config_leaf(path, value):
     raw = json.loads(json.dumps(TINY_RAW))
     corrupt(raw, path, value)
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,6 +103,20 @@ def test_config_leaf(path, value):
         if code == 0:
             code = run_quietly("train", "--stage", "full", "--config", str(cfg), "--out", out)
         assert code in (0, 2, 3)
+        if isinstance(value, int) and value >= 2**31:
+            assert code == 2
+
+
+@FUZZ
+@given(path=st.sampled_from(CONFIG_LEAVES), value=VALUES)
+def test_config_leaf(path, value):
+    check_config_leaf(path, value)
+
+
+@FUZZ
+@given(path=st.sampled_from(CAPPED_LEAVES), value=st.one_of(VALUES, HUGE))
+def test_capped_size_leaf(path, value):
+    check_config_leaf(path, value)
 
 
 def _corrupted_copy(tiny_run: Path, tmp: str, name: str, edit) -> Path:

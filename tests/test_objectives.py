@@ -67,6 +67,24 @@ class TestBtProbability:
         assert verify.check_bt_complement(np.random.default_rng(0), 1000) is None
 
 
+class TestScalarSigmoid:
+    def test_bit_identical_to_scipy(self):
+        """The scalar math forms reproduce scipy.special bit for bit, overflow tail included."""
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(0)
+        xs = np.concatenate([
+            np.linspace(-712.0, -707.0, 100_001),  # where math.exp(-x) starts to overflow
+            np.linspace(-800.0, 800.0, 160_001),
+            *(scale * rng.standard_normal(30_000) for scale in (1e-3, 1.0, 30.0, 300.0)),
+            [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 709.78, -709.78, 1e308, -1e308],
+            [math.inf, -math.inf],
+        ])
+        for ours, theirs in ((obj.expit, special.expit), (obj.log_expit, special.log_expit)):
+            got = np.array([ours(float(x)) for x in xs])
+            mismatched = got.view(np.uint64) != theirs(xs).view(np.uint64)
+            assert not mismatched.any(), (ours.__name__, xs[mismatched][:5])
+
+
 class TestCompoundReward:
     def test_endpoints(self):
         assert obj.compound_reward(2.0, 1.0, 0.0) == 1.0

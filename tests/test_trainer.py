@@ -201,6 +201,14 @@ class TestRegenerateTargetPairs:
         for quad in out:
             assert quad.y_wt == quad.y_l or quad.y_wt.score == quad.y_l.score
 
+    def test_ties_pick_the_earliest_sample(self):
+        # A snapshot that always emits eos at once: every sample scores the same.
+        logits = np.zeros_like(self.snapshot.logits)
+        logits[:, VOCAB.eos_id] = 50.0
+        eos_only = PolicyModel(VOCAB, 2, logits, frozen=True)
+        out = trainer.regenerate_target_pairs(eos_only, self.quads, 3, SAMPLING, self.oracle)
+        assert all(q.y_wt.sample_index == q.y_l.sample_index == 0 for q in out)
+
     def test_deterministic(self):
         a = trainer.regenerate_target_pairs(self.snapshot, self.quads, 3, SAMPLING, self.oracle)
         b = trainer.regenerate_target_pairs(self.snapshot, self.quads, 3, SAMPLING, self.oracle)
