@@ -212,7 +212,7 @@ def cmd_export_figures(
             with open(deviation_path) as fh:
                 report = json.load(fh)
             edges, roles = report["bin_edges"], report["roles"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{deviation_path}: malformed deviation report ({exc!r})") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -200,6 +200,13 @@ class RunConfig:
             task["prompt_length"],
             "the prompt space, task.n_content_tokens ** task.prompt_length,",
         )
+        n_space = task["n_content_tokens"] ** task["prompt_length"]
+        for where, n in (("task", task["n_prompts"]), ("eval", d["eval"]["n_prompts"])):
+            _require(
+                n <= n_space,
+                f"{where}.n_prompts is {n}, more than the {n_space} distinct prompts of "
+                f"length {task['prompt_length']} over {task['n_content_tokens']} content tokens",
+            )
         _require(
             isinstance(d["ensemble"], list) and len(d["ensemble"]) >= 1,
             "ensemble must be a non-empty list",
@@ -369,7 +376,7 @@ def load_config(
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")

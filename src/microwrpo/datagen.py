@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DataError, InputError, is_number
 from .policy import (
+    NucleusRows,
     PolicyModel,
     SamplingConfig,
     Sequence,
@@ -239,16 +240,19 @@ def sample_scored(
     """n_samples scored draws per prompt from ``model``, as [prompt][sample].
 
     Draw (p, s) uses its own counter-derived stream keyed by (salt, p, s),
-    so draws never depend on the order they are made in.
+    so draws never depend on the order they are made in; all draws share
+    one nucleus table, so each context row is computed at most once.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     key = stream_salt(salt)
+    rows = NucleusRows(model, cfg)
     scored = []
     for p_idx, prompt in enumerate(prompts):
         draws = []
         for s_idx in range(n_samples):
-            seq = sample_response(model, prompt, cfg, rng=derive_rng(cfg.seed, key, p_idx, s_idx))
+            rng = derive_rng(cfg.seed, key, p_idx, s_idx)
+            seq = sample_response(model, prompt, cfg, rng=rng, rows=rows)
             draws.append(ScoredResponse(seq, oracle.score(prompt, seq.response), label, s_idx))
         scored.append(draws)
     return scored
@@ -525,7 +529,7 @@ def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:
                 continue
             try:
                 d = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
             if not isinstance(d, dict):
                 raise DataError(f"{path}:{line_no}: a record must be a JSON object")

@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "sequence_log_prob",
     "avg_log_prob",
     "log_prob_gradient",
+    "NucleusRows",
     "sample_response",
     "save_checkpoint",
     "load_checkpoint",
@@ -268,19 +271,67 @@ def stream_salt(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+# Generator.choice rejects a p whose sum is further than this from 1.
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+class NucleusRows(dict):
+    """Nucleus table of one model under one sampling config: row -> (kept tokens, cdf).
+
+    A row is filled on its first visit: scale logits by 1/temperature,
+    softmax, order tokens by descending probability (ties by ascending
+    token index), keep the smallest prefix whose cumulative mass reaches
+    top_p and renormalize it to ``q``. The cdf is then what
+    ``Generator.choice(kept, p=q)`` searches, ``q.cumsum() / q.cumsum()[-1]``,
+    so ``kept[bisect_right(cdf, rng.random())]`` is the token ``choice``
+    draws from the same generator state. The table is valid while the
+    model's logits do not change.
+    """
+
+    def __init__(self, model: PolicyModel, cfg: SamplingConfig):
+        super().__init__()
+        self.model = model
+        self.cfg = cfg
+
+    def __missing__(self, row: int) -> tuple[tuple[int, ...], array]:
+        # Overflow to inf and inf - inf = NaN are caught by the check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = self.model.logits[row] / self.cfg.temperature
+            shifted = scaled - scaled.max()
+            probs = np.exp(shifted)
+            probs /= probs.sum()
+        ranked = np.argsort(-probs, kind="stable")
+        cum = np.cumsum(probs[ranked])
+        keep = min(int(np.searchsorted(cum, self.cfg.top_p, side="left")) + 1, probs.size)
+        kept = ranked[:keep]
+        kept_p = probs[kept]
+        q = kept_p / kept_p.sum()
+        # The checks Generator.choice makes on p; NaN fails the first.
+        if not np.all(q >= 0) or abs(float(q.sum()) - 1.0) > _CHOICE_ATOL:
+            raise InputError(
+                f"context row {row} has no nucleus distribution at temperature "
+                f"{self.cfg.temperature} (non-finite or overflowing logits)"
+            )
+        cdf = q.cumsum()
+        cdf /= cdf[-1]
+        entry = self[row] = (tuple(kept.tolist()), array("d", cdf.tobytes()))
+        return entry
+
+
 def sample_response(
     model: PolicyModel,
     prompt: tuple[int, ...],
     cfg: SamplingConfig,
     rng: np.random.Generator | None = None,
+    rows: NucleusRows | None = None,
 ) -> Sequence:
     """Nucleus (top-p) ancestral sampling with temperature.
 
-    Per step: scale logits by 1/temperature, softmax, order tokens by
-    descending probability (ties by ascending token index), keep the
-    smallest prefix whose cumulative mass reaches top_p, renormalize,
-    draw. Stops at eos; if max_length tokens were drawn without eos,
-    a terminal eos is appended.
+    Each step draws one ``rng.random()`` and looks it up in the context
+    row's nucleus (see NucleusRows), token for token and draw for draw
+    what ``rng.choice`` over the nucleus gives. Stops at eos; if
+    max_length tokens were drawn without eos, a terminal eos is appended.
+    ``rows`` shares one table across calls on the same model and config.
     """
     size = model.vocab.size
     prompt = tuple(int(t) for t in prompt)
@@ -289,29 +340,26 @@ def sample_response(
             raise InputError(f"prompt token {tok} outside vocabulary of size {size}")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    if rows is None:
+        rows = NucleusRows(model, cfg)
+    elif rows.model is not model or rows.cfg != cfg:
+        raise UsageError("nucleus rows were built for another model or sampling config")
 
-    order = model.order
-    window = list(((model.vocab.bos_id,) * order + prompt)[-order:])
-    powers = size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    n_rows = size**model.order
+    row = 0
+    for tok in ((model.vocab.bos_id,) * model.order + prompt)[-model.order :]:
+        row = row * size + tok
     eos = model.vocab.eos_id
+    draw = rng.random
 
     response: list[int] = []
     while len(response) < cfg.max_length:
-        row = int(np.asarray(window, dtype=np.int64) @ powers)
-        scaled = model.logits[row] / cfg.temperature
-        shifted = scaled - scaled.max()
-        probs = np.exp(shifted)
-        probs /= probs.sum()
-        ranked = np.argsort(-probs, kind="stable")
-        cum = np.cumsum(probs[ranked])
-        keep = min(int(np.searchsorted(cum, cfg.top_p, side="left")) + 1, size)
-        kept = ranked[:keep]
-        kept_p = probs[kept]
-        tok = int(rng.choice(kept, p=kept_p / kept_p.sum()))
+        kept, cdf = rows[row]
+        tok = kept[bisect_right(cdf, draw())]
         response.append(tok)
-        window = window[1:] + [tok]
         if tok == eos:
             break
+        row = (row * size + tok) % n_rows
     if response[-1] != eos:
         response.append(eos)
     return Sequence(prompt=prompt, response=tuple(response))
@@ -348,7 +396,7 @@ def load_checkpoint(path) -> PolicyModel:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
             raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a policy checkpoint")
@@ -368,6 +416,8 @@ def load_checkpoint(path) -> PolicyModel:
     if any(n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
         raise DataError(f"{path}: {len(raw)} parameter bytes do not fill shape {shape}")
     table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(table).all():
+        raise DataError(f"{path}: checkpoint parameters are not all finite")
     return PolicyModel(vocab=vocab, order=order, logits=table, frozen=frozen)
 
 

@@ -509,7 +509,7 @@ def read_telemetry(path) -> TrainingTelemetry:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
                 raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
             kind = rec.get("type") if isinstance(rec, dict) else None
             if kind not in ("step", "eval"):

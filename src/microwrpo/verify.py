@@ -18,6 +18,7 @@ import numpy as np
 from . import datagen, objectives as obj, pipeline, trainer
 from .config import load_config
 from .policy import (
+    NucleusRows,
     PolicyModel,
     SamplingConfig,
     Sequence,
@@ -101,17 +102,24 @@ def check_policy_gradient(rng, n) -> str | None:
 
 
 def check_sampling_determinism(rng, n) -> str | None:
+    """The same seed gives the same sample, and drawing several prompts through
+    one shared nucleus table gives what fresh tables give."""
     for _ in range(n):
         model = _random_model(rng, scale=1.0)
-        prompt = tuple(rng.choice(model.vocab.content_ids, size=2))
         cfg = SamplingConfig(
             temperature=float(rng.uniform(0.5, 1.5)),
             top_p=float(1.0 - rng.uniform(0, 0.5)),
             max_length=int(rng.integers(1, 13)),
             seed=int(rng.integers(1 << 31)),
         )
-        if sample_response(model, prompt, cfg) != sample_response(model, prompt, cfg):
-            return f"same seed produced different samples under {cfg}"
+        shared = NucleusRows(model, cfg)
+        for _ in range(4):
+            prompt = tuple(rng.choice(model.vocab.content_ids, size=2))
+            fresh = sample_response(model, prompt, cfg)
+            if sample_response(model, prompt, cfg) != fresh:
+                return f"same seed produced different samples under {cfg}"
+            if sample_response(model, prompt, cfg, rows=shared) != fresh:
+                return f"a shared nucleus table changed the sample of {prompt} under {cfg}"
     return None
 
 
@@ -203,6 +211,7 @@ _TOY_TASK = {
     ],
     "sampling": {"n_samples": 4, "max_length": 8},
     "data": {"include_yls": True},
+    "eval": {"n_prompts": 10},
 }
 
 

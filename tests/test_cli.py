@@ -1,7 +1,9 @@
 """CLI commands: artifacts, determinism, stage composition, exit codes."""
 
+import base64
 import csv
 import json
+import struct
 import time
 
 import pytest
@@ -42,6 +44,7 @@ class TestGenData:
             "task": {"n_prompts": 4, "n_content_tokens": 6, "prompt_length": 2},
             "ensemble": [{"name": "one", "sharpness": 5.0, "noise": 0.5}],
             "sampling": {"n_samples": 2, "max_length": 8},
+            "eval": {"n_prompts": 10},
         }
         path = write_config(tmp_path, cfg)
         out = tmp_path / "run"
@@ -76,6 +79,18 @@ class TestGenData:
         assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
         assert time.monotonic() - start < 1.0
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section", ["task", "eval"])
+    def test_more_prompts_than_the_prompt_space_exit_2(self, tmp_path, section):
+        # The default 8 content tokens and prompt length 3 give 512 distinct prompts.
+        path = write_config(tmp_path, {section: {"n_prompts": 100000}})
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_integer_literal_too_long_to_convert_exit_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": ' + "9" * 5000 + "}")
+        assert run_cli("gen-data", "--config", str(path), "--out", str(tmp_path / "run")) == 2
 
     def test_invalid_objective_value_exit_2(self, tmp_path):
         path = write_config(tmp_path, {"objective": {"tau": -1.0}})
@@ -326,6 +341,19 @@ def _edit_first_line(path, edit):
     path.write_text("".join([json.dumps(record) + "\n", *rest]))
 
 
+# Valid JSON that Python refuses to convert: an int literal over 4,300 digits.
+LONG_INT_LINE = '{"step": ' + "9" * 5000 + "}\n"
+
+
+def _fill_params(value):
+    def edit(payload):
+        n = len(base64.b64decode(payload["params"]["data_b64"])) // 8
+        data = struct.pack(f"<{n}d", *[value] * n)
+        payload["params"]["data_b64"] = base64.b64encode(data).decode()
+
+    return edit
+
+
 class TestMalformedInput:
     """Corrupt dataset, checkpoint and telemetry files exit with code 3, not a traceback."""
 
@@ -382,8 +410,12 @@ class TestMalformedInput:
             lambda p: p.pop("params"),
             lambda p: p.update(order="2"),
             lambda p: p.update(order=2**64),
+            _fill_params(float("nan")),
         ],
-        ids=["short-buffer", "cut-b64", "str-shape", "missing-params", "str-order", "huge-order"],
+        ids=[
+            "short-buffer", "cut-b64", "str-shape", "missing-params", "str-order", "huge-order",
+            "nan-params",
+        ],
     )
     def test_bad_checkpoint(self, run_dir, edit):
         path, out = run_dir
@@ -417,6 +449,32 @@ class TestMalformedInput:
         path, out = run_dir
         (out / "target_sft.json").write_text("not a checkpoint\n")
         assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    def test_logits_overflowing_at_the_sampling_temperature(self, run_dir, tmp_path):
+        # 1e308 is finite, but 1e308 / 0.5 is not: the first nucleus row is NaN.
+        _, out = run_dir
+        cold = {**MINI_CONFIG, "sampling": {**MINI_CONFIG["sampling"], "temperature": 0.5}}
+        path = write_config(tmp_path, cold, name="cold.json")
+        _edit_json(out / "target_sft.json", _fill_params(1e308))
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize("name", ["dataset.jsonl", "target_sft.json"])
+    def test_integer_literal_too_long_to_convert(self, run_dir, name):
+        path, out = run_dir
+        (out / name).write_text(LONG_INT_LINE)
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "flag, name", [("--telemetry", "po_telemetry.jsonl"), ("--deviation", "deviation.json")]
+    )
+    def test_integer_literal_too_long_to_convert_in_figure_input(
+        self, run_dir, tmp_path, flag, name
+    ):
+        _, out = run_dir
+        (out / name).write_text(LONG_INT_LINE)
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", flag, str(out / name), "--out", str(figs)) == 3
+        assert not figs.exists()
 
     @pytest.mark.parametrize(
         "edit",

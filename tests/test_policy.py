@@ -8,6 +8,7 @@ import pytest
 from microwrpo import verify
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import (
+    NucleusRows,
     PolicyModel,
     SamplingConfig,
     Sequence,
@@ -39,6 +40,32 @@ def brute_force_log_prob(model, seq):
         exps = [math.exp(x - max(logits)) for x in logits]
         total += math.log(exps[tok] / sum(exps))
     return total
+
+
+def choice_sample(model, prompt, cfg, rng):
+    """The per-step nucleus loop drawing through Generator.choice, kept as the
+    reference the row-table sampler must match draw for draw."""
+    size, order = model.vocab.size, model.order
+    window = list(((model.vocab.bos_id,) * order + tuple(prompt))[-order:])
+    powers = size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    response = []
+    while len(response) < cfg.max_length:
+        row = int(np.asarray(window, dtype=np.int64) @ powers)
+        scaled = model.logits[row] / cfg.temperature
+        probs = np.exp(scaled - scaled.max())
+        probs /= probs.sum()
+        ranked = np.argsort(-probs, kind="stable")
+        cum = np.cumsum(probs[ranked])
+        kept = ranked[: min(int(np.searchsorted(cum, cfg.top_p, side="left")) + 1, size)]
+        kept_p = probs[kept]
+        tok = int(rng.choice(kept, p=kept_p / kept_p.sum()))
+        response.append(tok)
+        window = window[1:] + [tok]
+        if tok == model.vocab.eos_id:
+            break
+    if response[-1] != model.vocab.eos_id:
+        response.append(model.vocab.eos_id)
+    return tuple(response)
 
 
 def random_model(seed, vocab=VOCAB4, order=2, scale=1.0):
@@ -215,6 +242,43 @@ class TestSampling:
             seq = sample_response(model, (2,), SamplingConfig(1.0, 0.5, 1, seed))
             seen.add(seq.response[0])
         assert seen == {0, 1}
+
+    def test_draw_for_draw_equal_to_generator_choice(self):
+        # Random vocabularies, orders, prompts and configs; a third of the models have
+        # integer logits, so exact probability ties meet the nucleus cut-off.
+        rng = np.random.default_rng(8)
+        for trial in range(2000):
+            vocab = default_vocabulary(int(rng.integers(2, 9)))
+            model = random_model(trial, vocab, int(rng.integers(1, 4)), float(rng.uniform(0.1, 4)))
+            if trial % 3 == 0:
+                model.logits = np.round(model.logits)
+            prompt = tuple(rng.choice(vocab.content_ids, size=int(rng.integers(0, 4))))
+            cfg = SamplingConfig(
+                temperature=float(rng.uniform(0.05, 3)),
+                top_p=float(np.exp(rng.uniform(np.log(1e-6), 0))),
+                max_length=int(rng.integers(1, 20)),
+            )
+            ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            seq = sample_response(model, prompt, cfg, rng=ours)
+            assert seq.response == choice_sample(model, prompt, cfg, ref), trial
+            assert ours.bit_generator.state == ref.bit_generator.state, trial
+
+    def test_rows_of_another_model_or_config_rejected(self):
+        model, cfg = random_model(5), SamplingConfig(0.8, 0.9, 6, 1)
+        for rows in (
+            NucleusRows(random_model(5), cfg),
+            NucleusRows(model, SamplingConfig(0.7, 0.9, 6, 1)),
+        ):
+            with pytest.raises(UsageError):
+                sample_response(model, (2,), cfg, rows=rows)
+        rows = NucleusRows(model, cfg)
+        assert sample_response(model, (2,), cfg, rows=rows) == sample_response(model, (2,), cfg)
+
+    def test_overflowing_logits_rejected(self):
+        logits = np.full((16, 4), 1e308)
+        model = PolicyModel(VOCAB4, order=2, logits=logits)
+        with pytest.raises(InputError):
+            sample_response(model, (2,), SamplingConfig(0.5, 0.95, 4, 0))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(InputError):
