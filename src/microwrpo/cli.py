@@ -214,6 +214,11 @@ def cmd_export_figures(
             edges, roles = report["bin_edges"], report["roles"]
         except (ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{deviation_path}: malformed deviation report ({exc!r})") from exc
+    if sweep_path is not None:
+        try:
+            sweep_text = Path(sweep_path).read_text()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{sweep_path}: undecodable bytes ({exc})") from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for tpath, telemetry in telemetries:
@@ -238,7 +243,7 @@ def cmd_export_figures(
         print(f"wrote {dest}")
     if sweep_path is not None:
         dest = out / "alpha_sweep.csv"
-        dest.write_text(Path(sweep_path).read_text())
+        dest.write_text(sweep_text)
         print(f"wrote {dest}")
     return 0
 

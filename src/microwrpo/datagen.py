@@ -19,11 +19,11 @@ import numpy as np
 from .errors import DataError, InputError, is_number
 from .policy import (
     NucleusRows,
+    PackedSequences,
     PolicyModel,
     SamplingConfig,
     Sequence,
     Vocabulary,
-    avg_log_prob,
     derive_rng,
     sample_response,
     stream_salt,
@@ -48,6 +48,7 @@ __all__ = [
     "split_dataset",
     "distribution_deviation_report",
     "write_quadruples",
+    "jsonl_records",
     "read_quadruples",
     "write_attribution_csv",
 ]
@@ -413,14 +414,14 @@ def distribution_deviation_report(
         groups["y_l"].append(q.y_l)
         if "y_ls" in groups and q.y_ls is not None:
             groups["y_ls"].append(q.y_ls)
-    groups["target_origin"] = groups["y_wt"] + groups["y_l"]
-
-    logps = {
-        name: np.array(
-            [avg_log_prob(model, s.sequence) for s in members], dtype=np.float64
+    logps = {}
+    for name, members in groups.items():
+        sums = PackedSequences(model, [(s.sequence,) for s in members]).log_probs(model)
+        logps[name] = np.array(
+            [lp / len(s.sequence) for (lp,), s in zip(sums.tolist(), members)], dtype=np.float64
         )
-        for name, members in groups.items()
-    }
+    groups["target_origin"] = groups["y_wt"] + groups["y_l"]
+    logps["target_origin"] = np.concatenate([logps["y_wt"], logps["y_l"]])
     lo = min(v.min() for v in logps.values())
     hi = max(v.max() for v in logps.values())
     if hi == lo:
@@ -518,30 +519,42 @@ def write_quadruples(path, quadruples: list[PreferenceQuadruple]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def jsonl_records(path):
+    """Yield (line number, parsed value) for each non-blank line of a JSONL file.
+
+    Bytes that do not decode as text and lines that are not JSON (or hold an
+    integer literal too long to convert) raise DataError.
+    """
+    with open(path) as fh:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+                yield line_no, value
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: undecodable bytes ({exc})") from exc
+
+
 def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:
     """Read write_quadruples' JSONL; a malformed record, an empty prompt or a token id
     outside a vocabulary of ``vocab_size`` tokens raises DataError."""
     quadruples = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            if not isinstance(d, dict):
-                raise DataError(f"{path}:{line_no}: a record must be a JSON object")
-            if d.get("schema_version") != SCHEMA_VERSION:
-                raise DataError(
-                    f"{path}:{line_no}: unsupported schema version "
-                    f"{d.get('schema_version')!r}"
-                )
-            try:
-                quadruples.append(_quadruple_from_dict(d, vocab_size))
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
+    for line_no, d in jsonl_records(path):
+        if not isinstance(d, dict):
+            raise DataError(f"{path}:{line_no}: a record must be a JSON object")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise DataError(
+                f"{path}:{line_no}: unsupported schema version {d.get('schema_version')!r}"
+            )
+        try:
+            quadruples.append(_quadruple_from_dict(d, vocab_size))
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
     return quadruples
 
 

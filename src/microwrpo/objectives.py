@@ -56,6 +56,7 @@ __all__ = [
     "wrpo_ipo_loss",
     "wrpo_with_yls_loss",
     "evaluate_loss",
+    "PackedRecords",
     "bundle_from_quadruple",
     "loss_gradient_wrt_params",
 ]
@@ -71,7 +72,7 @@ class RoleLogProb:
 
     def __post_init__(self):
         for name, value in (("theta", self.theta), ("ref", self.ref)):
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise InputError(f"{name} log-prob must be finite")
             if value > 0:
                 raise InputError(f"{name} log-prob must be <= 0 (got {value})")
@@ -306,36 +307,81 @@ _ROLE_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "
 _PAIRED_FIELDS = {"on_policy": "y_wt", "hybrid": "y_ws"}
 
 
-def bundle_from_quadruple(model, ref, quadruple, kind: str, pairing: str = "on_policy"):
-    """Build (bundle, role -> Sequence) for one preference record.
+class PackedRecords:
+    """Preference records packed once for one kind and pairing.
 
     Each role of the kind's row reads one quadruple field: w_s is y_ws,
     w_t is y_wt, l and l_t are y_l, l_s is y_ls. The single preferred role
     w of the pair-based kinds is the target's best response
-    (pairing="on_policy") or the source's best (pairing="hybrid"). Kinds
-    that use the reference raise InputError when ref is None; the
+    (pairing="on_policy") or the source's best (pairing="hybrid"). A
+    record's role sequences are one group of a PackedSequences, in role
+    order. The reference is frozen, so its log-probs are computed here,
+    once; kinds that use it raise InputError when ref is None, and the
     reference-free kinds never read it.
     """
-    if pairing not in _PAIRED_FIELDS:
-        raise InputError(f"unknown pairing {pairing!r}")
-    if kind not in KINDS:
-        raise InputError(f"unknown objective kind {kind!r}")
-    row = _TABLE[kind]
-    if row.base is _length_normalized:
-        ref = None
-    elif ref is None:
-        raise InputError(f"objective kind {kind!r} needs a reference model")
-    fields = {**_ROLE_FIELDS, "w": _PAIRED_FIELDS[pairing]}
-    seqs, roles = {}, {}
-    for name in row.preferred + row.dispreferred:
-        response = getattr(quadruple, fields[name])
-        if response is None:
-            raise InputError(f"quadruple has no {fields[name]}; regenerate data with include_yls")
-        seq = seqs[name] = response.sequence
-        theta = policy_mod.sequence_log_prob(model, seq)
-        ref_lp = 0.0 if ref is None else policy_mod.sequence_log_prob(ref, seq)
-        roles[name] = RoleLogProb(theta=theta, ref=ref_lp, length=len(seq.response))
-    return LogProbBundle(roles=roles), seqs
+
+    def __init__(self, model, ref, quadruples, kind: str, pairing: str = "on_policy"):
+        if pairing not in _PAIRED_FIELDS:
+            raise InputError(f"unknown pairing {pairing!r}")
+        if kind not in KINDS:
+            raise InputError(f"unknown objective kind {kind!r}")
+        row = _TABLE[kind]
+        if row.base is _length_normalized:
+            ref = None
+        elif ref is None:
+            raise InputError(f"objective kind {kind!r} needs a reference model")
+        fields = {**_ROLE_FIELDS, "w": _PAIRED_FIELDS[pairing]}
+        self.kind, self.roles = kind, row.preferred + row.dispreferred
+        self.groups = []
+        for quadruple in quadruples:
+            group = []
+            for name in self.roles:
+                response = getattr(quadruple, fields[name])
+                if response is None:
+                    raise InputError(
+                        f"quadruple has no {fields[name]}; regenerate data with include_yls"
+                    )
+                group.append(response.sequence)
+            self.groups.append(tuple(group))
+        self.sequences = policy_mod.PackedSequences(model, self.groups)
+        self.lengths = self.sequences.lengths.reshape(len(self.groups), -1).tolist()
+        if ref is None:
+            self.ref = [[0.0] * len(self.roles) for _ in self.groups]
+        else:
+            same = ref.vocab == model.vocab and ref.order == model.order
+            packed = self.sequences if same else policy_mod.PackedSequences(ref, self.groups)
+            self.ref = packed.log_probs(ref).tolist()
+
+    def bundles(self, model, ids) -> tuple[list[LogProbBundle], policy_mod.PackedBatch]:
+        """The log-prob bundle of each record ``ids`` under ``model``, and the forward pass."""
+        batch = self.sequences.forward(model, ids)
+        bundles = []
+        for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
+            roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
+            bundles.append(
+                LogProbBundle(roles={n: RoleLogProb(t, r, length) for n, t, r, length in roles})
+            )
+        return bundles, batch
+
+    def loss_gradient(self, model, ids, cfg: ObjectiveConfig):
+        """The LossResult of each record ``ids`` and the sum of their parameter gradients.
+
+        Each record's grad_wrt_logps scales its roles' exact log-prob
+        gradients; see PackedSequences.gradient for the float order.
+        """
+        if cfg.kind != self.kind:
+            raise UsageError(f"records were packed for {self.kind!r}, not {cfg.kind!r}")
+        bundles, batch = self.bundles(model, ids)
+        results = [evaluate_loss(bundle, cfg) for bundle in bundles]
+        coefficients = [[r.grad_wrt_logps[name] for name in self.roles] for r in results]
+        return results, self.sequences.gradient(model, batch, coefficients)
+
+
+def bundle_from_quadruple(model, ref, quadruple, kind: str, pairing: str = "on_policy"):
+    """Build (bundle, role -> Sequence) for one preference record; see PackedRecords."""
+    packed = PackedRecords(model, ref, [quadruple], kind, pairing)
+    bundles, _ = packed.bundles(model, [0])
+    return bundles[0], dict(zip(packed.roles, packed.groups[0]))
 
 
 def loss_gradient_wrt_params(
@@ -352,9 +398,7 @@ def loss_gradient_wrt_params(
     """
     if model.frozen:
         raise UsageError("cannot differentiate a frozen model")
-    bundle, seqs = bundle_from_quadruple(model, ref, quadruple, cfg.kind, pairing)
-    result = evaluate_loss(bundle, cfg)
-    grad = np.zeros_like(model.logits)
-    for name, seq in seqs.items():
-        grad += result.grad_wrt_logps[name] * policy_mod.log_prob_gradient(model, seq)
-    return result, grad
+    results, grad = PackedRecords(model, ref, [quadruple], cfg.kind, pairing).loss_gradient(
+        model, [0], cfg
+    )
+    return results[0], grad

@@ -17,6 +17,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "sequence_log_prob",
     "avg_log_prob",
     "log_prob_gradient",
+    "PackedBatch",
+    "PackedSequences",
     "NucleusRows",
     "sample_response",
     "save_checkpoint",
@@ -189,47 +192,180 @@ class PolicyModel:
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-# Context-row lookups depend only on (vocab size, order, prompt, response),
-# so they are memoized across repeated log-prob/gradient calls on the same
-# dataset. Bounded by the number of distinct sequences in a run.
-_CONTEXT_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _validate_tokens(model: PolicyModel, seq: Sequence) -> None:
-    size = model.vocab.size
+def _validate_tokens(vocab: Vocabulary, seq: Sequence) -> None:
+    size = vocab.size
     for tok in (*seq.prompt, *seq.response):
         if not 0 <= tok < size:
             raise InputError(f"token index {tok} outside vocabulary of size {size}")
-    if seq.response[-1] != model.vocab.eos_id:
+    if seq.response[-1] != vocab.eos_id:
         raise InputError("response must terminate in eos")
+
+
+def _prompt_row(vocab: Vocabulary, order: int, prompt: tuple[int, ...]) -> int:
+    """Context row of the first response position: the prompt's last ``order``
+    tokens, bos-padded, in base ``vocab.size``."""
+    row = 0
+    for tok in ((vocab.bos_id,) * order + prompt)[-order:]:
+        row = row * vocab.size + tok
+    return row
+
+
+# Sequences per forward pass of PackedSequences.log_probs; bounds the
+# (positions x vocabulary) arrays a whole-dataset pass would allocate.
+_FORWARD_CHUNK = 64
+# Sequences per (members x distinct rows x vocabulary) block of
+# PackedSequences.gradient. Blocks of a whole batch, a different size at every
+# step, raised peak RSS through heap fragmentation; blocks of a few groups did not.
+_GRADIENT_CHUNK = 16
+
+
+class PackedBatch(NamedTuple):
+    """One forward pass over a batch of groups; ``log_probs`` is (groups, width)."""
+
+    ids: np.ndarray
+    lengths: np.ndarray  # response length of each sequence of the batch
+    positions: np.ndarray  # index of each response position into the packed arrays
+    log_softmax: np.ndarray  # (positions, vocabulary)
+    log_probs: np.ndarray
+
+
+class PackedSequences:
+    """Groups of ``width`` sequences packed once for batched log-probs and gradients.
+
+    Every response position becomes one entry of flat arrays: its context
+    row, its target token and the index of that row among the distinct
+    rows of its group. A batch of groups is then one gather of
+    ``logits[rows]``, one ``log_softmax_rows`` and one sum per sequence,
+    and its gradient is ordered scatter-adds into a compact (member,
+    distinct row) block per few groups. The packing depends on the
+    vocabulary and the context order only, so it serves every model that
+    shares them.
+    """
+
+    def __init__(self, model: PolicyModel, groups):
+        self.vocab, self.order = model.vocab, model.order
+        groups = [tuple(g) for g in groups]
+        self.width = len(groups[0]) if groups else 0
+        size, n_rows = self.vocab.size, self.vocab.size**self.order
+        # array("q") holds machine integers, not an int object per position.
+        rows, targets, slots, lengths = array("q"), array("q"), array("q"), array("q")
+        self.distinct: list[np.ndarray] = []
+        for group in groups:
+            if len(group) != self.width:
+                raise InputError("every group must hold the same number of sequences")
+            seen: dict[int, int] = {}
+            for seq in group:
+                _validate_tokens(self.vocab, seq)
+                row = _prompt_row(self.vocab, self.order, seq.prompt)
+                for tok in seq.response:
+                    rows.append(row)
+                    slots.append(seen.setdefault(row, len(seen)))
+                    row = (row * size + tok) % n_rows
+                targets.extend(seq.response)
+                lengths.append(len(seq.response))
+            self.distinct.append(np.array(list(seen), dtype=np.int64))
+        self.rows, self.targets, self.slots, self.lengths = (
+            np.frombuffer(a, dtype=np.int64) for a in (rows, targets, slots, lengths)
+        )
+        self.starts = np.cumsum(self.lengths) - self.lengths
+
+    def __len__(self) -> int:
+        return len(self.distinct)
+
+    def _check(self, model: PolicyModel) -> None:
+        if model.order != self.order or model.vocab != self.vocab:
+            raise UsageError("sequences were packed for another vocabulary or context order")
+
+    def forward(self, model: PolicyModel, ids) -> PackedBatch:
+        """Log-prob of every sequence of the groups ``ids`` under ``model``.
+
+        Each sum runs over one sequence's positions in order, as a row of
+        a (sequences of that length, length) array; such a row sum equals
+        the 1-D sum bit for bit, which zero padding would not.
+        """
+        self._check(model)
+        ids = np.asarray(ids, dtype=np.int64)
+        seqs = (ids[:, None] * self.width + np.arange(self.width)).ravel()
+        lengths = self.lengths[seqs]
+        offsets = np.cumsum(lengths) - lengths
+        total = int(offsets[-1] + lengths[-1])
+        positions = np.repeat(self.starts[seqs] - offsets, lengths) + np.arange(total)
+        log_softmax = model.log_softmax_rows(self.rows[positions])
+        picked = log_softmax[np.arange(total), self.targets[positions]]
+        sums = np.empty(len(seqs))
+        for n in set(lengths.tolist()):
+            sel = np.flatnonzero(lengths == n)
+            sums[sel] = picked[offsets[sel, None] + np.arange(n)].sum(axis=1)
+        return PackedBatch(ids, lengths, positions, log_softmax, sums.reshape(len(ids), -1))
+
+    def log_probs(self, model: PolicyModel) -> np.ndarray:
+        """Log-prob of every packed sequence, (groups, width)."""
+        out = np.empty((len(self), self.width))
+        step = max(1, _FORWARD_CHUNK // max(1, self.width))
+        for start in range(0, len(self), step):
+            ids = np.arange(start, min(len(self), start + step))
+            out[ids] = self.forward(model, ids).log_probs
+        return out
+
+    def gradient(self, model: PolicyModel, batch: PackedBatch, coefficients) -> np.ndarray:
+        """sum of coefficients[g, m] * d log p(member m of group g) / d logits.
+
+        Reproduces, cell for cell, the float order of one dense table per
+        sequence (minus each position's softmax in position order, then +1
+        at each target), scaled and added into a table per group in member
+        order, and the groups' tables added in batch order. Each
+        accumulator starts at +0.0, so no -0.0 appears.
+        """
+        if model.frozen:
+            raise UsageError("cannot take parameter gradients of a frozen model")
+        self._check(model)
+        size, width = self.vocab.size, self.width
+        per_chunk = max(1, _GRADIENT_CHUNK // width)
+        n_distinct = np.array([len(self.distinct[i]) for i in batch.ids.tolist()])
+        row_cuts = _cuts(n_distinct, per_chunk)
+        pos_cuts = _cuts(batch.lengths, per_chunk * width)
+        # Each sequence's first cell in its chunk's (member, distinct row) block.
+        chunk = np.arange(len(n_distinct)) // per_chunk
+        chunk_rows = np.diff(row_cuts)
+        local = np.cumsum(n_distinct) - n_distinct - np.array(row_cuts)[chunk]
+        base = np.arange(width) * chunk_rows[chunk, None] + local[:, None]
+        # ufunc.at runs its fast loop on flat indices: cell = row * size + token.
+        cells = (np.repeat(base.ravel(), batch.lengths) + self.slots[batch.positions]) * size
+        targets = cells + self.targets[batch.positions]
+        scale = np.repeat(np.asarray(coefficients, dtype=np.float64), n_distinct, axis=0)
+        rows = np.concatenate([self.distinct[i] for i in batch.ids.tolist()])
+        tokens = np.arange(size)
+        grad = np.zeros_like(model.logits)
+        for c, n_rows in enumerate(chunk_rows.tolist()):
+            lo, hi = pos_cuts[c], pos_cuts[c + 1]
+            r_lo, r_hi = row_cuts[c], row_cuts[c + 1]
+            block = np.zeros((width, n_rows, size))
+            probs = np.exp(batch.log_softmax[lo:hi])
+            np.subtract.at(block.reshape(-1), (cells[lo:hi, None] + tokens).ravel(), probs.ravel())
+            np.add.at(block.reshape(-1), targets[lo:hi], 1.0)
+            per_group = np.zeros((n_rows, size))
+            for m in range(width):
+                block[m] *= scale[r_lo:r_hi, m, None]
+                per_group += block[m]
+            flat_rows = (rows[r_lo:r_hi, None] * size + tokens).ravel()
+            np.add.at(grad.reshape(-1), flat_rows, per_group.ravel())
+        return grad
+
+
+def _cuts(counts: np.ndarray, step: int) -> list[int]:
+    """Running totals of ``counts`` before every ``step``-th item, then the grand total."""
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    return [*ends[:-1][::step].tolist(), int(ends[-1])]
 
 
 def context_rows(model: PolicyModel, seq: Sequence) -> np.ndarray:
     """Row index into the logit table for each response position."""
-    key = (model.vocab.size, model.order, model.vocab.bos_id, seq.prompt, seq.response)
-    rows = _CONTEXT_CACHE.get(key)
-    if rows is not None:
-        return rows
-    size, order = model.vocab.size, model.order
-    stream = (model.vocab.bos_id,) * order + seq.prompt + seq.response
-    powers = size ** np.arange(order - 1, -1, -1, dtype=np.int64)
-    start = order + len(seq.prompt)
-    windows = np.array(
-        [stream[start + t - order : start + t] for t in range(len(seq.response))],
-        dtype=np.int64,
-    )
-    rows = windows @ powers
-    _CONTEXT_CACHE[key] = rows
-    return rows
+    return PackedSequences(model, [(seq,)]).rows
 
 
 def sequence_log_prob(model: PolicyModel, seq: Sequence) -> float:
     """Sum over response positions of log p(y_t | last-k context)."""
-    _validate_tokens(model, seq)
-    rows = context_rows(model, seq)
-    ls = model.log_softmax_rows(rows)
-    targets = np.asarray(seq.response, dtype=np.int64)
-    return float(ls[np.arange(len(targets)), targets].sum())
+    return float(PackedSequences(model, [(seq,)]).log_probs(model)[0, 0])
 
 
 def avg_log_prob(model: PolicyModel, seq: Sequence) -> float:
@@ -243,16 +379,8 @@ def log_prob_gradient(model: PolicyModel, seq: Sequence) -> np.ndarray:
     For each visited context row the gradient is one_hot(y_t) - softmax;
     rows never visited by the sequence stay exactly zero.
     """
-    if model.frozen:
-        raise UsageError("cannot take parameter gradients of a frozen model")
-    _validate_tokens(model, seq)
-    rows = context_rows(model, seq)
-    probs = np.exp(model.log_softmax_rows(rows))
-    grad = np.zeros_like(model.logits)
-    np.subtract.at(grad, rows, probs)
-    targets = np.asarray(seq.response, dtype=np.int64)
-    np.add.at(grad, (rows, targets), 1.0)
-    return grad
+    packed = PackedSequences(model, [(seq,)])
+    return packed.gradient(model, packed.forward(model, [0]), [[1.0]])
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -346,9 +474,7 @@ def sample_response(
         raise UsageError("nucleus rows were built for another model or sampling config")
 
     n_rows = size**model.order
-    row = 0
-    for tok in ((model.vocab.bos_id,) * model.order + prompt)[-model.order :]:
-        row = row * size + tok
+    row = _prompt_row(model.vocab, model.order, prompt)
     eos = model.vocab.eos_id
     draw = rng.random
 

@@ -16,9 +16,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives as obj
-from .datagen import BigramRewardOracle, PreferenceQuadruple, SftRecord, _argbest, sample_scored
+from .datagen import (
+    BigramRewardOracle,
+    PreferenceQuadruple,
+    SftRecord,
+    _argbest,
+    jsonl_records,
+    sample_scored,
+)
 from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
-from .policy import PolicyModel, SamplingConfig, log_prob_gradient, sequence_log_prob
+from .policy import PackedSequences, PolicyModel, SamplingConfig
 from .schedule import FusionSchedule, alpha_at
 
 __all__ = [
@@ -178,14 +185,14 @@ def run_sft(
     policy = model.copy(frozen=False)
     total = n_optimizer_steps(len(sft_records), batch_size, epochs)
     optimizer = Optimizer(opt_cfg, policy.logits.shape, total)
+    packed = PackedSequences(policy, [(r.y_ws.sequence,) for r in sft_records])
     losses: list[float] = []
     for batch in _batches(len(sft_records), batch_size, epochs, seed):
-        grad = np.zeros_like(policy.logits)
+        forward = packed.forward(policy, batch)
         nll = 0.0
-        for i in batch:
-            seq = sft_records[i].y_ws.sequence
-            nll -= sequence_log_prob(policy, seq)
-            grad -= log_prob_gradient(policy, seq)
+        for (log_prob,) in forward.log_probs.tolist():
+            nll -= log_prob
+        grad = packed.gradient(policy, forward, np.full((len(batch), 1), -1.0))
         nll /= len(batch)
         grad /= len(batch)
         if not np.isfinite(nll):
@@ -273,21 +280,18 @@ def run_preference_optimization(
     total = n_optimizer_steps(len(quadruples), batch_size, epochs)
     optimizer = Optimizer(opt_cfg, policy.logits.shape, total)
     telemetry = TrainingTelemetry()
+    packed = obj.PackedRecords(policy, ref, quadruples, objective.kind, pairing)
 
     step = 0
     for batch in _batches(len(quadruples), batch_size, epochs, seed):
         alpha = alpha_at(schedule, step) if is_wrpo else None
         cfg_t = replace(objective, alpha=alpha) if is_wrpo else objective
-        grad = np.zeros_like(policy.logits)
+        results, grad = packed.loss_gradient(policy, batch, cfg_t)
         losses: list[float] = []
         reward_sums: dict[str, float] = {}
         on_margins: list[float] = []
         hy_margins: list[float] = []
-        for i in batch:
-            result, g = obj.loss_gradient_wrt_params(
-                policy, ref, quadruples[i], cfg_t, pairing=pairing
-            )
-            grad += g
+        for result in results:
             losses.append(result.loss)
             for name, r in result.internal_rewards.items():
                 reward_sums[name] = reward_sums.get(name, 0.0) + r
@@ -360,19 +364,12 @@ def eval_reward_accuracy(
     """
     if len(quadruples) == 0:
         raise InputError("held-out set is empty")
+    pairs = [(q.y_ws.sequence, q.y_l.sequence) for q in quadruples]
+    theta = PackedSequences(model, pairs).log_probs(model).tolist()
+    ref_lp = PackedSequences(ref, pairs).log_probs(ref).tolist()
     hits = 0
-    for q in quadruples:
-        r_ws = obj.internal_reward(
-            sequence_log_prob(model, q.y_ws.sequence),
-            sequence_log_prob(ref, q.y_ws.sequence),
-            beta,
-        )
-        r_l = obj.internal_reward(
-            sequence_log_prob(model, q.y_l.sequence),
-            sequence_log_prob(ref, q.y_l.sequence),
-            beta,
-        )
-        if r_ws > r_l:
+    for (ws, l), (ref_ws, ref_l) in zip(theta, ref_lp):
+        if obj.internal_reward(ws, ref_ws, beta) > obj.internal_reward(l, ref_l, beta):
             hits += 1
     return hits / len(quadruples)
 
@@ -502,23 +499,15 @@ def _eval_record(rec: dict) -> EvalRecord:
 def read_telemetry(path) -> TrainingTelemetry:
     """Read write_telemetry's JSONL; a malformed record raises DataError."""
     telemetry = TrainingTelemetry()
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-            kind = rec.get("type") if isinstance(rec, dict) else None
-            if kind not in ("step", "eval"):
-                raise DataError(f"{path}:{line_no}: unknown record type")
-            try:
-                if kind == "step":
-                    telemetry.steps.append(_step_record(rec))
-                else:
-                    telemetry.evals.append(_eval_record(rec))
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{line_no}: malformed {kind} record ({exc!r})") from exc
+    for line_no, rec in jsonl_records(path):
+        kind = rec.get("type") if isinstance(rec, dict) else None
+        if kind not in ("step", "eval"):
+            raise DataError(f"{path}:{line_no}: unknown record type")
+        try:
+            if kind == "step":
+                telemetry.steps.append(_step_record(rec))
+            else:
+                telemetry.evals.append(_eval_record(rec))
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{path}:{line_no}: malformed {kind} record ({exc!r})") from exc
     return telemetry

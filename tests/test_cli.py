@@ -3,12 +3,17 @@
 import base64
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from conftest import pipeline_env
 
+import microwrpo
 from microwrpo import cli, datagen, trainer, verify
 from microwrpo.config import default_config_dict, load_config
 from microwrpo.policy import (
@@ -192,6 +197,27 @@ class TestTrain:
         out = tmp_path / "yls"
         run_cli("gen-data", "--config", path, "--out", str(out), "--seed", "3")
         assert run_cli("train", "--config", path, "--stage", "full", "--out", str(out), "--seed", "3") == 0
+
+    def test_po_stage_imports_no_numpy_ma_and_keeps_no_context_cache(self, tmp_path):
+        # numpy.ma (about 1 MiB resident) comes in with np.unique; a process-global
+        # context cache would grow with every distinct sequence.
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "run"
+        for argv in (("gen-data",), ("train", "--stage", "sft")):
+            assert run_cli(*argv, "--config", path, "--out", str(out)) == 0
+        code = (
+            "import json, sys\n"
+            "from microwrpo import cli, policy\n"
+            f"rc = cli.main(['train', '--stage', 'po', '--config', {path!r}, '--out', {str(out)!r}])\n"
+            "print(json.dumps([rc, 'numpy.ma' in sys.modules, hasattr(policy, '_CONTEXT_CACHE')]))\n"
+        )
+        src = str(Path(microwrpo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
 
 
 class TestSweepAlpha:
@@ -474,6 +500,19 @@ class TestMalformedInput:
         (out / name).write_text(LONG_INT_LINE)
         figs = tmp_path / "figs"
         assert run_cli("export-figures", flag, str(out / name), "--out", str(figs)) == 3
+        assert not figs.exists()
+
+    def test_undecodable_dataset(self, run_dir):
+        path, out = run_dir
+        (out / "dataset.jsonl").write_bytes(b"\xff\xfe{}\n")
+        assert run_cli("train", "--config", path, "--stage", "sft", "--out", str(out)) == 3
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--sweep"])
+    def test_undecodable_figure_input(self, tmp_path, flag):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe{}\n")
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", flag, str(path), "--out", str(figs)) == 3
         assert not figs.exists()
 
     @pytest.mark.parametrize(

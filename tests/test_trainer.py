@@ -13,6 +13,7 @@ from microwrpo.policy import (
     PolicyModel,
     SamplingConfig,
     Sequence,
+    context_rows,
     default_vocabulary,
     sequence_log_prob,
 )
@@ -347,8 +348,6 @@ class TestEvalRewardAccuracy:
         _, _, quads = toy_quadruples(n_prompts=3)
         ref = PolicyModel.uniform(VOCAB, order=2, frozen=True)
         model = ref.copy(frozen=False)
-        from microwrpo.policy import context_rows
-
         for q in quads:
             rows = context_rows(model, q.y_ws.sequence)
             for row, tok in zip(rows, q.y_ws.sequence.response):
@@ -417,3 +416,145 @@ class TestEvalPolicyQuality:
         r1 = trainer.eval_policy_quality(a, b, prompts, SAMPLING, oracle)
         r2 = trainer.eval_policy_quality(a, b, prompts, SAMPLING, oracle)
         assert r1 == r2
+
+
+# The per-record loop the packed batches replaced, kept as the reference they
+# must equal bit for bit: one dense table per sequence, scaled per role and
+# added record by record.
+def _loop_log_softmax(model, rows):
+    x = model.logits[rows]
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _loop_rows(model, seq):
+    size, order = model.vocab.size, model.order
+    stream = (model.vocab.bos_id,) * order + seq.prompt + seq.response
+    powers = size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    start = order + len(seq.prompt)
+    windows = np.array(
+        [stream[start + t - order : start + t] for t in range(len(seq.response))],
+        dtype=np.int64,
+    )
+    return windows @ powers
+
+
+def _loop_log_prob(model, seq):
+    ls = _loop_log_softmax(model, _loop_rows(model, seq))
+    targets = np.asarray(seq.response, dtype=np.int64)
+    return float(ls[np.arange(len(targets)), targets].sum())
+
+
+def _loop_log_prob_gradient(model, seq):
+    rows = _loop_rows(model, seq)
+    probs = np.exp(_loop_log_softmax(model, rows))
+    grad = np.zeros_like(model.logits)
+    np.subtract.at(grad, rows, probs)
+    np.add.at(grad, (rows, np.asarray(seq.response, dtype=np.int64)), 1.0)
+    return grad
+
+
+_LOOP_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "y_ls"}
+
+
+def _loop_po_step(policy, ref, quads, batch, cfg, pairing):
+    row = obj._TABLE[cfg.kind]
+    fields = {**_LOOP_FIELDS, "w": {"on_policy": "y_wt", "hybrid": "y_ws"}[pairing]}
+    grad = np.zeros_like(policy.logits)
+    results = []
+    for i in batch:
+        seqs, roles = {}, {}
+        for name in row.preferred + row.dispreferred:
+            seq = seqs[name] = getattr(quads[i], fields[name]).sequence
+            ref_lp = 0.0 if cfg.kind in obj.REFERENCE_FREE_KINDS else _loop_log_prob(ref, seq)
+            roles[name] = obj.RoleLogProb(_loop_log_prob(policy, seq), ref_lp, len(seq.response))
+        result = obj.evaluate_loss(obj.LogProbBundle(roles=roles), cfg)
+        g = np.zeros_like(policy.logits)
+        for name, seq in seqs.items():
+            g += result.grad_wrt_logps[name] * _loop_log_prob_gradient(policy, seq)
+        grad += g
+        results.append(result)
+    return results, grad
+
+
+def _loop_sft(model, records, opt_cfg, epochs, batch_size, seed):
+    policy = model.copy(frozen=False)
+    total = trainer.n_optimizer_steps(len(records), batch_size, epochs)
+    optimizer = trainer.Optimizer(opt_cfg, policy.logits.shape, total)
+    losses = []
+    for batch in trainer._batches(len(records), batch_size, epochs, seed):
+        grad = np.zeros_like(policy.logits)
+        nll = 0.0
+        for i in batch:
+            seq = records[i].y_ws.sequence
+            nll -= _loop_log_prob(policy, seq)
+            grad -= _loop_log_prob_gradient(policy, seq)
+        nll /= len(batch)
+        grad /= len(batch)
+        optimizer.step(policy.logits, grad)
+        losses.append(nll)
+    return policy, losses
+
+
+def repetitive_quadruples(rng, n):
+    """n records over 2 content tokens at order 2 (16 context rows), bodies of up to
+    16 tokens, so that sequences visit one row many times; the first record's
+    y_ws visits the row (a, a) six times."""
+    vocab = default_vocabulary(2)
+    a = vocab.content_ids[0]
+
+    def scored(prompt, body, name):
+        seq = Sequence(prompt=prompt, response=(*body, vocab.eos_id))
+        return datagen.ScoredResponse(seq, float(rng.normal()), name, 0)
+
+    quads = []
+    for i in range(n):
+        prompt = tuple(int(t) for t in rng.choice(vocab.content_ids, size=2))
+        bodies = [
+            tuple(int(t) for t in rng.choice(vocab.content_ids, size=int(rng.integers(0, 17))))
+            for _ in range(4)
+        ]
+        if i == 0:
+            prompt, bodies[0] = (a, a), (a,) * 5
+        ws, wt, l, ls = (scored(prompt, b, name) for b, name in zip(bodies, "stts"))
+        quads.append(datagen.PreferenceQuadruple(prompt, ws, wt, l, ls))
+    return vocab, quads
+
+
+class TestPackedBatchesEqualThePerRecordLoop:
+    """Batches of 1 and of 16 (37 records: a short last batch of 5), every kind
+    and pairing; floats compared with ==, never a tolerance."""
+
+    def test_data_repeats_rows(self):
+        vocab, quads = repetitive_quadruples(np.random.default_rng(0), 37)
+        model = PolicyModel.uniform(vocab, 2)
+        visits = Counter(context_rows(model, quads[0].y_ws.sequence).tolist())
+        assert max(visits.values()) == 6
+
+    @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_po_step(self, kind, pairing):
+        rng = np.random.default_rng(obj.KINDS.index(kind))
+        vocab, quads = repetitive_quadruples(rng, 37)
+        policy = PolicyModel.random_init(vocab, 2, 1.5, seed=1)
+        ref = PolicyModel.random_init(vocab, 2, 1.5, seed=2, frozen=True)
+        cfg = verify.random_objective_config(rng, kind)
+        packed = obj.PackedRecords(policy, ref, quads, kind, pairing)
+        for batch_size in (1, 16):
+            for batch in trainer._batches(len(quads), batch_size, 1, seed=batch_size):
+                results, grad = packed.loss_gradient(policy, batch, cfg)
+                want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg, pairing)
+                assert results == want_results  # loss, rewards, margins, role slopes
+                assert np.array_equal(grad, want_grad)
+                assert not np.signbit(grad[grad == 0.0]).any()
+
+    @pytest.mark.parametrize("batch_size", [1, 16])
+    def test_sft_run(self, batch_size):
+        vocab, quads = repetitive_quadruples(np.random.default_rng(7), 37)
+        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        model = PolicyModel.random_init(vocab, 2, 1.5, seed=3)
+        opt_cfg = trainer.OptimizerConfig(kind="adam", step_size=0.1)
+        snap, losses = trainer.run_sft(model, records, opt_cfg, 2, batch_size, seed=5)
+        want, want_losses = _loop_sft(model, records, opt_cfg, 2, batch_size, seed=5)
+        assert losses == want_losses
+        assert np.array_equal(snap.logits, want.logits)
