@@ -316,8 +316,9 @@ class PackedRecords:
     (pairing="on_policy") or the source's best (pairing="hybrid"). A
     record's role sequences are one group of a PackedSequences, in role
     order. The reference is frozen, so its log-probs are computed here,
-    once; kinds that use it raise InputError when ref is None, and the
-    reference-free kinds never read it.
+    once, on the same packing; kinds that use it raise InputError when ref
+    is None, and UsageError when it has another vocabulary or context
+    order. The reference-free kinds never read it.
     """
 
     def __init__(self, model, ref, quadruples, kind: str, pairing: str = "on_policy"):
@@ -348,9 +349,7 @@ class PackedRecords:
         if ref is None:
             self.ref = [[0.0] * len(self.roles) for _ in self.groups]
         else:
-            same = ref.vocab == model.vocab and ref.order == model.order
-            packed = self.sequences if same else policy_mod.PackedSequences(ref, self.groups)
-            self.ref = packed.log_probs(ref).tolist()
+            self.ref = self.sequences.log_probs(ref).tolist()
 
     def bundles(self, model, ids) -> tuple[list[LogProbBundle], policy_mod.PackedBatch]:
         """The log-prob bundle of each record ``ids`` under ``model``, and the forward pass."""

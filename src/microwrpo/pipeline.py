@@ -94,18 +94,18 @@ def run_po(
     train: list[PreferenceQuadruple],
     heldout: list[PreferenceQuadruple],
 ) -> tuple[PolicyModel, trainer.TrainingTelemetry]:
-    """Preference optimization from the snapshot, which is also the reference."""
+    """Preference optimization from the snapshot, which is also the reference; every
+    po.eval_every steps, held-out reward accuracy and the mean eval-prompt oracle score."""
     objective = cfg.objective_config()
     stage = cfg.raw["po"]
     total = trainer.n_optimizer_steps(len(train), stage["batch_size"], stage["epochs"])
-    evals = trainer.EvalSettings(
-        every=stage["eval_every"],
-        quadruples=heldout or None,
-        oracle=cfg.oracle(),
-        prompts=cfg.eval_prompts(),
-        sampling=cfg.sampling_config(),
-        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
-    )
+    prompts, sampling, oracle = cfg.eval_prompts(), cfg.sampling_config(), cfg.oracle()
+    n = cfg.raw["eval"]["samples_per_prompt"]
+
+    def in_loop(policy: PolicyModel) -> tuple[float | None, float]:
+        scores = trainer.oracle_scores(policy, prompts, sampling, oracle, n, "eval-quality")
+        return _reward_accuracy(cfg, policy, snapshot, heldout), trainer.mean_score(scores)
+
     return trainer.run_preference_optimization(
         snapshot.copy(frozen=False),
         snapshot,
@@ -117,8 +117,15 @@ def run_po(
         batch_size=stage["batch_size"],
         seed=_seed(cfg, "po"),
         pairing=cfg.pairing(),
-        evals=evals,
+        eval_every=stage["eval_every"],
+        evaluate=in_loop,
     )
+
+
+def _reward_accuracy(cfg: RunConfig, model, snapshot, heldout) -> float | None:
+    if not heldout:
+        return None
+    return trainer.eval_reward_accuracy(model, snapshot, heldout, cfg.objective_config().beta)
 
 
 def evaluate(
@@ -129,10 +136,6 @@ def evaluate(
     baseline: PolicyModel,
 ) -> dict:
     """Held-out reward accuracy against the snapshot; fresh-sample quality against ``baseline``."""
-    objective = cfg.objective_config()
-    accuracy = (
-        trainer.eval_reward_accuracy(model, snapshot, heldout, objective.beta) if heldout else None
-    )
     quality = trainer.eval_policy_quality(
         model,
         baseline,
@@ -142,8 +145,8 @@ def evaluate(
         samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
     )
     return {
-        "objective": objective.kind,
-        "reward_accuracy": accuracy,
+        "objective": cfg.objective_config().kind,
+        "reward_accuracy": _reward_accuracy(cfg, model, snapshot, heldout),
         "candidate_mean_score": quality.candidate_mean,
         "baseline_mean_score": quality.baseline_mean,
         "win_rate": quality.win_rate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,11 +35,12 @@ __all__ = [
     "StepRecord",
     "EvalRecord",
     "TrainingTelemetry",
-    "EvalSettings",
     "run_sft",
     "regenerate_target_pairs",
     "run_preference_optimization",
     "eval_reward_accuracy",
+    "oracle_scores",
+    "mean_score",
     "eval_policy_quality",
     "QualityReport",
     "write_telemetry",
@@ -109,11 +111,18 @@ class Optimizer:
         if cfg.kind == "sgd":
             params -= lr * grad
             return
-        self.m = cfg.beta1 * self.m + (1 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1 - cfg.beta2) * (grad * grad)
-        m_hat = self.m / (1 - cfg.beta1**self.t)
-        v_hat = self.v / (1 - cfg.beta2**self.t)
-        params -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        # In place, in the float order of m = b1*m + (1-b1)*g and lr*m_hat / (sqrt(v_hat) + eps).
+        self.m *= cfg.beta1
+        self.m += (1 - cfg.beta1) * grad
+        self.v *= cfg.beta2
+        self.v += (1 - cfg.beta2) * (grad * grad)
+        update = self.m / (1 - cfg.beta1**self.t)
+        update *= lr
+        denom = self.v / (1 - cfg.beta2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        update /= denom
+        params -= update
 
 
 @dataclass
@@ -138,18 +147,6 @@ class EvalRecord:
 class TrainingTelemetry:
     steps: list[StepRecord] = field(default_factory=list)
     evals: list[EvalRecord] = field(default_factory=list)
-
-
-@dataclass
-class EvalSettings:
-    """Optional in-loop evaluation: held-out reward accuracy and fresh-sample score."""
-
-    every: int = 0
-    quadruples: list[PreferenceQuadruple] | None = None
-    oracle: BigramRewardOracle | None = None
-    prompts: list[tuple[int, ...]] | None = None
-    sampling: SamplingConfig | None = None
-    samples_per_prompt: int = 2
 
 
 def _batches(n: int, batch_size: int, epochs: int, seed: int):
@@ -250,13 +247,16 @@ def run_preference_optimization(
     batch_size: int = 16,
     seed: int = 0,
     pairing: str = "on_policy",
-    evals: EvalSettings | None = None,
+    eval_every: int = 0,
+    evaluate: Callable[[PolicyModel], tuple[float | None, float | None]] | None = None,
 ) -> tuple[PolicyModel, TrainingTelemetry]:
     """One seeded pass (or several) over the PO split with any objective.
 
     alpha follows the fusion schedule per optimizer step for the wrpo_*
-    kinds; pair-based kinds must not be given a schedule. Returns the
-    trained model as a frozen snapshot plus per-step telemetry.
+    kinds; pair-based kinds must not be given a schedule. Every eval_every
+    steps, ``evaluate(policy)`` gives the (reward accuracy, mean oracle
+    score) of an EvalRecord. Returns the trained model as a frozen snapshot
+    plus the telemetry.
     """
     if len(quadruples) == 0:
         raise InputError("preference dataset is empty")
@@ -326,29 +326,9 @@ def run_preference_optimization(
         optimizer.step(policy.logits, grad)
         step += 1
 
-        if evals is not None and evals.every > 0 and step % evals.every == 0:
-            telemetry.evals.append(_run_eval(policy, ref, objective, evals, step - 1))
+        if evaluate is not None and eval_every > 0 and step % eval_every == 0:
+            telemetry.evals.append(EvalRecord(step - 1, *evaluate(policy)))
     return policy.freeze(), telemetry
-
-
-def _run_eval(
-    policy: PolicyModel,
-    ref: PolicyModel | None,
-    objective: obj.ObjectiveConfig,
-    evals: EvalSettings,
-    step: int,
-) -> EvalRecord:
-    accuracy = None
-    if evals.quadruples and ref is not None:
-        accuracy = eval_reward_accuracy(policy, ref, evals.quadruples, objective.beta)
-    mean_score = None
-    if evals.oracle is not None and evals.prompts and evals.sampling is not None:
-        scored = sample_scored(
-            policy, "policy", evals.prompts, evals.samples_per_prompt, evals.sampling,
-            evals.oracle, "eval-quality",
-        )
-        mean_score = _mean([r.score for draws in scored for r in draws])
-    return EvalRecord(step=step, reward_accuracy=accuracy, mean_oracle_score=mean_score)
 
 
 def eval_reward_accuracy(
@@ -360,18 +340,36 @@ def eval_reward_accuracy(
     """Fraction of records with internal reward of y_ws above y_l; ties fail.
 
     Positive beta only rescales the compared difference, so the value is
-    beta-invariant.
+    beta-invariant. One packing serves both models, so ``ref`` must share
+    the model's vocabulary and context order (UsageError otherwise).
     """
     if len(quadruples) == 0:
         raise InputError("held-out set is empty")
-    pairs = [(q.y_ws.sequence, q.y_l.sequence) for q in quadruples]
-    theta = PackedSequences(model, pairs).log_probs(model).tolist()
-    ref_lp = PackedSequences(ref, pairs).log_probs(ref).tolist()
+    packed = PackedSequences(model, [(q.y_ws.sequence, q.y_l.sequence) for q in quadruples])
+    theta, ref_lp = packed.log_probs(model).tolist(), packed.log_probs(ref).tolist()
     hits = 0
     for (ws, l), (ref_ws, ref_l) in zip(theta, ref_lp):
         if obj.internal_reward(ws, ref_ws, beta) > obj.internal_reward(l, ref_l, beta):
             hits += 1
     return hits / len(quadruples)
+
+
+def oracle_scores(
+    model: PolicyModel,
+    prompts: list[tuple[int, ...]],
+    cfg: SamplingConfig,
+    oracle: BigramRewardOracle,
+    samples_per_prompt: int,
+    salt: str,
+) -> list[list[float]]:
+    """Oracle scores of fresh samples, as [prompt][sample]: what every evaluation samples."""
+    draws = sample_scored(model, "eval", prompts, samples_per_prompt, cfg, oracle, salt)
+    return [[r.score for r in row] for row in draws]
+
+
+def mean_score(scores: list[list[float]]) -> float:
+    """Mean of oracle_scores' values, summed in prompt-then-sample order."""
+    return _mean([s for row in scores for s in row])
 
 
 @dataclass
@@ -403,12 +401,10 @@ def eval_policy_quality(
     """
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
-
-    def scores(model: PolicyModel, label: str) -> list[list[float]]:
-        draws = sample_scored(model, label, prompts, samples_per_prompt, cfg, oracle, "quality-eval")
-        return [[r.score for r in row] for row in draws]
-
-    cand, base = scores(candidate, "candidate"), scores(baseline, "baseline")
+    cand, base = (
+        oracle_scores(m, prompts, cfg, oracle, samples_per_prompt, "quality-eval")
+        for m in (candidate, baseline)
+    )
     wins = ties = losses = 0
     for cand_scores, base_scores in zip(cand, base):
         c, b = _mean(cand_scores), _mean(base_scores)
@@ -419,8 +415,8 @@ def eval_policy_quality(
         else:
             ties += 1
     return QualityReport(
-        candidate_mean=_mean([s for row in cand for s in row]),
-        baseline_mean=_mean([s for row in base for s in row]),
+        candidate_mean=mean_score(cand),
+        baseline_mean=mean_score(base),
         wins=wins,
         ties=ties,
         losses=losses,

@@ -558,6 +558,13 @@ class TestBundleFromQuadruple:
             with pytest.raises(InputError):
                 obj.loss_gradient_wrt_params(model, None, quad, cfg)
 
+    @pytest.mark.parametrize("kind", sorted(set(obj.KINDS) - set(obj.REFERENCE_FREE_KINDS)))
+    def test_reference_of_another_context_order_rejected(self, kind):
+        model, _, quad = self._instance()
+        ref = PolicyModel.random_init(model.vocab, 2, 1.0, seed=2, frozen=True)
+        with pytest.raises(UsageError):
+            obj.PackedRecords(model, ref, [quad], kind)
+
 
 class TestBundleValidation:
     def test_positive_log_prob_rejected(self):

@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from microwrpo import datagen, trainer, verify
+from microwrpo import datagen, pipeline, trainer, verify
 from microwrpo import objectives as obj
+from microwrpo.config import load_config
 from microwrpo.errors import ConfigError, InputError, UsageError
 from microwrpo.policy import (
     PolicyModel,
@@ -73,6 +74,24 @@ class TestOptimizer:
         params = np.zeros(2)
         opt.step(params, np.array([3.0, 4.0]))
         assert np.linalg.norm(params) == pytest.approx(1.0)
+
+    def test_adam_in_place_equals_the_allocating_update(self):
+        cfg = trainer.OptimizerConfig(
+            kind="adam", step_size=0.05, schedule="cosine", warmup_fraction=0.1
+        )
+        rng = np.random.default_rng(0)
+        opt = trainer.Optimizer(cfg, (30, 7), total_steps=50)
+        params, expected = np.zeros((30, 7)), np.zeros((30, 7))
+        m = v = np.zeros((30, 7))
+        for t in range(1, 51):
+            grad = rng.standard_normal((30, 7)) * 10.0 ** rng.integers(-6, 3)
+            lr = opt.lr_at(t - 1)
+            opt.step(params, grad)
+            m = cfg.beta1 * m + (1 - cfg.beta1) * grad
+            v = cfg.beta2 * v + (1 - cfg.beta2) * (grad * grad)
+            m_hat, v_hat = m / (1 - cfg.beta1**t), v / (1 - cfg.beta2**t)
+            expected -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert np.array_equal(params, expected)
 
 
 class TestRunSft:
@@ -320,21 +339,45 @@ class TestRunPreferenceOptimization:
         assert again.evals == tel.evals
 
     def test_in_loop_eval_records(self):
-        evals = trainer.EvalSettings(
-            every=2,
-            quadruples=self.quads[:6],
-            oracle=self.oracle,
-            prompts=[q.prompt for q in self.quads[:4]],
-            sampling=SAMPLING,
-            samples_per_prompt=2,
-        )
-        _, tel = self.run(epochs=1, evals=evals)
+        heldout, prompts = self.quads[:6], [q.prompt for q in self.quads[:4]]
+
+        def evaluate(policy):
+            scores = trainer.oracle_scores(policy, prompts, SAMPLING, self.oracle, 2, "eval-quality")
+            return (
+                trainer.eval_reward_accuracy(policy, self.snapshot, heldout, 0.01),
+                trainer.mean_score(scores),
+            )
+
+        _, tel = self.run(epochs=1, eval_every=2, evaluate=evaluate)
         n_steps = trainer.n_optimizer_steps(len(self.quads), 8, 1)
         assert len(tel.evals) == n_steps // 2
         for rec in tel.evals:
             assert (rec.step + 1) % 2 == 0
             assert 0 <= rec.reward_accuracy <= 1
             assert math.isfinite(rec.mean_oracle_score)
+
+    def test_last_step_eval_equals_the_final_evaluation(self, env_seed0):
+        cfg, snapshot = env_seed0["cfg"], env_seed0["snapshot"]
+        train, heldout = env_seed0["po_train"], env_seed0["po_heldout"]
+        stage = cfg.raw["po"]
+        steps = trainer.n_optimizer_steps(len(train), stage["batch_size"], stage["epochs"])
+        cfg = load_config(
+            overrides={"po": {"eval_holdout_fraction": 0.25, "eval_every": steps}}, seed=cfg.seed
+        )
+        model, tel = pipeline.run_po(cfg, snapshot, train, heldout)
+        (rec,) = tel.evals
+        assert rec.step == steps - 1
+        metrics = pipeline.evaluate(cfg, model, snapshot, heldout, env_seed0["target_init"])
+        assert rec.reward_accuracy == metrics["reward_accuracy"]
+        scores = trainer.oracle_scores(
+            model,
+            cfg.eval_prompts(),
+            cfg.sampling_config(),
+            cfg.oracle(),
+            cfg.raw["eval"]["samples_per_prompt"],
+            "eval-quality",
+        )
+        assert rec.mean_oracle_score == trainer.mean_score(scores)
 
 
 class TestEvalRewardAccuracy:
