@@ -14,14 +14,12 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from itertools import repeat
 from pathlib import Path
 
 from . import datagen, pipeline, trainer
 from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_config
-from .errors import ConfigError, DataError, InputError, NumericError
+from .errors import ConfigError, DataError, InputError, NumericError, is_number
 from .objectives import WRPO_KINDS
 from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
 
@@ -174,12 +172,21 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         snapshot = _sft_stage(cfg, out, quadruples)
     # Every job regenerates the same pairs; only the first job's are sent back and written.
     args = (jobs, repeat(quadruples), repeat(snapshot), [i == 0 for i in range(len(jobs))])
+    # A fork pool starts all of its workers at the first submit: at most one per job.
+    workers = min(threads, len(jobs))
+    if workers > 1:
+        # Imported here, so that no other command loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_sweep_one, *args))
+    else:
+        results = map(_sweep_one, *args)
     rows = []
-    with ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        for row, pairs in (pool.map if threads > 1 else map)(_sweep_one, *args):
-            if pairs is not None:
-                datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
-            rows.append(row)
+    for row, pairs in results:
+        if pairs is not None:
+            datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
+        rows.append(row)
     rows.sort(key=lambda r: (r["target"], r["kind"]))
     with open(out / SWEEP_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -196,6 +203,33 @@ def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
+def _read_deviation(path: str) -> tuple[list, dict]:
+    """(bin edges, roles) of a deviation report; DataError unless every role's
+    histogram is a list of len(edges) - 1 ints."""
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+        edges, roles = report["bin_edges"], report["roles"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed deviation report ({exc!r})") from exc
+    if not (isinstance(edges, list) and all(is_number(e) for e in edges)):
+        raise DataError(f"{path}: bin_edges must be a list of numbers")
+    if not isinstance(roles, dict):
+        raise DataError(f"{path}: roles must be an object")
+    for role, stats in roles.items():
+        hist = stats.get("histogram") if isinstance(stats, dict) else None
+        if not (
+            isinstance(hist, list)
+            and len(hist) == len(edges) - 1
+            and all(is_number(c, integer=True) for c in hist)
+        ):
+            raise DataError(
+                f"{path}: roles.{role} must be an object whose histogram is a list of "
+                f"{len(edges) - 1} ints"
+            )
+    return edges, roles
+
+
 def cmd_export_figures(
     telemetry_paths: list[str],
     deviation_path: str | None,
@@ -208,12 +242,7 @@ def cmd_export_figures(
             raise DataError(f"input file not found: {path}")
     telemetries = [(path, trainer.read_telemetry(path)) for path in telemetry_paths]
     if deviation_path is not None:
-        try:
-            with open(deviation_path) as fh:
-                report = json.load(fh)
-            edges, roles = report["bin_edges"], report["roles"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataError(f"{deviation_path}: malformed deviation report ({exc!r})") from exc
+        edges, roles = _read_deviation(deviation_path)
     if sweep_path is not None:
         try:
             sweep_text = Path(sweep_path).read_text()

@@ -317,7 +317,6 @@ class RunConfig:
             task["context_order"],
             self.oracle(),
             specs,
-            self.sampling_config(),
             seed=derive_seed(self.seed, stream_salt("ensemble")),
         )
 

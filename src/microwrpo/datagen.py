@@ -44,6 +44,7 @@ __all__ = [
     "make_prompts",
     "sample_scored",
     "generate_candidates",
+    "target_pairs",
     "assemble_quadruples",
     "split_dataset",
     "distribution_deviation_report",
@@ -113,7 +114,6 @@ def expert_logit_table(
 class EnsembleMember:
     name: str
     model: PolicyModel
-    sampling: SamplingConfig
 
     def __post_init__(self):
         if not self.model.frozen:
@@ -132,8 +132,8 @@ class SourceEnsemble:
             raise InputError("ensemble member names must be unique")
 
     @classmethod
-    def single(cls, name: str, model: PolicyModel, sampling: SamplingConfig):
-        return cls(members=(EnsembleMember(name, model, sampling),))
+    def single(cls, name: str, model: PolicyModel):
+        return cls(members=(EnsembleMember(name, model),))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -145,7 +145,6 @@ def make_source_ensemble(
     order: int,
     oracle: BigramRewardOracle,
     specs: list[tuple[str, float, float]],
-    sampling: SamplingConfig,
     seed: int = 0,
 ) -> SourceEnsemble:
     """Members are expert tables perturbed by per-member Gaussian noise.
@@ -159,7 +158,7 @@ def make_source_ensemble(
         table = expert_logit_table(vocab, order, oracle, sharpness)
         table = table + noise * rng.standard_normal(table.shape)
         model = PolicyModel(vocab=vocab, order=order, logits=table, frozen=True)
-        members.append(EnsembleMember(name=name, model=model, sampling=sampling))
+        members.append(EnsembleMember(name=name, model=model))
     return SourceEnsemble(members=tuple(members))
 
 
@@ -263,13 +262,15 @@ def generate_candidates(
     ensemble: SourceEnsemble,
     prompts: list[tuple[int, ...]],
     n_samples: int,
+    sampling: SamplingConfig,
     oracle: BigramRewardOracle,
 ) -> CandidateSet:
-    """Exactly n_samples scored draws per (prompt, member), salted by the member's name."""
+    """Exactly n_samples scored draws per (prompt, member), all under ``sampling``,
+    salted by the member's name."""
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
     per_member = [
-        sample_scored(m.model, m.name, prompts, n_samples, m.sampling, oracle, m.name)
+        sample_scored(m.model, m.name, prompts, n_samples, sampling, oracle, m.name)
         for m in ensemble.members
     ]
     return CandidateSet(
@@ -288,6 +289,23 @@ def _argbest(candidates: list[ScoredResponse], want_max: bool) -> ScoredResponse
     return best
 
 
+def target_pairs(
+    pools: list[list[ScoredResponse]],
+) -> list[tuple[ScoredResponse, ScoredResponse]]:
+    """(y_wt, y_l) of each prompt's pool of target draws: its max-score and its
+    min-score draw, the earliest winning a tie. Equal-score pairs are counted
+    and logged."""
+    pairs = [(_argbest(pool, want_max=True), _argbest(pool, want_max=False)) for pool in pools]
+    degenerate = sum(y_wt.score == y_l.score for y_wt, y_l in pairs)
+    if degenerate:
+        log.warning(
+            "%d/%d prompts have degenerate target pairs (y_wt score == y_l score)",
+            degenerate,
+            len(pairs),
+        )
+    return pairs
+
+
 def assemble_quadruples(
     candidates_source: CandidateSet,
     candidates_target: CandidateSet,
@@ -302,34 +320,23 @@ def assemble_quadruples(
         raise InputError("source and target candidate sets cover different prompts")
     wins = {name: 0 for name in candidates_source.model_names}
     quadruples = []
-    degenerate = 0
-    for p_idx, prompt in enumerate(candidates_source.prompts):
+    pairs = target_pairs(
+        [[c for per_model in samples for c in per_model] for samples in candidates_target.samples]
+    )
+    for p_idx, (prompt, (y_wt, y_l)) in enumerate(zip(candidates_source.prompts, pairs)):
         source_pool = [
             c for per_model in candidates_source.samples[p_idx] for c in per_model
         ]
-        target_pool = [
-            c for per_model in candidates_target.samples[p_idx] for c in per_model
-        ]
         y_ws = _argbest(source_pool, want_max=True)
-        y_wt = _argbest(target_pool, want_max=True)
-        y_l = _argbest(target_pool, want_max=False)
         y_ls = None
         if include_yls:
             same_model = [c for c in source_pool if c.model == y_ws.model]
             y_ls = _argbest(same_model, want_max=False)
         wins[y_ws.model] += 1
-        if y_wt.score == y_l.score:
-            degenerate += 1
         quadruples.append(
             PreferenceQuadruple(
                 prompt=prompt, y_ws=y_ws, y_wt=y_wt, y_l=y_l, y_ls=y_ls
             )
-        )
-    if degenerate:
-        log.warning(
-            "%d/%d prompts have degenerate target pairs (y_wt score == y_l score)",
-            degenerate,
-            len(quadruples),
         )
     n = len(quadruples)
     attribution = [

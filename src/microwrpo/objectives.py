@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -48,13 +47,6 @@ __all__ = [
     "internal_reward",
     "bt_probability",
     "compound_reward",
-    "dpo_loss",
-    "ipo_loss",
-    "simpo_loss",
-    "wrpo_loss",
-    "wrpo_simpo_loss",
-    "wrpo_ipo_loss",
-    "wrpo_with_yls_loss",
     "evaluate_loss",
     "PackedRecords",
     "bundle_from_quadruple",
@@ -261,7 +253,10 @@ def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
     return compound_reward(terms[names[0]], terms[names[1]], alpha), (alpha, 1 - alpha)
 
 
-def _evaluate(row: _Row, bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
+def evaluate_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
+    """The loss of kind ``cfg.kind`` on ``bundle``, with its derivative w.r.t. each role's
+    policy log-prob; the one scalar entry point of the family."""
+    row = _TABLE[cfg.kind]
     # Pinned artifacts depend on this float order: a pair fused by compound_reward,
     # the offset subtracted last, and each coefficient formed as (weight * scale) * dz.
     alpha = cfg.require_alpha() if len(row.preferred) == 2 else None
@@ -288,19 +283,6 @@ def _evaluate(row: _Row, bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossRes
     on_policy, hybrid = rewards["w_t"] - rewards[l_t], rewards["w_s"] - rewards[l_s]
     return LossResult(loss, rewards, grads, on_policy, hybrid)
 
-
-def evaluate_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    return _evaluate(_TABLE[cfg.kind], bundle, cfg)
-
-
-# The named losses pin their own row, whatever cfg.kind names.
-dpo_loss = partial(_evaluate, _TABLE["dpo"])
-ipo_loss = partial(_evaluate, _TABLE["ipo"])
-simpo_loss = partial(_evaluate, _TABLE["simpo"])
-wrpo_loss = partial(_evaluate, _TABLE["wrpo_dpo"])
-wrpo_simpo_loss = partial(_evaluate, _TABLE["wrpo_simpo"])
-wrpo_ipo_loss = partial(_evaluate, _TABLE["wrpo_ipo"])
-wrpo_with_yls_loss = partial(_evaluate, _TABLE["wrpo_with_yls"])
 
 # Quadruple field of each role; "w" is taken by pairing.
 _ROLE_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "y_ls"}

@@ -40,10 +40,10 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     oracle = cfg.oracle()
     prompts = cfg.prompts()
     target = cfg.target_init().copy(frozen=True)
-    target_ensemble = datagen.SourceEnsemble.single("target-init", target, cfg.sampling_config())
-    n = cfg.n_samples()
-    src = datagen.generate_candidates(cfg.ensemble(), prompts, n, oracle)
-    tgt = datagen.generate_candidates(target_ensemble, prompts, n, oracle)
+    target_ensemble = datagen.SourceEnsemble.single("target-init", target)
+    n, sampling = cfg.n_samples(), cfg.sampling_config()
+    src = datagen.generate_candidates(cfg.ensemble(), prompts, n, sampling, oracle)
+    tgt = datagen.generate_candidates(target_ensemble, prompts, n, sampling, oracle)
     quadruples, attribution = datagen.assemble_quadruples(
         src, tgt, include_yls=cfg.raw["data"]["include_yls"]
     )

@@ -9,7 +9,6 @@ runs.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -21,9 +20,9 @@ from .datagen import (
     BigramRewardOracle,
     PreferenceQuadruple,
     SftRecord,
-    _argbest,
     jsonl_records,
     sample_scored,
+    target_pairs,
 )
 from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
 from .policy import PackedSequences, PolicyModel, SamplingConfig
@@ -47,22 +46,20 @@ __all__ = [
     "read_telemetry",
 ]
 
-log = logging.getLogger(__name__)
-
 OPTIMIZER_KINDS = ("sgd", "adam")
 LR_SCHEDULES = ("constant", "cosine")
+# Adam's moment decay rates and the guard added to the second-moment root.
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     kind: str = "adam"
     step_size: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     schedule: str = "constant"
     warmup_fraction: float = 0.0
-    grad_clip: float | None = None
 
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
@@ -71,12 +68,8 @@ class OptimizerConfig:
             raise ConfigError(f"unknown lr schedule {self.schedule!r}")
         if not self.step_size > 0:
             raise ConfigError("step_size must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("moment decay rates must be in (0, 1)")
         if not 0 <= self.warmup_fraction < 1:
             raise ConfigError("warmup_fraction must be in [0, 1)")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError("grad_clip must be positive when set")
 
 
 class Optimizer:
@@ -101,26 +94,21 @@ class Optimizer:
         return cfg.step_size * 0.5 * (1.0 + math.cos(math.pi * min(progress, 1.0)))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        cfg = self.cfg
         lr = self.lr_at(self.t)
         self.t += 1
-        if cfg.grad_clip is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > cfg.grad_clip:
-                grad = grad * (cfg.grad_clip / norm)
-        if cfg.kind == "sgd":
+        if self.cfg.kind == "sgd":
             params -= lr * grad
             return
         # In place, in the float order of m = b1*m + (1-b1)*g and lr*m_hat / (sqrt(v_hat) + eps).
-        self.m *= cfg.beta1
-        self.m += (1 - cfg.beta1) * grad
-        self.v *= cfg.beta2
-        self.v += (1 - cfg.beta2) * (grad * grad)
-        update = self.m / (1 - cfg.beta1**self.t)
+        self.m *= BETA1
+        self.m += (1 - BETA1) * grad
+        self.v *= BETA2
+        self.v += (1 - BETA2) * (grad * grad)
+        update = self.m / (1 - BETA1**self.t)
         update *= lr
-        denom = self.v / (1 - cfg.beta2**self.t)
+        denom = self.v / (1 - BETA2**self.t)
         np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
+        denom += EPSILON
         update /= denom
         params -= update
 
@@ -205,31 +193,19 @@ def regenerate_target_pairs(
     n_samples: int,
     cfg: SamplingConfig,
     oracle: BigramRewardOracle,
-    model_name: str = "target-sft",
 ) -> list[PreferenceQuadruple]:
-    """Replace y_wt / y_l with max/min-score fresh samples from the snapshot;
-    the earliest sample wins a tie."""
+    """Replace y_wt / y_l with the target pair (datagen.target_pairs) of fresh
+    samples from the snapshot."""
     if not snapshot.frozen:
         raise UsageError("pair regeneration requires a frozen snapshot")
     prompts = [q.prompt for q in quadruples]
     scored = sample_scored(
-        snapshot, model_name, prompts, n_samples, cfg, oracle, "regen:" + model_name
+        snapshot, "target-sft", prompts, n_samples, cfg, oracle, "regen:target-sft"
     )
-    out = []
-    degenerate = 0
-    for quad, draws in zip(quadruples, scored):
-        y_wt = _argbest(draws, want_max=True)
-        y_l = _argbest(draws, want_max=False)
-        if y_wt.score == y_l.score:
-            degenerate += 1
-        out.append(replace(quad, y_wt=y_wt, y_l=y_l))
-    if degenerate:
-        log.warning(
-            "%d/%d regenerated pairs are degenerate (equal scores)",
-            degenerate,
-            len(out),
-        )
-    return out
+    return [
+        replace(quad, y_wt=y_wt, y_l=y_l)
+        for quad, (y_wt, y_l) in zip(quadruples, target_pairs(scored))
+    ]
 
 
 def _mean(values: list[float]) -> float:
@@ -392,7 +368,7 @@ def eval_policy_quality(
     prompts: list[tuple[int, ...]],
     cfg: SamplingConfig,
     oracle: BigramRewardOracle,
-    samples_per_prompt: int = 3,
+    samples_per_prompt: int,
 ) -> QualityReport:
     """Mean oracle score of fresh samples and per-prompt win rate vs baseline.
 

@@ -119,12 +119,14 @@ class TestCriterion4DataConstruction:
         oracle = cfg.oracle()
         prompts = cfg.prompts()
         assert len(prompts) == 200 and len(cfg.ensemble().members) == 3
-        src = datagen.generate_candidates(cfg.ensemble(), prompts, 5, oracle)
+        sampling = cfg.sampling_config()
+        src = datagen.generate_candidates(cfg.ensemble(), prompts, 5, sampling, oracle)
         target = cfg.target_init().copy(frozen=True)
         tgt = datagen.generate_candidates(
-            datagen.SourceEnsemble.single("target-init", target, cfg.sampling_config()),
+            datagen.SourceEnsemble.single("target-init", target),
             prompts,
             5,
+            sampling,
             oracle,
         )
         quads, attribution = datagen.assemble_quadruples(src, tgt, include_yls=True)

@@ -200,7 +200,8 @@ class TestTrain:
 
     def test_po_stage_imports_no_numpy_ma_and_keeps_no_context_cache(self, tmp_path):
         # numpy.ma (about 1 MiB resident) comes in with np.unique; a process-global
-        # context cache would grow with every distinct sequence.
+        # context cache would grow with every distinct sequence; multiprocessing is
+        # for the sweep's process pool alone.
         path = write_config(tmp_path, MINI_CONFIG)
         out = tmp_path / "run"
         for argv in (("gen-data",), ("train", "--stage", "sft")):
@@ -209,7 +210,8 @@ class TestTrain:
             "import json, sys\n"
             "from microwrpo import cli, policy\n"
             f"rc = cli.main(['train', '--stage', 'po', '--config', {path!r}, '--out', {str(out)!r}])\n"
-            "print(json.dumps([rc, 'numpy.ma' in sys.modules, hasattr(policy, '_CONTEXT_CACHE')]))\n"
+            "print(json.dumps([rc, 'numpy.ma' in sys.modules, hasattr(policy, '_CONTEXT_CACHE'),"
+            " 'multiprocessing' in sys.modules]))\n"
         )
         src = str(Path(microwrpo.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -217,7 +219,7 @@ class TestTrain:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False, False]
 
 
 class TestSweepAlpha:
@@ -289,6 +291,35 @@ class TestSweepAlpha:
         assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
         assert (out1 / "po_dataset.jsonl").read_bytes() == (out2 / "po_dataset.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("threads, pools", [("3", [2]), ("1", [])])
+    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch, threads, pools):
+        import concurrent.futures
+
+        made = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("MICROWRPO_THREADS", threads)
+        monkeypatch.delenv("MICROWRPO_OUT", raising=False)
+        path = write_config(tmp_path, MINI_CONFIG)
+        assert run_cli(
+            "sweep-alpha", "--config", path, "--out", str(tmp_path / "sweep"),
+            "--targets", "0.1", "0.9", "--kinds", "static",
+        ) == 0
+        assert made == pools
+
     def test_non_integer_threads_exit_2_before_any_output(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path, MINI_CONFIG)
         out = tmp_path / "sweep"
@@ -312,6 +343,22 @@ class TestEnvOverrides:
 
 
 class TestExportFigures:
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"bin_edges": [0.0, 1.0], "roles": {"y_ws": {"histogram": [1, 2]}}},
+            {"bin_edges": [0.0, 1.0], "roles": ["y_ws"]},
+            {"bin_edges": 5, "roles": {"y_ws": {"histogram": [1]}}},
+        ],
+        ids=["histogram-longer-than-bins", "roles-list", "edges-int"],
+    )
+    def test_malformed_deviation_exit_3_and_no_output_dir(self, tmp_path, report):
+        deviation = tmp_path / "deviation.json"
+        deviation.write_text(json.dumps(report))
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", "--deviation", str(deviation), "--out", str(figs)) == 3
+        assert not figs.exists()
+
     def test_margin_csv_schema_and_row_count(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
         out = tmp_path / "run"

@@ -23,14 +23,15 @@ SAMPLING = SamplingConfig(temperature=0.8, top_p=0.95, max_length=10, seed=3)
 def small_world(seed=0, n_prompts=20, n_samples=3, specs=None):
     oracle = datagen.make_oracle(VOCAB, seed=5)
     specs = specs or [("sharp", 6.0, 0.3), ("noisy", 2.0, 1.0)]
-    ensemble = datagen.make_source_ensemble(VOCAB, 2, oracle, specs, SAMPLING, seed=seed)
+    ensemble = datagen.make_source_ensemble(VOCAB, 2, oracle, specs, seed=seed)
     target = PolicyModel.random_init(VOCAB, 2, 0.5, seed=seed + 99, frozen=True)
     prompts = datagen.make_prompts(VOCAB, n_prompts, prompt_length=2, seed=seed)
-    src = datagen.generate_candidates(ensemble, prompts, n_samples, oracle)
+    src = datagen.generate_candidates(ensemble, prompts, n_samples, SAMPLING, oracle)
     tgt = datagen.generate_candidates(
-        datagen.SourceEnsemble.single("target", target, SAMPLING),
+        datagen.SourceEnsemble.single("target", target),
         prompts,
         n_samples,
+        SAMPLING,
         oracle,
     )
     return oracle, ensemble, target, prompts, src, tgt
@@ -90,7 +91,7 @@ class TestSampleScored:
         oracle, ensemble, _, prompts, src, _ = small_world(n_prompts=4)
         for m, member in enumerate(ensemble.members):
             draws = datagen.sample_scored(
-                member.model, member.name, prompts, 3, member.sampling, oracle, member.name
+                member.model, member.name, prompts, 3, SAMPLING, oracle, member.name
             )
             assert [per_prompt[m] for per_prompt in src.samples] == draws
 
@@ -113,8 +114,8 @@ class TestGenerateCandidates:
     def test_single_sample_single_member(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
         member = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
-        ens = datagen.SourceEnsemble.single("only", member, SAMPLING)
-        out = datagen.generate_candidates(ens, [(2, 3)], 1, oracle)
+        ens = datagen.SourceEnsemble.single("only", member)
+        out = datagen.generate_candidates(ens, [(2, 3)], 1, SAMPLING, oracle)
         assert len(out.samples) == 1 and len(out.samples[0][0]) == 1
 
     def test_deterministic_rerun(self):
@@ -125,14 +126,14 @@ class TestGenerateCandidates:
     def test_empty_prompts_rejected(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
         member = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
-        ens = datagen.SourceEnsemble.single("only", member, SAMPLING)
+        ens = datagen.SourceEnsemble.single("only", member)
         with pytest.raises(InputError):
-            datagen.generate_candidates(ens, [], 1, oracle)
+            datagen.generate_candidates(ens, [], 1, SAMPLING, oracle)
 
     def test_unfrozen_member_rejected(self):
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1)
         with pytest.raises(InputError):
-            datagen.EnsembleMember("x", model, SAMPLING)
+            datagen.EnsembleMember("x", model)
 
 
 class TestAssembleQuadruples:
@@ -277,7 +278,7 @@ class TestDeviationReport:
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
         prompts = datagen.make_prompts(VOCAB, 30, 2, seed=8)
         mk = lambda name: datagen.generate_candidates(
-            datagen.SourceEnsemble.single(name, model, SAMPLING), prompts, 4, oracle
+            datagen.SourceEnsemble.single(name, model), prompts, 4, SAMPLING, oracle
         )
         quads, _ = datagen.assemble_quadruples(mk("as-source"), mk("as-target"))
         report = datagen.distribution_deviation_report(model, quads)

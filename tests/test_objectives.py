@@ -103,26 +103,26 @@ class TestCompoundReward:
 class TestDpoLoss:
     def test_zero_margin_is_log_two(self):
         r = role(-4.0, -4.0)
-        out = obj.dpo_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("dpo"))
+        out = obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("dpo"))
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_direct_value(self):
         # beta=1, delta_w=1, delta_l=-1 -> z=2, loss=log(1+e^-2)
         bundle = obj.LogProbBundle.pair(role(-1.0, -2.0), role(-3.0, -2.0))
-        out = obj.dpo_loss(bundle, obj.ObjectiveConfig("dpo", beta=1.0))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo", beta=1.0))
         assert out.loss == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-12)
         assert out.loss == pytest.approx(0.126928, abs=1e-6)
 
     def test_missing_role(self):
         bundle = obj.LogProbBundle(roles={"w": role(-1.0)})
         with pytest.raises(InputError):
-            obj.dpo_loss(bundle, obj.ObjectiveConfig("dpo"))
+            obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo"))
 
     def test_grad_signs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             bundle = obj.LogProbBundle.pair(rand_role(rng), rand_role(rng))
-            out = obj.dpo_loss(bundle, obj.ObjectiveConfig("dpo", beta=0.05))
+            out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo", beta=0.05))
             assert out.grad_wrt_logps["w"] <= 0
             assert out.grad_wrt_logps["l"] >= 0
 
@@ -131,18 +131,18 @@ class TestIpoLoss:
     def test_exact_target_margin_zero_loss(self):
         tau = 0.05
         bundle = obj.LogProbBundle.pair(role(-1.0, -1.0 - 1 / (2 * tau)), role(-2.0, -2.0))
-        out = obj.ipo_loss(bundle, obj.ObjectiveConfig("ipo", tau=tau))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("ipo", tau=tau))
         assert out.loss == pytest.approx(0.0, abs=1e-18)
 
     def test_equal_deltas_value(self):
         r = role(-3.0, -3.0)
-        out = obj.ipo_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo", tau=0.01))
+        out = obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo", tau=0.01))
         assert out.loss == pytest.approx(2500.0, rel=1e-12)
 
     def test_tau_required_and_positive(self):
         r = role(-3.0)
         with pytest.raises(InputError):
-            obj.ipo_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo"))
+            obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo"))
         with pytest.raises(InputError):
             obj.ObjectiveConfig("ipo", tau=-1.0)
 
@@ -150,13 +150,13 @@ class TestIpoLoss:
 class TestSimpoLoss:
     def test_equal_averages_gamma_zero_is_log_two(self):
         bundle = obj.LogProbBundle.pair(role(-2.0, length=2), role(-4.0, length=4))
-        out = obj.simpo_loss(bundle, obj.ObjectiveConfig("simpo", beta=2.0, gamma=0.0))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("simpo", beta=2.0, gamma=0.0))
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_direct_value(self):
         # beta=10, avg_w=-1.0, avg_l=-1.2, gamma=1 -> z = 1.0
         bundle = obj.LogProbBundle.pair(role(-2.0, length=2), role(-6.0, length=5))
-        out = obj.simpo_loss(bundle, obj.ObjectiveConfig("simpo", beta=10.0, gamma=1.0))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("simpo", beta=10.0, gamma=1.0))
         assert out.loss == pytest.approx(math.log1p(math.exp(-1.0)), rel=1e-12)
         assert out.loss == pytest.approx(0.313262, abs=1e-6)
 
@@ -164,7 +164,7 @@ class TestSimpoLoss:
         a = obj.LogProbBundle.pair(role(-2.0, -9.0, 2), role(-3.0, -0.5, 3))
         b = obj.LogProbBundle.pair(role(-2.0, -1.0, 2), role(-3.0, -8.0, 3))
         cfg = obj.ObjectiveConfig("simpo", beta=5.0, gamma=0.5)
-        assert obj.simpo_loss(a, cfg).loss == obj.simpo_loss(b, cfg).loss
+        assert obj.evaluate_loss(a, cfg).loss == obj.evaluate_loss(b, cfg).loss
 
 
 class TestWrpoLoss:
@@ -173,8 +173,8 @@ class TestWrpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.0)
-            out = obj.wrpo_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
-            ref = obj.dpo_loss(obj.LogProbBundle.pair(w_t, l), obj.ObjectiveConfig("dpo", beta=0.01))
+            out = obj.evaluate_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
+            ref = obj.evaluate_loss(obj.LogProbBundle.pair(w_t, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_t"] - ref.grad_wrt_logps["w"]) <= 1e-12
             assert abs(out.grad_wrt_logps["l"] - ref.grad_wrt_logps["l"]) <= 1e-12
@@ -185,8 +185,8 @@ class TestWrpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=1.0)
-            out = obj.wrpo_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
-            ref = obj.dpo_loss(obj.LogProbBundle.pair(w_s, l), obj.ObjectiveConfig("dpo", beta=0.01))
+            out = obj.evaluate_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
+            ref = obj.evaluate_loss(obj.LogProbBundle.pair(w_s, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_s"] - ref.grad_wrt_logps["w"]) <= 1e-12
             assert out.grad_wrt_logps["w_t"] == 0.0
@@ -196,7 +196,7 @@ class TestWrpoLoss:
         bundle = obj.LogProbBundle.triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.wrpo_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.015)), rel=1e-12)
         assert out.loss == pytest.approx(0.685669, abs=1e-5)
 
@@ -204,14 +204,14 @@ class TestWrpoLoss:
         bundle = obj.LogProbBundle.triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.wrpo_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
         assert out.hybrid_policy_margin == pytest.approx(0.02, rel=1e-12)
         assert out.on_policy_margin == pytest.approx(0.01, rel=1e-12)
 
     def test_alpha_required(self):
         bundle = obj.LogProbBundle.triple(role(-1.0), role(-1.0), role(-1.0))
         with pytest.raises(InputError):
-            obj.wrpo_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01))
+            obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01))
 
 
 class TestWrpoSimpoLoss:
@@ -219,11 +219,11 @@ class TestWrpoSimpoLoss:
         rng = np.random.default_rng(6)
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
-            out = obj.wrpo_simpo_loss(
+            out = obj.evaluate_loss(
                 obj.LogProbBundle.triple(w_s, w_t, l),
                 obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.0),
             )
-            ref = obj.simpo_loss(
+            ref = obj.evaluate_loss(
                 obj.LogProbBundle.pair(w_t, l),
                 obj.ObjectiveConfig("simpo", beta=10.0, gamma=0.0),
             )
@@ -234,7 +234,7 @@ class TestWrpoSimpoLoss:
         bundle = obj.LogProbBundle.triple(
             role(-1.0, length=1), role(-2.0, length=2), role(-3.0, length=3)
         )
-        out = obj.wrpo_simpo_loss(
+        out = obj.evaluate_loss(
             bundle, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.4)
         )
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
@@ -245,11 +245,11 @@ class TestWrpoIpoLoss:
         rng = np.random.default_rng(7)
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
-            out = obj.wrpo_ipo_loss(
+            out = obj.evaluate_loss(
                 obj.LogProbBundle.triple(w_s, w_t, l),
                 obj.ObjectiveConfig("wrpo_ipo", tau=0.01, alpha=0.0),
             )
-            ref = obj.ipo_loss(
+            ref = obj.evaluate_loss(
                 obj.LogProbBundle.pair(w_t, l), obj.ObjectiveConfig("ipo", tau=0.01)
             )
             assert abs(out.loss - ref.loss) <= 1e-12
@@ -260,7 +260,7 @@ class TestWrpoIpoLoss:
         w_s = role(-1.0, -1.0 - c)
         w_t = role(-2.0, -2.0 - c)
         l = role(-3.0, -3.0)
-        out = obj.wrpo_ipo_loss(
+        out = obj.evaluate_loss(
             obj.LogProbBundle.triple(w_s, w_t, l),
             obj.ObjectiveConfig("wrpo_ipo", tau=tau, alpha=alpha),
         )
@@ -272,11 +272,11 @@ class TestWrpoWithYlsLoss:
         rng = np.random.default_rng(8)
         for _ in range(50):
             roles = [rand_role(rng) for _ in range(4)]
-            out = obj.wrpo_with_yls_loss(
+            out = obj.evaluate_loss(
                 obj.LogProbBundle.quad(*roles),
                 obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.0),
             )
-            ref = obj.dpo_loss(
+            ref = obj.evaluate_loss(
                 obj.LogProbBundle.pair(roles[1], roles[3]),
                 obj.ObjectiveConfig("dpo", beta=0.01),
             )
@@ -284,7 +284,7 @@ class TestWrpoWithYlsLoss:
 
     def test_all_deltas_zero_is_log_two(self):
         r = role(-5.0, -5.0)
-        out = obj.wrpo_with_yls_loss(
+        out = obj.evaluate_loss(
             obj.LogProbBundle.quad(r, r, r, r),
             obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5),
         )
@@ -295,7 +295,7 @@ class TestWrpoWithYlsLoss:
         bundle = obj.LogProbBundle.quad(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-2.5, -3.0), role(-3.0, -3.0)
         )
-        out = obj.wrpo_with_yls_loss(
+        out = obj.evaluate_loss(
             bundle, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
         )
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.0125)), rel=1e-12)
@@ -304,7 +304,7 @@ class TestWrpoWithYlsLoss:
     def test_missing_role(self):
         bundle = obj.LogProbBundle.triple(role(-1.0), role(-1.0), role(-1.0))
         with pytest.raises(InputError):
-            obj.wrpo_with_yls_loss(
+            obj.evaluate_loss(
                 bundle, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
             )
 
@@ -391,7 +391,7 @@ class TestGradientConsistency:
         }
 
         def margin(roles):
-            out = obj.wrpo_loss(obj.LogProbBundle(roles), cfg)
+            out = obj.evaluate_loss(obj.LogProbBundle(roles), cfg)
             r = out.internal_rewards
             return obj.compound_reward(r["w_s"], r["w_t"], alpha) - r["l"]
 
