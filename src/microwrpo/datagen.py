@@ -26,6 +26,7 @@ from .policy import (
     Vocabulary,
     derive_rng,
     sample_response,
+    stream_rngs,
     stream_salt,
 )
 
@@ -240,19 +241,21 @@ def sample_scored(
     """n_samples scored draws per prompt from ``model``, as [prompt][sample].
 
     Draw (p, s) uses its own counter-derived stream keyed by (salt, p, s),
-    so draws never depend on the order they are made in; all draws share
-    one nucleus table, so each context row is computed at most once.
+    so draws never depend on the order they are made in; the streams of all
+    draws are derived in one pass and set in turn on one Generator, and all
+    draws share one nucleus table, so each context row is computed at most
+    once.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    key = stream_salt(salt)
     rows = NucleusRows(model, cfg)
+    p_keys, s_keys = np.divmod(np.arange(len(prompts) * n_samples), n_samples)
+    rngs = stream_rngs(cfg.seed, stream_salt(salt), p_keys, s_keys)
     scored = []
-    for p_idx, prompt in enumerate(prompts):
+    for prompt in prompts:
         draws = []
         for s_idx in range(n_samples):
-            rng = derive_rng(cfg.seed, key, p_idx, s_idx)
-            seq = sample_response(model, prompt, cfg, rng=rng, rows=rows)
+            seq = sample_response(model, prompt, cfg, rng=next(rngs), rows=rows)
             draws.append(ScoredResponse(seq, oracle.score(prompt, seq.response), label, s_idx))
         scored.append(draws)
     return scored

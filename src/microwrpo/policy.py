@@ -17,7 +17,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "parameter_hash",
     "derive_rng",
     "derive_seed",
+    "stream_rngs",
 ]
 
 
@@ -383,15 +384,133 @@ def log_prob_gradient(model: PolicyModel, seq: Sequence) -> np.ndarray:
     return packed.gradient(model, packed.forward(model, [0]), [[1.0]])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), all in 32-bit words.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# pcg_setseq_128_srandom_r: PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _int_words(value) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
+    if not is_number(value, integer=True) or value < 0:
+        raise InputError(f"seed roots and key items must be non-negative ints (got {value!r})")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_steps(init: int, mult: int):
+    """(xor, multiplier) of each successive hash step: the constant before and after
+    it is multiplied by ``mult``. They depend on no data."""
+    const = init
+    while True:
+        nxt = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy=root, spawn_key=key).generate_state(n_words, np.uint32)``
+    of every stream at once, as a (streams, n_words) uint32 array.
+
+    A key item is an int, which gives its little-endian 32-bit words, or a
+    1-D integer array below 2**32, which gives one word per stream; all
+    array items have one length, the number of streams (1 if there are
+    none). Every operand is a uint32 array, of one element for the words
+    all streams share, so the wrap-around arithmetic neither depends on
+    numpy's scalar promotion rules nor warns on overflow.
+    """
+    entropy = _int_words(root)
+    if key:
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    n_streams = None
+    for item in key:
+        if not isinstance(item, np.ndarray):
+            entropy += _int_words(item)
+            continue
+        if item.ndim != 1 or item.dtype.kind not in "iu" or n_streams not in (None, item.size):
+            raise InputError("array key items must be 1-D integer arrays of one length")
+        if item.size and (item.min() < 0 or item.max() > _MASK32):
+            raise InputError("array key items must lie in [0, 2**32)")
+        n_streams = item.size
+        entropy.append(item.astype(np.uint32))
+    entropy = [w if isinstance(w, np.ndarray) else np.array([w], np.uint32) for w in entropy]
+
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    zero = np.zeros(1, np.uint32)
+    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, steps) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], steps))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, steps))
+
+    out = np.empty((1 if n_streams is None else n_streams, n_words), np.uint32)
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    for i in range(n_words):
+        out[:, i] = _hashmix(pool[i % _POOL_SIZE], steps)
+    return out
+
+
+def _pcg64_state(seed: np.ndarray) -> dict:
+    """PCG64's state when seeded with ``seed``, its four uint64 seed words."""
+    s_hi, s_lo, i_hi, i_lo = seed.tolist()
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def stream_rngs(root: int, *key) -> Iterator[np.random.Generator]:
+    """One Generator per stream of ``key`` (see _seed_words), each drawing what
+    ``np.random.default_rng(SeedSequence(entropy=root, spawn_key=stream key))``
+    draws.
+
+    Every stream yields the same Generator, set to that stream's state, so
+    draw from it before taking the next one.
+    """
+    # Generate_state(4, np.uint64): the words read as little-endian uint64 pairs.
+    seeds = _seed_words(root, *key, n_words=8).astype("<u4", copy=False).view("<u8")
+    bitgen = np.random.PCG64(0)  # its state is replaced before the first draw
+    rng = np.random.Generator(bitgen)
+    for seed in seeds:
+        bitgen.state = _pcg64_state(seed)
+        yield rng
+
+
 def derive_seed(root: int, *key: int) -> int:
     """Counter-based child seed: stable under any generation order."""
-    ss = np.random.SeedSequence(entropy=int(root), spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    lo, hi = _seed_words(root, *key, n_words=2)[0].tolist()
+    return hi << 32 | lo
 
 
 def derive_rng(root: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(root), spawn_key=tuple(int(k) for k in key))
-    return np.random.default_rng(ss)
+    """A fresh Generator on the stream ``key`` of ``root``."""
+    return next(stream_rngs(root, *key))
 
 
 def stream_salt(name: str) -> int:

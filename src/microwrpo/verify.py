@@ -4,8 +4,9 @@ Each check is ``check(rng, n) -> str | None``: it draws ``n`` random
 instances from ``rng`` and returns a message for the first violation, or
 None. The suite calls every check at its own seed and size; `verify` runs
 them all at the sizes in ``CHECKS`` (normalization, gradient exactness,
-reduction identities, selection optimality, determinism, telemetry
-bookkeeping) in about a second and needs no fixtures.
+reduction identities, selection optimality, determinism, sampling streams
+against numpy, telemetry bookkeeping) in about a second and needs no
+fixtures.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ from .policy import (
     SamplingConfig,
     Sequence,
     default_vocabulary,
+    derive_rng,
+    derive_seed,
     log_prob_gradient,
     parameter_hash,
     sample_response,
     sequence_log_prob,
+    stream_rngs,
 )
 from .schedule import FusionSchedule, alpha_at
 
@@ -120,6 +124,54 @@ def check_sampling_determinism(rng, n) -> str | None:
                 return f"same seed produced different samples under {cfg}"
             if sample_response(model, prompt, cfg, rows=shared) != fresh:
                 return f"a shared nucleus table changed the sample of {prompt} under {cfg}"
+    return None
+
+
+def _stream_mismatch(root: int, key: tuple[int, ...], ours, seed: int | None = None) -> str | None:
+    """How the Generator ``ours``, and the child seed ``seed`` if given, differ
+    from numpy's on the stream ``key`` of ``root``."""
+    seq = np.random.SeedSequence(entropy=root, spawn_key=key)
+    ref = np.random.default_rng(seq)
+    if ours.bit_generator.state != ref.bit_generator.state:
+        return f"PCG64 state of stream {key} of root {root} differs from numpy's"
+    if not np.array_equal(ours.random(16), ref.random(16)):
+        return f"draws of stream {key} of root {root} differ from numpy's"
+    if seed is not None and seed != int(seq.generate_state(1, np.uint64)[0]):
+        return f"derive_seed{(root, *key)} differs from numpy's"
+    return None
+
+
+def stream_derivation_mismatch(root: int, scalars: tuple[int, ...], p, s) -> str | None:
+    """Compare with numpy's SeedSequence the streams (root, *scalars, p[i], s[i])
+    of one ``stream_rngs`` batch, on PCG64 state and the first 16 draws,
+    and, one stream at a time through ``derive_rng`` and ``derive_seed``
+    (against ``generate_state(1, np.uint64)``), the streams (root, *scalars)
+    and the batch's first."""
+    keys = [(*scalars, a, b) for a, b in zip(p.tolist(), s.tolist())]
+    for key in (scalars, *keys[:1]):
+        detail = _stream_mismatch(root, key, derive_rng(root, *key), derive_seed(root, *key))
+        if detail is not None:
+            return detail
+    for key, ours in zip(keys, stream_rngs(root, *scalars, p, s)):
+        detail = _stream_mismatch(root, key, ours)
+        if detail is not None:
+            return detail
+    return None
+
+
+def check_stream_derivation(rng, n) -> str | None:
+    """stream_rngs, derive_rng and derive_seed reproduce numpy's SeedSequence on
+    roots of one to three words, empty keys, key items of one and two
+    words, and index arrays that include 0 and 2**32 - 1."""
+    for i in range(n):
+        root = (0, 3, 2**32, 2**64)[i % 4] + int(rng.integers(1 << 40)) * (i % 4 > 1)
+        pick = [0, int(rng.integers(1 << 32)), int(rng.integers(1 << 32, 1 << 48))]
+        scalars = tuple(pick[j] for j in rng.integers(3, size=int(rng.integers(3))))
+        p, s = rng.integers(1 << 32, size=(2, int(rng.integers(1, 6))))
+        p[0], s[-1] = 0, (1 << 32) - 1
+        detail = stream_derivation_mismatch(root, scalars, p, s)
+        if detail is not None:
+            return detail
     return None
 
 
@@ -308,6 +360,7 @@ CHECKS = [
     ("softmax normalization", check_normalization, 10, 3),
     ("policy log-prob gradient vs finite differences", check_policy_gradient, 10, 3),
     ("sampling determinism", check_sampling_determinism, 10, 3),
+    ("sampling streams equal numpy's SeedSequence", check_stream_derivation, 100, 20),
     ("wrpo endpoint reduction identities", check_reduction_identities, 25, 5),
     ("zero-margin initialization constants", check_initialization_constants, 50, 10),
     ("bradley-terry complement", check_bt_complement, 1000, 100),

@@ -1,5 +1,7 @@
 """Data construction: oracle, candidates, quadruple assembly, splits, reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,18 +76,28 @@ class TestMakePrompts:
 
 class TestSampleScored:
     def test_draw_p_s_uses_stream_salt_p_s(self):
+        """Draws from the one Generator sample_scored reuses equal draws from a
+        fresh derive_rng Generator per stream, truncated ones included."""
         oracle = datagen.make_oracle(VOCAB, seed=5)
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
         prompts = [(2, 3), (4, 5), (3, 3)]
-        out = datagen.sample_scored(model, "m", prompts, 4, SAMPLING, oracle, "salt")
-        assert [len(draws) for draws in out] == [4, 4, 4]
-        for p, prompt in enumerate(prompts):
-            for s, r in enumerate(out[p]):
-                rng = derive_rng(SAMPLING.seed, stream_salt("salt"), p, s)
-                assert r.sequence == sample_response(model, prompt, SAMPLING, rng=rng)
-                assert (r.score, r.model, r.sample_index) == (
-                    oracle.score(prompt, r.sequence.response), "m", s
-                )
+        for cfg in (SAMPLING, replace(SAMPLING, temperature=3.0, max_length=3)):
+            out = datagen.sample_scored(model, "m", prompts, 4, cfg, oracle, "salt")
+            assert [len(draws) for draws in out] == [4, 4, 4]
+            for p, prompt in enumerate(prompts):
+                for s, r in enumerate(out[p]):
+                    rng = derive_rng(cfg.seed, stream_salt("salt"), p, s)
+                    assert r.sequence == sample_response(model, prompt, cfg, rng=rng)
+                    assert (r.score, r.model, r.sample_index) == (
+                        oracle.score(prompt, r.sequence.response), "m", s
+                    )
+            forced = [
+                r.sequence.response[-2] != VOCAB.eos_id
+                for draws in out
+                for r in draws
+                if len(r.sequence.response) == cfg.max_length + 1
+            ]
+            assert forced and all(forced)
 
     def test_candidates_are_per_member_draws_transposed(self):
         oracle, ensemble, _, prompts, src, _ = small_world(n_prompts=4)

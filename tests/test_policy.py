@@ -15,12 +15,16 @@ from microwrpo.policy import (
     Vocabulary,
     avg_log_prob,
     default_vocabulary,
+    derive_rng,
+    derive_seed,
     load_checkpoint,
     log_prob_gradient,
     parameter_hash,
     sample_response,
     save_checkpoint,
     sequence_log_prob,
+    stream_rngs,
+    stream_salt,
 )
 
 VOCAB4 = Vocabulary(tokens=("<bos>", "<eos>", "a", "b"))
@@ -289,6 +293,43 @@ class TestSampling:
             SamplingConfig(top_p=1.2)
         with pytest.raises(InputError):
             SamplingConfig(max_length=0)
+
+
+class TestStreamDerivation:
+    @pytest.mark.parametrize(
+        "root, scalars",
+        [(0, (0,)), (3, (stream_salt("target"),)), (2**32 + 5, (2**32 + 7, 9)), (2**64 + 12345, ())],
+    )
+    def test_25k_streams_per_root_equal_numpy_seed_sequence(self, root, scalars):
+        p, s = np.divmod(np.arange(25_000), 5)
+        p[-1] = 2**32 - 1
+        assert verify.stream_derivation_mismatch(root, scalars, p, s) is None
+
+    def test_random_roots_and_keys_equal_numpy_seed_sequence(self):
+        assert verify.check_stream_derivation(np.random.default_rng(5), 100) is None
+
+    @pytest.mark.parametrize(
+        "root, key",
+        [
+            (-1, ()),
+            (-(2**40), (1,)),
+            (True, ()),
+            (3, (-1,)),
+            (3, (7, False)),
+            (3, (np.array([0, -1]),)),
+            (3, (np.array([2**32]),)),
+            (3, (np.array([True]),)),
+            (3, (np.arange(2), np.arange(3))),
+        ],
+    )
+    def test_negative_bool_or_malformed_root_or_key_item_rejected(self, root, key):
+        with pytest.raises(InputError):
+            next(stream_rngs(root, *key))
+        if not any(isinstance(k, np.ndarray) for k in key):
+            with pytest.raises(InputError):
+                derive_seed(root, *key)
+            with pytest.raises(InputError):
+                derive_rng(root, *key)
 
 
 class TestNormalization:
