@@ -26,8 +26,8 @@ from .policy import (
     Vocabulary,
     derive_rng,
     sample_response,
-    stream_rngs,
     stream_salt,
+    stream_uniforms,
 )
 
 __all__ = [
@@ -60,6 +60,41 @@ log = logging.getLogger(__name__)
 SCHEMA_VERSION = 1
 
 
+# Longest run numpy's pairwise float64 sum adds in one block (PW_BLOCKSIZE).
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise sum of float64 values, in its order: left to right below
+    8 values; up to _PAIRWISE_BLOCK, eight strided accumulators combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above,
+    the sum of the two halves, the first a multiple of 8 values long."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > _PAIRWISE_BLOCK:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    whole = n - n % 8
+    for i in range(8, whole, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for v in values[whole:]:
+        total += v
+    return total
+
+
 @dataclass(frozen=True)
 class BigramRewardOracle:
     """Deterministic score: mean transition affinity minus a brevity term.
@@ -75,17 +110,28 @@ class BigramRewardOracle:
     bos_id: int = 0
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InputError("oracle weights must be a square (V, V) matrix")
+        w.flags.writeable = False  # score reads the copy in _rows
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_rows", w.tolist())
 
     def score(self, prompt: tuple[int, ...], response: tuple[int, ...]) -> float:
-        if len(response) == 0:
+        """``float(weights[prev, response].mean() - length_penalty * n)``, bit for bit:
+        the mean is taken in Python floats, in numpy's summation order."""
+        n = len(response)
+        if n == 0:
             raise InputError("cannot score an empty response")
-        prev = (prompt[-1] if prompt else self.bos_id, *response[:-1])
-        affin = self.weights[np.asarray(prev), np.asarray(response)]
-        return float(affin.mean() - self.length_penalty * len(response))
+        first = prompt[-1] if prompt else self.bos_id
+        rows = self._rows
+        row, affin = rows[first], []
+        for tok in response:
+            affin.append(row[tok])
+            row = rows[tok]
+        # np.add.reduce adds the pairwise sum to its identity 0.0, so a sum of
+        # -0.0 values is 0.0.
+        return (0.0 + _pairwise_sum(affin)) / n - self.length_penalty * n
 
 
 def make_oracle(
@@ -241,21 +287,21 @@ def sample_scored(
     """n_samples scored draws per prompt from ``model``, as [prompt][sample].
 
     Draw (p, s) uses its own counter-derived stream keyed by (salt, p, s),
-    so draws never depend on the order they are made in; the streams of all
-    draws are derived in one pass and set in turn on one Generator, and all
-    draws share one nucleus table, so each context row is computed at most
-    once.
+    so draws never depend on the order they are made in; the uniforms of
+    all draws come from one vectorized pass (policy.stream_uniforms), and
+    all draws share one nucleus table, so each context row is computed at
+    most once.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     rows = NucleusRows(model, cfg)
     p_keys, s_keys = np.divmod(np.arange(len(prompts) * n_samples), n_samples)
-    rngs = stream_rngs(cfg.seed, stream_salt(salt), p_keys, s_keys)
+    streams = stream_uniforms(cfg.seed, stream_salt(salt), p_keys, s_keys, n_draws=cfg.max_length)
     scored = []
     for prompt in prompts:
         draws = []
         for s_idx in range(n_samples):
-            seq = sample_response(model, prompt, cfg, rng=next(rngs), rows=rows)
+            seq = sample_response(model, prompt, cfg, rng=next(streams), rows=rows)
             draws.append(ScoredResponse(seq, oracle.score(prompt, seq.response), label, s_idx))
         scored.append(draws)
     return scored

@@ -41,7 +41,8 @@ __all__ = [
     "parameter_hash",
     "derive_rng",
     "derive_seed",
-    "stream_rngs",
+    "StreamDraws",
+    "stream_uniforms",
 ]
 
 
@@ -126,10 +127,10 @@ class SamplingConfig:
             raise InputError("temperature must be positive")
         if not (0 < self.top_p <= 1):
             raise InputError("top_p must be in (0, 1]")
-        if self.max_length < 1:
-            raise InputError("max_length must be >= 1")
-        if self.seed < 0:
-            raise InputError("seed must be unsigned")
+        if not is_number(self.max_length, integer=True) or self.max_length < 1:
+            raise InputError(f"max_length must be an int >= 1 (got {self.max_length!r})")
+        if not is_number(self.seed, integer=True) or self.seed < 0:
+            raise InputError(f"seed must be an unsigned int (got {self.seed!r})")
 
 
 @dataclass
@@ -391,9 +392,27 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# pcg_setseq_128_srandom_r: PCG64's 128-bit LCG multiplier.
+_MASK64 = (1 << 64) - 1
+
+
+def _u64(value: int) -> np.ndarray:
+    """A one-element uint64 array: an operand that keeps uint64 arithmetic in uint64
+    under numpy's value-based casting (before 2.0) and NEP 50 (after)."""
+    return np.array([value], np.uint64)
+
+
+# pcg_setseq_128_srandom_r: PCG64's 128-bit LCG multiplier, as 64-bit words and
+# the low word's 32-bit limbs.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = _u64(_PCG_MULT >> 64), _u64(_PCG_MULT & _MASK64)
+_MULT_LO_0, _MULT_LO_1 = _u64(_PCG_MULT & _MASK32), _u64(_PCG_MULT >> 32 & _MASK32)
+_ONE, _SHIFT_11, _SHIFT_32 = _u64(1), _u64(11), _u64(32)
+_SHIFT_58, _SHIFT_63, _SHIFT_64, _LOW_32 = _u64(58), _u64(63), _u64(64), _u64(_MASK32)
+# Most streams, and most uniforms, in one vectorized PCG64 pass: past 16 draws
+# per stream a pass takes fewer streams, so its (streams x draws) buffer and
+# its per-stream arrays stay bounded.
+_DRAW_BLOCK = 4096
+_DRAW_BUFFER = 16 * _DRAW_BLOCK
 
 
 def _int_words(value) -> list[int]:
@@ -427,15 +446,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy=root, spawn_key=key).generate_state(n_words, np.uint32)``
-    of every stream at once, as a (streams, n_words) uint32 array.
+def _entropy_words(root: int, *key) -> tuple[list[np.ndarray], int]:
+    """SeedSequence's entropy words for the streams of ``key``, and their number.
 
     A key item is an int, which gives its little-endian 32-bit words, or a
     1-D integer array below 2**32, which gives one word per stream; all
     array items have one length, the number of streams (1 if there are
-    none). Every operand is a uint32 array, of one element for the words
-    all streams share, so the wrap-around arithmetic neither depends on
+    none). Every word is a uint32 array, of one element for the words all
+    streams share, so the wrap-around arithmetic neither depends on
     numpy's scalar promotion rules nor warns on overflow.
     """
     entropy = _int_words(root)
@@ -453,7 +471,12 @@ def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
         n_streams = item.size
         entropy.append(item.astype(np.uint32))
     entropy = [w if isinstance(w, np.ndarray) else np.array([w], np.uint32) for w in entropy]
+    return entropy, 1 if n_streams is None else n_streams
 
+
+def _hash_words(entropy: list[np.ndarray], n_streams: int, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint32)`` of the streams of _entropy_words' words,
+    as a (streams, n_words) uint32 array."""
     steps = _hash_steps(_INIT_A, _MULT_A)
     zero = np.zeros(1, np.uint32)
     pool = [_hashmix(entropy[i] if i < len(entropy) else zero, steps) for i in range(_POOL_SIZE)]
@@ -465,41 +488,88 @@ def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = _mix(pool[i_dst], _hashmix(word, steps))
 
-    out = np.empty((1 if n_streams is None else n_streams, n_words), np.uint32)
+    out = np.empty((n_streams, n_words), np.uint32)
     steps = _hash_steps(_INIT_B, _MULT_B)
     for i in range(n_words):
         out[:, i] = _hashmix(pool[i % _POOL_SIZE], steps)
     return out
 
 
-def _pcg64_state(seed: np.ndarray) -> dict:
-    """PCG64's state when seeded with ``seed``, its four uint64 seed words."""
-    s_hi, s_lo, i_hi, i_lo = seed.tolist()
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy=root, spawn_key=key).generate_state(n_words, np.uint32)``
+    of every stream at once (see _entropy_words), as a (streams, n_words) uint32 array."""
+    return _hash_words(*_entropy_words(root, *key), n_words)
 
 
-def stream_rngs(root: int, *key) -> Iterator[np.random.Generator]:
-    """One Generator per stream of ``key`` (see _seed_words), each drawing what
-    ``np.random.default_rng(SeedSequence(entropy=root, spawn_key=stream key))``
-    draws.
+def _mulhi64(a: np.ndarray, b_0: np.ndarray, b_1: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products ``a * b``, b given by its 32-bit limbs."""
+    a_0, a_1 = a & _LOW_32, a >> _SHIFT_32
+    p_00, p_01, p_10 = a_0 * b_0, a_0 * b_1, a_1 * b_0
+    mid = (p_00 >> _SHIFT_32) + (p_01 & _LOW_32) + (p_10 & _LOW_32)
+    return a_1 * b_1 + (p_01 >> _SHIFT_32) + (p_10 >> _SHIFT_32) + (mid >> _SHIFT_32)
 
-    Every stream yields the same Generator, set to that stream's state, so
-    draw from it before taking the next one.
+
+def _pcg64_step(hi, lo, inc_hi, inc_lo):
+    """One step of PCG64's LCG, state * mult + inc mod 2**128, on (high, low) words."""
+    new_lo = lo * _MULT_LO
+    new_hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi64(lo, _MULT_LO_0, _MULT_LO_1)
+    sum_lo = new_lo + inc_lo
+    return new_hi + inc_hi + (sum_lo < new_lo), sum_lo
+
+
+def _pcg64_seeded(entropy: list[np.ndarray], n_streams: int):
+    """(state high, state low, inc high, inc low) uint64 words of PCG64 seeded from
+    each stream of _entropy_words' words, as ``default_rng(SeedSequence)`` seeds it:
+    ``generate_state(4, np.uint64)`` into pcg_setseq_128_srandom_r."""
+    # The hash's words read as little-endian uint64 pairs.
+    seeds = _hash_words(entropy, n_streams, 8).astype("<u4", copy=False).view("<u8")
+    s_hi, s_lo, i_hi, i_lo = seeds.T
+    inc_hi, inc_lo = (i_hi << _ONE) | (i_lo >> _SHIFT_63), (i_lo << _ONE) | _ONE
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _pcg64_uniform(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``Generator.random()`` of the states: the XSL-RR output's top 53 bits * 2**-53."""
+    xored, rot = hi ^ lo, hi >> _SHIFT_58
+    out = (xored >> rot) | (xored << ((_SHIFT_64 - rot) & _SHIFT_63))
+    return (out >> _SHIFT_11).astype(np.float64) * 2.0**-53
+
+
+class StreamDraws:
+    """One stream's uniforms: each ``random()`` call returns the next."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, values: list[float]):
+        self.random = iter(values).__next__
+
+
+def stream_uniforms(root: int, *key, n_draws: int) -> Iterator[StreamDraws]:
+    """The first ``n_draws`` uniforms of every stream of ``key`` (see
+    _entropy_words): what ``np.random.default_rng(SeedSequence(entropy=root,
+    spawn_key=stream key))`` gives call after call of ``random()``.
+
+    They come from one vectorized pass per block of streams: the
+    SeedSequence hash, PCG64 seeding and ``n_draws`` LCG steps, all on
+    uint64 arrays. A block holds at most _DRAW_BLOCK streams and
+    _DRAW_BUFFER uniforms, so the buffer stays bounded for any length.
     """
-    # Generate_state(4, np.uint64): the words read as little-endian uint64 pairs.
-    seeds = _seed_words(root, *key, n_words=8).astype("<u4", copy=False).view("<u8")
-    bitgen = np.random.PCG64(0)  # its state is replaced before the first draw
-    rng = np.random.Generator(bitgen)
-    for seed in seeds:
-        bitgen.state = _pcg64_state(seed)
-        yield rng
+    if not is_number(n_draws, integer=True) or n_draws < 1:
+        raise InputError(f"n_draws must be a positive int (got {n_draws!r})")
+    entropy, n_streams = _entropy_words(root, *key)
+    size = max(1, min(_DRAW_BLOCK, _DRAW_BUFFER // n_draws))
+    for start in range(0, n_streams, size):
+        stop = min(start + size, n_streams)
+        block = [w if w.size == 1 else w[start:stop] for w in entropy]
+        hi, lo, inc_hi, inc_lo = _pcg64_seeded(block, stop - start)
+        values = np.empty((stop - start, n_draws))
+        for k in range(n_draws):
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            values[:, k] = _pcg64_uniform(hi, lo)
+        for row in values:
+            yield StreamDraws(row.tolist())
 
 
 def derive_seed(root: int, *key: int) -> int:
@@ -510,7 +580,15 @@ def derive_seed(root: int, *key: int) -> int:
 
 def derive_rng(root: int, *key: int) -> np.random.Generator:
     """A fresh Generator on the stream ``key`` of ``root``."""
-    return next(stream_rngs(root, *key))
+    hi, lo, inc_hi, inc_lo = (int(w[0]) for w in _pcg64_seeded(*_entropy_words(root, *key)))
+    bitgen = np.random.PCG64(0)  # its state is replaced before the first draw
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bitgen)
 
 
 def stream_salt(name: str) -> int:
@@ -569,16 +647,18 @@ def sample_response(
     model: PolicyModel,
     prompt: tuple[int, ...],
     cfg: SamplingConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | StreamDraws | None = None,
     rows: NucleusRows | None = None,
 ) -> Sequence:
     """Nucleus (top-p) ancestral sampling with temperature.
 
     Each step draws one ``rng.random()`` and looks it up in the context
     row's nucleus (see NucleusRows), token for token and draw for draw
-    what ``rng.choice`` over the nucleus gives. Stops at eos; if
-    max_length tokens were drawn without eos, a terminal eos is appended.
-    ``rows`` shares one table across calls on the same model and config.
+    what ``rng.choice`` over the nucleus gives. ``rng`` needs only that
+    ``random()`` method: a Generator, or a stream of stream_uniforms.
+    Stops at eos; if max_length tokens were drawn without eos, a terminal
+    eos is appended. ``rows`` shares one table across calls on the same
+    model and config.
     """
     size = model.vocab.size
     prompt = tuple(int(t) for t in prompt)

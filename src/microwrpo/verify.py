@@ -5,8 +5,8 @@ instances from ``rng`` and returns a message for the first violation, or
 None. The suite calls every check at its own seed and size; `verify` runs
 them all at the sizes in ``CHECKS`` (normalization, gradient exactness,
 reduction identities, selection optimality, determinism, sampling streams
-against numpy, telemetry bookkeeping) in about a second and needs no
-fixtures.
+and oracle scores against numpy, telemetry bookkeeping) in about a second
+and needs no fixtures.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import datagen, objectives as obj, pipeline, trainer
+from . import datagen, objectives as obj, pipeline, policy, trainer
 from .config import load_config
 from .policy import (
     NucleusRows,
@@ -30,7 +30,7 @@ from .policy import (
     parameter_hash,
     sample_response,
     sequence_log_prob,
-    stream_rngs,
+    stream_uniforms,
 )
 from .schedule import FusionSchedule, alpha_at
 
@@ -127,51 +127,93 @@ def check_sampling_determinism(rng, n) -> str | None:
     return None
 
 
-def _stream_mismatch(root: int, key: tuple[int, ...], ours, seed: int | None = None) -> str | None:
-    """How the Generator ``ours``, and the child seed ``seed`` if given, differ
-    from numpy's on the stream ``key`` of ``root``."""
+def _stream_mismatch(root: int, key: tuple[int, ...], ours, seed: int) -> str | None:
+    """How the Generator ``ours`` and the child seed ``seed`` differ from numpy's
+    on the stream ``key`` of ``root``."""
     seq = np.random.SeedSequence(entropy=root, spawn_key=key)
     ref = np.random.default_rng(seq)
     if ours.bit_generator.state != ref.bit_generator.state:
         return f"PCG64 state of stream {key} of root {root} differs from numpy's"
     if not np.array_equal(ours.random(16), ref.random(16)):
         return f"draws of stream {key} of root {root} differ from numpy's"
-    if seed is not None and seed != int(seq.generate_state(1, np.uint64)[0]):
+    if seed != int(seq.generate_state(1, np.uint64)[0]):
         return f"derive_seed{(root, *key)} differs from numpy's"
     return None
 
 
-def stream_derivation_mismatch(root: int, scalars: tuple[int, ...], p, s) -> str | None:
+def stream_derivation_mismatch(
+    root: int, scalars: tuple[int, ...], p, s, n_draws: int
+) -> str | None:
     """Compare with numpy's SeedSequence the streams (root, *scalars, p[i], s[i])
-    of one ``stream_rngs`` batch, on PCG64 state and the first 16 draws,
-    and, one stream at a time through ``derive_rng`` and ``derive_seed``
-    (against ``generate_state(1, np.uint64)``), the streams (root, *scalars)
-    and the batch's first."""
+    of one ``stream_uniforms`` batch, and the one stream (root, *scalars), on
+    the first ``n_draws`` uniforms; and, through ``derive_rng`` (PCG64 state
+    and 16 draws) and ``derive_seed`` (against ``generate_state(1,
+    np.uint64)``), the streams (root, *scalars) and the batch's first."""
     keys = [(*scalars, a, b) for a, b in zip(p.tolist(), s.tolist())]
     for key in (scalars, *keys[:1]):
         detail = _stream_mismatch(root, key, derive_rng(root, *key), derive_seed(root, *key))
         if detail is not None:
             return detail
-    for key, ours in zip(keys, stream_rngs(root, *scalars, p, s)):
-        detail = _stream_mismatch(root, key, ours)
+    for batch, streams in (
+        ([scalars], stream_uniforms(root, *scalars, n_draws=n_draws)),
+        (keys, stream_uniforms(root, *scalars, p, s, n_draws=n_draws)),
+    ):
+        for key in batch:
+            ref = np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=key))
+            ours = next(streams)
+            if [ours.random() for _ in range(n_draws)] != ref.random(n_draws).tolist():
+                return f"{n_draws} uniforms of stream {key} of root {root} differ from numpy's"
+        if next(streams, None) is not None:
+            return f"stream_uniforms gave more than the {len(batch)} streams of its key"
+    return None
+
+
+def check_stream_derivation(rng, n) -> str | None:
+    """stream_uniforms, derive_rng and derive_seed reproduce numpy's SeedSequence
+    on roots of one to three words, empty keys, key items of one and two
+    words, and index arrays that include 0 and 2**32 - 1, of one stream,
+    a few, and (the last instance) more than one block of streams; the
+    draw counts take both sides of 16, past which a block holds fewer
+    than _DRAW_BLOCK streams."""
+    for i in range(n):
+        root = (0, 3, 2**32, 2**64)[i % 4] + int(rng.integers(1 << 40)) * (i % 4 > 1)
+        pick = [0, int(rng.integers(1 << 32)), int(rng.integers(1 << 32, 1 << 48))]
+        scalars = tuple(pick[j] for j in rng.integers(3, size=int(rng.integers(3))))
+        if i == n - 1:
+            n_streams = policy._DRAW_BLOCK + int(rng.integers(1, 64))
+        else:
+            n_streams = int(rng.integers(2, 6)) if i % 2 else 1
+        n_draws = (1, int(rng.integers(2, 16)), 16, 17, int(rng.integers(18, 80)))[i % 5]
+        p, s = rng.integers(1 << 32, size=(2, n_streams))
+        p[0], s[-1] = 0, (1 << 32) - 1
+        detail = stream_derivation_mismatch(root, scalars, p, s, n_draws)
         if detail is not None:
             return detail
     return None
 
 
-def check_stream_derivation(rng, n) -> str | None:
-    """stream_rngs, derive_rng and derive_seed reproduce numpy's SeedSequence on
-    roots of one to three words, empty keys, key items of one and two
-    words, and index arrays that include 0 and 2**32 - 1."""
-    for i in range(n):
-        root = (0, 3, 2**32, 2**64)[i % 4] + int(rng.integers(1 << 40)) * (i % 4 > 1)
-        pick = [0, int(rng.integers(1 << 32)), int(rng.integers(1 << 32, 1 << 48))]
-        scalars = tuple(pick[j] for j in rng.integers(3, size=int(rng.integers(3))))
-        p, s = rng.integers(1 << 32, size=(2, int(rng.integers(1, 6))))
-        p[0], s[-1] = 0, (1 << 32) - 1
-        detail = stream_derivation_mismatch(root, scalars, p, s)
-        if detail is not None:
-            return detail
+def check_oracle_mean(rng, n) -> str | None:
+    """BigramRewardOracle.score equals ``float(weights[prev, response].mean() -
+    length_penalty * n)`` bit for bit on every response length 1 to 300, after
+    a prompt and after none (bos): one pairwise block up to 128 tokens, then
+    halves of one and of two levels. Weights span 17 decades, so a change of summation order shows;
+    one more instance has weights of -0.0 and no penalty, so the sign of a
+    zero sum shows."""
+    for i in range(n + 1):
+        size = int(rng.integers(4, 12))
+        if i < n:
+            weights = rng.uniform(0, 1, (size, size)) * 10.0 ** rng.integers(-8, 9, (size, size))
+            penalty = float(rng.uniform(0, 0.05))
+        else:
+            weights, penalty = np.full((size, size), -0.0), 0.0
+        oracle = datagen.BigramRewardOracle(weights, penalty, bos_id=0)
+        for length in range(1, 301):
+            response = tuple(rng.integers(size, size=length).tolist())
+            for prompt in ((), tuple(rng.integers(size, size=2).tolist())):
+                prev = [prompt[-1] if prompt else 0, *response[:-1]]
+                expected = float(weights[prev, list(response)].mean() - penalty * length)
+                if oracle.score(prompt, response).hex() != expected.hex():
+                    return f"oracle score of a {length}-token response differs from numpy's mean"
     return None
 
 
@@ -361,6 +403,7 @@ CHECKS = [
     ("policy log-prob gradient vs finite differences", check_policy_gradient, 10, 3),
     ("sampling determinism", check_sampling_determinism, 10, 3),
     ("sampling streams equal numpy's SeedSequence", check_stream_derivation, 100, 20),
+    ("oracle score equals numpy's mean", check_oracle_mean, 10, 2),
     ("wrpo endpoint reduction identities", check_reduction_identities, 25, 5),
     ("zero-margin initialization constants", check_initialization_constants, 50, 10),
     ("bradley-terry complement", check_bt_complement, 1000, 100),

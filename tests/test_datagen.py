@@ -59,6 +59,17 @@ class TestOracle:
         with pytest.raises(InputError):
             oracle.score((2,), ())
 
+    def test_score_equals_numpy_mean_at_every_length_to_300(self):
+        assert verify.check_oracle_mean(np.random.default_rng(8), 3) is None
+
+    def test_weights_are_a_read_only_copy(self):
+        weights = np.full((VOCAB.size, VOCAB.size), 0.5)
+        oracle = datagen.BigramRewardOracle(weights)
+        weights[:] = 0.0
+        assert oracle.score((2,), (3, VOCAB.eos_id)) == 0.5 - 0.02
+        with pytest.raises(ValueError):
+            oracle.weights[0, 0] = 1.0
+
 
 class TestMakePrompts:
     def test_distinct_and_deterministic(self):
@@ -76,12 +87,21 @@ class TestMakePrompts:
 
 class TestSampleScored:
     def test_draw_p_s_uses_stream_salt_p_s(self):
-        """Draws from the one Generator sample_scored reuses equal draws from a
-        fresh derive_rng Generator per stream, truncated ones included."""
+        """sample_scored's draws equal draws from a fresh derive_rng Generator per
+        stream, truncated ones included, also past 16 draws per stream, where
+        policy.stream_uniforms takes fewer streams per block."""
         oracle = datagen.make_oracle(VOCAB, seed=5)
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
+        # eos made rare, so draws run past 32 tokens, some to max_length.
+        rare_eos = model.logits.copy()
+        rare_eos[:, VOCAB.eos_id] -= 2.0
+        long_model = PolicyModel(VOCAB, 2, rare_eos, frozen=True)
         prompts = [(2, 3), (4, 5), (3, 3)]
-        for cfg in (SAMPLING, replace(SAMPLING, temperature=3.0, max_length=3)):
+        for model, cfg in (
+            (model, SAMPLING),
+            (model, replace(SAMPLING, temperature=3.0, max_length=3)),
+            (long_model, replace(SAMPLING, temperature=1.0, top_p=1.0, max_length=40)),
+        ):
             out = datagen.sample_scored(model, "m", prompts, 4, cfg, oracle, "salt")
             assert [len(draws) for draws in out] == [4, 4, 4]
             for p, prompt in enumerate(prompts):
@@ -98,6 +118,7 @@ class TestSampleScored:
                 if len(r.sequence.response) == cfg.max_length + 1
             ]
             assert forced and all(forced)
+        assert any(32 < len(r.sequence.response) <= 40 for draws in out for r in draws)
 
     def test_candidates_are_per_member_draws_transposed(self):
         oracle, ensemble, _, prompts, src, _ = small_world(n_prompts=4)

@@ -23,8 +23,8 @@ from microwrpo.policy import (
     sample_response,
     save_checkpoint,
     sequence_log_prob,
-    stream_rngs,
     stream_salt,
+    stream_uniforms,
 )
 
 VOCAB4 = Vocabulary(tokens=("<bos>", "<eos>", "a", "b"))
@@ -294,19 +294,45 @@ class TestSampling:
         with pytest.raises(InputError):
             SamplingConfig(max_length=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_length", 2.5),
+            ("max_length", 3.0),
+            ("max_length", True),
+            ("max_length", "4"),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", None),
+        ],
+    )
+    def test_bool_or_non_integer_length_or_seed_rejected(self, field, value):
+        with pytest.raises(InputError):
+            SamplingConfig(**{field: value})
+
 
 class TestStreamDerivation:
     @pytest.mark.parametrize(
-        "root, scalars",
-        [(0, (0,)), (3, (stream_salt("target"),)), (2**32 + 5, (2**32 + 7, 9)), (2**64 + 12345, ())],
+        "root, scalars, n_draws",
+        [
+            (0, (0,), 16),
+            (3, (stream_salt("target"),), 32),
+            (2**32 + 5, (2**32 + 7, 9), 33),
+            (2**64 + 12345, (), 40),
+        ],
     )
-    def test_25k_streams_per_root_equal_numpy_seed_sequence(self, root, scalars):
+    def test_25k_streams_per_root_equal_numpy_seed_sequence(self, root, scalars, n_draws):
         p, s = np.divmod(np.arange(25_000), 5)
         p[-1] = 2**32 - 1
-        assert verify.stream_derivation_mismatch(root, scalars, p, s) is None
+        assert verify.stream_derivation_mismatch(root, scalars, p, s, n_draws) is None
 
     def test_random_roots_and_keys_equal_numpy_seed_sequence(self):
         assert verify.check_stream_derivation(np.random.default_rng(5), 100) is None
+
+    @pytest.mark.parametrize("n_draws", [0, -1, 2.5, True])
+    def test_non_positive_or_non_integer_draw_count_rejected(self, n_draws):
+        with pytest.raises(InputError):
+            next(stream_uniforms(3, 7, n_draws=n_draws))
 
     @pytest.mark.parametrize(
         "root, key",
@@ -324,7 +350,7 @@ class TestStreamDerivation:
     )
     def test_negative_bool_or_malformed_root_or_key_item_rejected(self, root, key):
         with pytest.raises(InputError):
-            next(stream_rngs(root, *key))
+            next(stream_uniforms(root, *key, n_draws=4))
         if not any(isinstance(k, np.ndarray) for k in key):
             with pytest.raises(InputError):
                 derive_seed(root, *key)

@@ -1,0 +1,63 @@
+"""What the benchmark's tracer (bench/spans.py) reads of the program.
+
+The tracer wraps functions by module and attribute path, and reports a
+layer whose function no longer resolves as unmeasured; the benchmark
+also checks the traced call counts exactly. These tests load the tracer
+by path, without changing it, and keep both in view.
+"""
+
+import importlib.util
+from pathlib import Path
+
+# Import every module the tracer names, as the CLI does before tracing.
+from microwrpo import cli, config, datagen, objectives, policy, schedule, trainer  # noqa: F401
+from microwrpo.policy import PolicyModel, SamplingConfig, default_vocabulary
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    spans = load_spans()
+    layers = {**spans.TIMED_LAYERS, **spans.COUNTED_LAYERS}
+    missing = [
+        (layer, module, path)
+        for layer, targets in layers.items()
+        for module, path in targets
+        if spans._resolve(module, path) is None
+    ]
+    assert not missing
+
+
+def test_sample_scored_makes_one_sample_and_one_score_call_per_draw(monkeypatch):
+    calls = {"sample": 0, "score": 0}
+    sample, score = datagen.sample_response, datagen.BigramRewardOracle.score
+
+    def counted_sample(*args, **kwargs):
+        # The tracer reads (model, prompt, cfg) from the positional arguments.
+        assert len(args) == 3 and set(kwargs) == {"rng", "rows"}
+        calls["sample"] += 1
+        return sample(*args, **kwargs)
+
+    def counted_score(self, prompt, response):
+        calls["score"] += 1
+        return score(self, prompt, response)
+
+    monkeypatch.setattr(datagen, "sample_response", counted_sample)
+    monkeypatch.setattr(datagen.BigramRewardOracle, "score", counted_score)
+    vocab = default_vocabulary(6)
+    oracle = datagen.make_oracle(vocab, seed=5)
+    model = PolicyModel.random_init(vocab, 2, 0.5, seed=1, frozen=True)
+    prompts = datagen.make_prompts(vocab, 7, prompt_length=2, seed=3)
+    for max_length in (16, 40):
+        calls.update(sample=0, score=0)
+        cfg = SamplingConfig(temperature=1.5, top_p=0.95, max_length=max_length, seed=3)
+        out = datagen.sample_scored(model, "m", prompts, 5, cfg, oracle, "salt")
+        assert sum(map(len, out)) == 35
+        assert calls == {"sample": 35, "score": 35}
