@@ -123,10 +123,10 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise InputError("temperature must be positive")
-        if not (0 < self.top_p <= 1):
-            raise InputError("top_p must be in (0, 1]")
+        if not is_number(self.temperature) or self.temperature <= 0:
+            raise InputError(f"temperature must be a positive number (got {self.temperature!r})")
+        if not is_number(self.top_p) or not 0 < self.top_p <= 1:
+            raise InputError(f"top_p must be a number in (0, 1] (got {self.top_p!r})")
         if not is_number(self.max_length, integer=True) or self.max_length < 1:
             raise InputError(f"max_length must be an int >= 1 (got {self.max_length!r})")
         if not is_number(self.seed, integer=True) or self.seed < 0:
@@ -598,48 +598,90 @@ def stream_salt(name: str) -> int:
 
 # Generator.choice rejects a p whose sum is further than this from 1.
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# Logits per vectorized pass of NucleusRows: bounds the pass's temporaries
+# (a few arrays of this many elements) on the largest, 2**17-logit, tables.
+_NUCLEUS_BLOCK = 1 << 15
+
+
+def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig, ranked: np.ndarray, cdf: np.ndarray):
+    """Fill ``ranked`` (tokens by descending probability) and the kept prefix of
+    ``cdf`` for a block of rows; return each row's kept count and whether
+    Generator.choice would reject its nucleus.
+
+    Every step is the per-row computation applied along axis 1, so each row's
+    values are bit for bit those of its own 1-D pass: the sums are row sums
+    of rows of one length, never zero-padded ones, whose pairwise order would
+    differ from 8 terms on.
+    """
+    # Overflow to inf and inf - inf = NaN make a row fail the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / cfg.temperature
+        probs = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        ranked[:] = np.argsort(-probs, axis=1, kind="stable")
+        ordered = np.take_along_axis(probs, ranked, axis=1)
+        # cumsum never decreases, so this count is searchsorted(cum, top_p, "left").
+        below = (ordered.cumsum(axis=1) < cfg.top_p).sum(axis=1)
+        keep = np.minimum(below + 1, logits.shape[1])
+        rejected = np.empty(len(keep), dtype=bool)
+        for n in set(keep.tolist()):
+            sel = np.flatnonzero(keep == n)
+            kept_p = ordered[sel, :n]
+            q = kept_p / kept_p.sum(axis=1, keepdims=True)
+            # The checks Generator.choice makes on p; NaN fails the first.
+            rejected[sel] = ~np.all(q >= 0, axis=1) | (np.abs(q.sum(axis=1) - 1.0) > _CHOICE_ATOL)
+            cum = q.cumsum(axis=1)
+            cdf[sel, :n] = cum / cum[:, -1:]
+    return keep, rejected
 
 
 class NucleusRows(dict):
     """Nucleus table of one model under one sampling config: row -> (kept tokens, cdf).
 
-    A row is filled on its first visit: scale logits by 1/temperature,
-    softmax, order tokens by descending probability (ties by ascending
-    token index), keep the smallest prefix whose cumulative mass reaches
-    top_p and renormalize it to ``q``. The cdf is then what
-    ``Generator.choice(kept, p=q)`` searches, ``q.cumsum() / q.cumsum()[-1]``,
-    so ``kept[bisect_right(cdf, rng.random())]`` is the token ``choice``
-    draws from the same generator state. The table is valid while the
-    model's logits do not change.
+    For every row: scale logits by 1/temperature, softmax, order tokens by
+    descending probability (ties by ascending token index), keep the
+    smallest prefix whose cumulative mass reaches top_p and renormalize it
+    to ``q``. The cdf is then what ``Generator.choice(kept, p=q)``
+    searches, ``q.cumsum() / q.cumsum()[-1]``, so
+    ``kept[bisect_right(cdf, rng.random())]`` is the token ``choice`` draws
+    from the same generator state.
+
+    The constructor computes all rows at once, a vectorized pass per block
+    of _NUCLEUS_BLOCK logits, grouping rows by kept count for the sums. A
+    row's Python entry, a tuple and an ``array("d")``, is made on its first
+    visit; a row whose logits overflow at this temperature raises
+    InputError then, and only if it is visited. The table is valid while
+    the model's logits do not change.
     """
 
     def __init__(self, model: PolicyModel, cfg: SamplingConfig):
         super().__init__()
         self.model = model
         self.cfg = cfg
+        n_rows, size = model.logits.shape
+        self._ranked = np.empty((n_rows, size), dtype=np.int64)
+        self._cdf = np.empty((n_rows, size))
+        keep = np.empty(n_rows, dtype=np.int64)
+        rejected = np.empty(n_rows, dtype=bool)
+        step = max(1, _NUCLEUS_BLOCK // size)
+        for start in range(0, n_rows, step):
+            block = slice(start, start + step)
+            keep[block], rejected[block] = _nucleus_pass(
+                model.logits[block], cfg, self._ranked[block], self._cdf[block]
+            )
+        self._keep, self._rejected = keep.tolist(), rejected.tolist()
 
     def __missing__(self, row: int) -> tuple[tuple[int, ...], array]:
-        # Overflow to inf and inf - inf = NaN are caught by the check below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = self.model.logits[row] / self.cfg.temperature
-            shifted = scaled - scaled.max()
-            probs = np.exp(shifted)
-            probs /= probs.sum()
-        ranked = np.argsort(-probs, kind="stable")
-        cum = np.cumsum(probs[ranked])
-        keep = min(int(np.searchsorted(cum, self.cfg.top_p, side="left")) + 1, probs.size)
-        kept = ranked[:keep]
-        kept_p = probs[kept]
-        q = kept_p / kept_p.sum()
-        # The checks Generator.choice makes on p; NaN fails the first.
-        if not np.all(q >= 0) or abs(float(q.sum()) - 1.0) > _CHOICE_ATOL:
+        if self._rejected[row]:
             raise InputError(
                 f"context row {row} has no nucleus distribution at temperature "
                 f"{self.cfg.temperature} (non-finite or overflowing logits)"
             )
-        cdf = q.cumsum()
-        cdf /= cdf[-1]
-        entry = self[row] = (tuple(kept.tolist()), array("d", cdf.tobytes()))
+        n = self._keep[row]
+        entry = self[row] = (
+            tuple(self._ranked[row, :n].tolist()),
+            array("d", self._cdf[row, :n].tobytes()),
+        )
         return entry
 
 
@@ -658,7 +700,7 @@ def sample_response(
     ``random()`` method: a Generator, or a stream of stream_uniforms.
     Stops at eos; if max_length tokens were drawn without eos, a terminal
     eos is appended. ``rows`` shares one table across calls on the same
-    model and config.
+    model and config; without it, each call builds the whole table.
     """
     size = model.vocab.size
     prompt = tuple(int(t) for t in prompt)

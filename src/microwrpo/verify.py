@@ -4,8 +4,9 @@ Each check is ``check(rng, n) -> str | None``: it draws ``n`` random
 instances from ``rng`` and returns a message for the first violation, or
 None. The suite calls every check at its own seed and size; `verify` runs
 them all at the sizes in ``CHECKS`` (normalization, gradient exactness,
-reduction identities, selection optimality, determinism, sampling streams
-and oracle scores against numpy, telemetry bookkeeping) in about a second
+reduction identities, selection optimality, determinism, the nucleus
+table against its per-row pass, sampling streams and oracle scores against
+numpy, telemetry bookkeeping) in about a second
 and needs no fixtures.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import datagen, objectives as obj, pipeline, policy, trainer
 from .config import load_config
+from .errors import InputError
 from .policy import (
     NucleusRows,
     PolicyModel,
@@ -217,6 +219,86 @@ def check_oracle_mean(rng, n) -> str | None:
     return None
 
 
+def nucleus_row(logits: np.ndarray, cfg: SamplingConfig):
+    """One row's nucleus computed on its own, the reference for NucleusRows:
+    (kept tokens, cdf array), or None where Generator.choice would reject it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = logits / cfg.temperature
+        shifted = scaled - scaled.max()
+        probs = np.exp(shifted)
+        probs /= probs.sum()
+    ranked = np.argsort(-probs, kind="stable")
+    cum = np.cumsum(probs[ranked])
+    keep = min(int(np.searchsorted(cum, cfg.top_p, side="left")) + 1, probs.size)
+    kept = ranked[:keep]
+    kept_p = probs[kept]
+    q = kept_p / kept_p.sum()
+    if not np.all(q >= 0) or abs(float(q.sum()) - 1.0) > policy._CHOICE_ATOL:
+        return None
+    cdf = q.cumsum()
+    cdf /= cdf[-1]
+    return tuple(kept.tolist()), cdf
+
+
+def nucleus_table_mismatch(model: PolicyModel, cfg: SamplingConfig) -> str | None:
+    """How NucleusRows differs from nucleus_row on any row of ``model``: the kept
+    tokens, the cdf bytes, or whether the row raises InputError."""
+    table = NucleusRows(model, cfg)
+    for row, logits in enumerate(model.logits):
+        ref = nucleus_row(logits, cfg)
+        try:
+            kept, cdf = table[row]
+        except InputError:
+            if ref is None:
+                continue
+            return f"row {row} raised, but its own pass gives a nucleus under {cfg}"
+        if ref is None:
+            return f"row {row} has a nucleus, but its own pass is rejected under {cfg}"
+        if kept != ref[0]:
+            return f"row {row} keeps {kept}, its own pass {ref[0]}, under {cfg}"
+        if cdf.tobytes().hex() != ref[1].tobytes().hex():
+            return f"row {row}'s cdf differs from its own pass under {cfg}"
+    return None
+
+
+def check_nucleus_table(rng, n) -> str | None:
+    """Every row of NucleusRows equals its own per-row pass, on vocabularies of
+    2-9 content tokens and orders 1-3, temperatures 0.05-3 (log-uniform; at
+    most 0.3 at top_p 1.0) and top_p exactly 1.0, log-uniform from 1e-6 or
+    uniform in turn. A third of the instances have integer logits, so exact
+    ties meet the cut-off. The first has rows that overflow at its
+    temperature, which must raise when looked up and only then. The last
+    has 200 content tokens, integer logits and top_p of at least 0.5: two
+    passes, ties among many tokens, and nuclei of many lengths past 8, where
+    a zero-padded sum would differ."""
+    for i in range(n):
+        if i < n - 1:
+            vocab = default_vocabulary(int(rng.integers(2, 10)))
+            order, scale = int(rng.integers(1, 4)), float(rng.uniform(0.1, 4))
+            log_uniform = float(np.exp(rng.uniform(np.log(1e-6), 0)))
+            top_p = (1.0, log_uniform, float(rng.uniform(1e-6, 1)))[i % 3]
+            # At top_p 1.0 a cold row's mass reaches exactly 1.0 before its last
+            # token, so the cut-off meets a cumulative value.
+            hottest = 0.3 if top_p == 1.0 else 3.0
+            temperature = float(np.exp(rng.uniform(np.log(0.05), np.log(hottest))))
+        else:
+            vocab, order, scale = default_vocabulary(200), 1, 3.0
+            temperature, top_p = float(rng.uniform(0.5, 3)), float(rng.uniform(0.5, 1))
+        model = PolicyModel.random_init(vocab, order, scale, int(rng.integers(1 << 31)))
+        if i % 3 == 2 or i == n - 1:
+            model.logits = np.round(model.logits)
+        if i == 0:
+            temperature = float(rng.uniform(0.05, 0.5))  # 1e308 / temperature is inf
+            rows = rng.choice(len(model.logits), size=3, replace=False)
+            model.logits[rows[0]] = 1e308  # inf - inf: every probability NaN
+            model.logits[rows[1], 0] = 1e308  # one inf entry
+            model.logits[rows[2]] = -1e308  # every logit -inf
+        detail = nucleus_table_mismatch(model, SamplingConfig(temperature, top_p))
+        if detail is not None:
+            return detail
+    return None
+
+
 def check_reduction_identities(rng, n) -> str | None:
     """Each wrpo_* kind at alpha=0 is its pair kind on (y_wt, y_l), and at
     alpha=1 on (y_ws, y_l): loss and parameter gradient agree to 1e-12."""
@@ -402,6 +484,7 @@ CHECKS = [
     ("softmax normalization", check_normalization, 10, 3),
     ("policy log-prob gradient vs finite differences", check_policy_gradient, 10, 3),
     ("sampling determinism", check_sampling_determinism, 10, 3),
+    ("nucleus table equals its per-row pass", check_nucleus_table, 40, 8),
     ("sampling streams equal numpy's SeedSequence", check_stream_derivation, 100, 20),
     ("oracle score equals numpy's mean", check_oracle_mean, 10, 2),
     ("wrpo endpoint reduction identities", check_reduction_identities, 25, 5),

@@ -1,6 +1,7 @@
 """Policy substrate: log-probs, gradients, sampling, serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,36 @@ class TestSampling:
     def test_bool_or_non_integer_length_or_seed_rejected(self, field, value):
         with pytest.raises(InputError):
             SamplingConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["temperature", "top_p"])
+    @pytest.mark.parametrize("value", [True, "2", None, math.nan])
+    def test_bool_or_non_number_temperature_or_top_p_rejected(self, field, value):
+        with pytest.raises(InputError):
+            SamplingConfig(**{field: value})
+
+    def test_nucleus_table_equals_per_row_pass(self):
+        assert verify.check_nucleus_table(np.random.default_rng(17), 12) is None
+
+    def test_overflowing_row_raises_only_when_visited(self):
+        # Order 1: row r follows token r. 1e308 / 0.5 overflows row "b" only, and
+        # the nucleus of every other row leaves "b" out, so only a prompt ending
+        # in "b" reaches that row.
+        model = random_model(9, order=1)
+        model.logits[:, 3] = -50.0
+        model.logits[3] = 1e308
+        cfg = SamplingConfig(temperature=0.5, top_p=0.9, max_length=6)
+        rows = NucleusRows(model, cfg)
+        for seed in range(20):
+            seq = sample_response(model, (2,), cfg, rng=np.random.default_rng(seed), rows=rows)
+            assert seq.response == choice_sample(model, (2,), cfg, np.random.default_rng(seed))
+            assert 3 not in seq.response
+        assert 3 not in rows
+        message = (
+            "context row 3 has no nucleus distribution at temperature 0.5 "
+            "(non-finite or overflowing logits)"
+        )
+        with pytest.raises(InputError, match=re.escape(message)):
+            sample_response(model, (3,), cfg, rows=rows)
 
 
 class TestStreamDerivation:
