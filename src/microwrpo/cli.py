@@ -39,15 +39,19 @@ SWEEP_FILE = "sweep.csv"
 RESOLVED_CONFIG = "config.resolved.json"
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _make_dir(path) -> Path:
+    """The directory ``path``, created if missing; ConfigError if a file is in the way."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {path} is not a directory ({exc.strerror})") from exc
     return out
 
 
 def cmd_gen_data(cfg: RunConfig) -> int:
     """Generate candidates, assemble quadruples, write the data artifacts."""
-    out = _out_dir(cfg)
+    out = _make_dir(cfg.out_dir)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     data = pipeline.build_dataset(cfg)
     datagen.write_quadruples(out / DATASET_FILE, data.quadruples)
@@ -117,7 +121,7 @@ def _po_stage(cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel) -> N
 def cmd_train(cfg: RunConfig, stage: str) -> int:
     if stage not in ("sft", "po", "full"):
         raise ConfigError(f"unknown stage {stage!r}")
-    out = _out_dir(cfg)
+    out = _make_dir(cfg.out_dir)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
@@ -161,7 +165,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
     jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
     threads = _threads()
-    out = _out_dir(cfg)
+    out = _make_dir(cfg.out_dir)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if not (out / DATASET_FILE).exists():
         cmd_gen_data(cfg)
@@ -210,6 +214,8 @@ def _read_deviation(path: str) -> tuple[list, dict]:
         with open(path) as fh:
             report = json.load(fh)
         edges, roles = report["bin_edges"], report["roles"]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: malformed deviation report ({exc!r})") from exc
     if not (isinstance(edges, list) and all(is_number(e) for e in edges)):
@@ -248,8 +254,9 @@ def cmd_export_figures(
             sweep_text = Path(sweep_path).read_text()
         except UnicodeDecodeError as exc:
             raise DataError(f"{sweep_path}: undecodable bytes ({exc})") from exc
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"{sweep_path}: cannot read ({exc.strerror})") from exc
+    out = _make_dir(out_dir)
     for tpath, telemetry in telemetries:
         dest = out / f"margin_dynamics__{Path(tpath).stem}.csv"
         with open(dest, "w", newline="") as fh:

@@ -375,6 +375,8 @@ def load_config(
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, or a file that cannot be read
+            raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
         except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):

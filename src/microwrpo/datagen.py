@@ -295,8 +295,7 @@ def sample_scored(
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     rows = NucleusRows(model, cfg)
-    p_keys, s_keys = np.divmod(np.arange(len(prompts) * n_samples), n_samples)
-    streams = stream_uniforms(cfg.seed, stream_salt(salt), p_keys, s_keys, n_draws=cfg.max_length)
+    streams = stream_uniforms(cfg.seed, stream_salt(salt), len(prompts), n_samples, cfg.max_length)
     scored = []
     for prompt in prompts:
         draws = []
@@ -578,11 +577,12 @@ def write_quadruples(path, quadruples: list[PreferenceQuadruple]) -> None:
 def jsonl_records(path):
     """Yield (line number, parsed value) for each non-blank line of a JSONL file.
 
-    Bytes that do not decode as text and lines that are not JSON (or hold an
-    integer literal too long to convert) raise DataError.
+    A path that cannot be opened (a directory), bytes that do not decode as
+    text and lines that are not JSON (or hold an integer literal too long to
+    convert) raise DataError.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
@@ -592,8 +592,10 @@ def jsonl_records(path):
                 except ValueError as exc:
                     raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
                 yield line_no, value
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: undecodable bytes ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: undecodable bytes ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
 def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:

@@ -446,59 +446,32 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _entropy_words(root: int, *key) -> tuple[list[np.ndarray], int]:
-    """SeedSequence's entropy words for the streams of ``key``, and their number.
-
-    A key item is an int, which gives its little-endian 32-bit words, or a
-    1-D integer array below 2**32, which gives one word per stream; all
-    array items have one length, the number of streams (1 if there are
-    none). Every word is a uint32 array, of one element for the words all
-    streams share, so the wrap-around arithmetic neither depends on
-    numpy's scalar promotion rules nor warns on overflow.
-    """
-    entropy = _int_words(root)
-    if key:
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-    n_streams = None
-    for item in key:
-        if not isinstance(item, np.ndarray):
-            entropy += _int_words(item)
-            continue
-        if item.ndim != 1 or item.dtype.kind not in "iu" or n_streams not in (None, item.size):
-            raise InputError("array key items must be 1-D integer arrays of one length")
-        if item.size and (item.min() < 0 or item.max() > _MASK32):
-            raise InputError("array key items must lie in [0, 2**32)")
-        n_streams = item.size
-        entropy.append(item.astype(np.uint32))
-    entropy = [w if isinstance(w, np.ndarray) else np.array([w], np.uint32) for w in entropy]
-    return entropy, 1 if n_streams is None else n_streams
+def _entropy_words(root: int, salt: int, p: np.ndarray, s: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's entropy words of the streams (salt, p[i], s[i]) of ``root``:
+    the root's words padded to the pool size, then the salt's word, then one
+    word per stream from ``p`` and from ``s``. Every word is a uint32 array, of
+    one element for the words all streams share, so the wrap-around arithmetic
+    neither depends on numpy's scalar promotion rules nor warns on overflow."""
+    words = _int_words(root)
+    words += [0] * (_POOL_SIZE - len(words)) + [salt]
+    return [np.array([w], np.uint32) for w in words] + [p.astype(np.uint32), s.astype(np.uint32)]
 
 
-def _hash_words(entropy: list[np.ndarray], n_streams: int, n_words: int) -> np.ndarray:
+def _hash_words(entropy: list[np.ndarray], n_words: int) -> np.ndarray:
     """``generate_state(n_words, np.uint32)`` of the streams of _entropy_words' words,
     as a (streams, n_words) uint32 array."""
     steps = _hash_steps(_INIT_A, _MULT_A)
-    zero = np.zeros(1, np.uint32)
-    pool = [_hashmix(entropy[i] if i < len(entropy) else zero, steps) for i in range(_POOL_SIZE)]
+    pool = [_hashmix(entropy[i], steps) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
             if i_src != i_dst:
                 pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], steps))
+    # The per-stream words come after the pool's, so every pool word ends up per stream.
     for word in entropy[_POOL_SIZE:]:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = _mix(pool[i_dst], _hashmix(word, steps))
-
-    out = np.empty((n_streams, n_words), np.uint32)
     steps = _hash_steps(_INIT_B, _MULT_B)
-    for i in range(n_words):
-        out[:, i] = _hashmix(pool[i % _POOL_SIZE], steps)
-    return out
-
-
-def _seed_words(root: int, *key, n_words: int) -> np.ndarray:
-    """``SeedSequence(entropy=root, spawn_key=key).generate_state(n_words, np.uint32)``
-    of every stream at once (see _entropy_words), as a (streams, n_words) uint32 array."""
-    return _hash_words(*_entropy_words(root, *key), n_words)
+    return np.stack([_hashmix(pool[i % _POOL_SIZE], steps) for i in range(n_words)], axis=1)
 
 
 def _mulhi64(a: np.ndarray, b_0: np.ndarray, b_1: np.ndarray) -> np.ndarray:
@@ -517,12 +490,12 @@ def _pcg64_step(hi, lo, inc_hi, inc_lo):
     return new_hi + inc_hi + (sum_lo < new_lo), sum_lo
 
 
-def _pcg64_seeded(entropy: list[np.ndarray], n_streams: int):
+def _pcg64_seeded(entropy: list[np.ndarray]):
     """(state high, state low, inc high, inc low) uint64 words of PCG64 seeded from
     each stream of _entropy_words' words, as ``default_rng(SeedSequence)`` seeds it:
     ``generate_state(4, np.uint64)`` into pcg_setseq_128_srandom_r."""
     # The hash's words read as little-endian uint64 pairs.
-    seeds = _hash_words(entropy, n_streams, 8).astype("<u4", copy=False).view("<u8")
+    seeds = _hash_words(entropy, 8).astype("<u4", copy=False).view("<u8")
     s_hi, s_lo, i_hi, i_lo = seeds.T
     inc_hi, inc_lo = (i_hi << _ONE) | (i_lo >> _SHIFT_63), (i_lo << _ONE) | _ONE
     lo = inc_lo + s_lo
@@ -546,10 +519,12 @@ class StreamDraws:
         self.random = iter(values).__next__
 
 
-def stream_uniforms(root: int, *key, n_draws: int) -> Iterator[StreamDraws]:
-    """The first ``n_draws`` uniforms of every stream of ``key`` (see
-    _entropy_words): what ``np.random.default_rng(SeedSequence(entropy=root,
-    spawn_key=stream key))`` gives call after call of ``random()``.
+def stream_uniforms(
+    root: int, salt: int, n_prompts: int, n_samples: int, n_draws: int
+) -> Iterator[StreamDraws]:
+    """The first ``n_draws`` uniforms of the stream (salt, p, s) of ``root`` for
+    every p < ``n_prompts`` and s < ``n_samples``, in (p, s) order: what
+    ``derive_rng(root, salt, p, s)`` gives call after call of ``random()``.
 
     They come from one vectorized pass per block of streams: the
     SeedSequence hash, PCG64 seeding and ``n_draws`` LCG steps, all on
@@ -558,13 +533,15 @@ def stream_uniforms(root: int, *key, n_draws: int) -> Iterator[StreamDraws]:
     """
     if not is_number(n_draws, integer=True) or n_draws < 1:
         raise InputError(f"n_draws must be a positive int (got {n_draws!r})")
-    entropy, n_streams = _entropy_words(root, *key)
+    for name, value in (("salt", salt), ("n_prompts", n_prompts), ("n_samples", n_samples)):
+        if not is_number(value, integer=True) or not 0 <= value <= _MASK32:
+            raise InputError(f"{name} must be an int in [0, 2**32) (got {value!r})")
+    n_streams = n_prompts * n_samples
     size = max(1, min(_DRAW_BLOCK, _DRAW_BUFFER // n_draws))
     for start in range(0, n_streams, size):
-        stop = min(start + size, n_streams)
-        block = [w if w.size == 1 else w[start:stop] for w in entropy]
-        hi, lo, inc_hi, inc_lo = _pcg64_seeded(block, stop - start)
-        values = np.empty((stop - start, n_draws))
+        p, s = np.divmod(np.arange(start, min(start + size, n_streams)), n_samples)
+        hi, lo, inc_hi, inc_lo = _pcg64_seeded(_entropy_words(root, salt, p, s))
+        values = np.empty((len(p), n_draws))
         for k in range(n_draws):
             hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
             values[:, k] = _pcg64_uniform(hi, lo)
@@ -572,23 +549,21 @@ def stream_uniforms(root: int, *key, n_draws: int) -> Iterator[StreamDraws]:
             yield StreamDraws(row.tolist())
 
 
+def _seed_sequence(root: int, key: tuple) -> np.random.SeedSequence:
+    """numpy's SeedSequence of the stream ``key`` of ``root``; each must be a non-negative int."""
+    for item in (root, *key):
+        _int_words(item)
+    return np.random.SeedSequence(root, spawn_key=key)
+
+
 def derive_seed(root: int, *key: int) -> int:
     """Counter-based child seed: stable under any generation order."""
-    lo, hi = _seed_words(root, *key, n_words=2)[0].tolist()
-    return hi << 32 | lo
+    return int(_seed_sequence(root, key).generate_state(1, np.uint64)[0])
 
 
 def derive_rng(root: int, *key: int) -> np.random.Generator:
     """A fresh Generator on the stream ``key`` of ``root``."""
-    hi, lo, inc_hi, inc_lo = (int(w[0]) for w in _pcg64_seeded(*_entropy_words(root, *key)))
-    bitgen = np.random.PCG64(0)  # its state is replaced before the first draw
-    bitgen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(bitgen)
+    return np.random.default_rng(_seed_sequence(root, key))
 
 
 def stream_salt(name: str) -> int:
@@ -760,11 +735,13 @@ def save_checkpoint(model: PolicyModel, path, label: str | None = None) -> None:
 
 def load_checkpoint(path) -> PolicyModel:
     """Read a checkpoint written by save_checkpoint; malformed content raises DataError."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-            raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a policy checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:

@@ -26,8 +26,6 @@ from .policy import (
     SamplingConfig,
     Sequence,
     default_vocabulary,
-    derive_rng,
-    derive_seed,
     log_prob_gradient,
     parameter_hash,
     sample_response,
@@ -129,66 +127,37 @@ def check_sampling_determinism(rng, n) -> str | None:
     return None
 
 
-def _stream_mismatch(root: int, key: tuple[int, ...], ours, seed: int) -> str | None:
-    """How the Generator ``ours`` and the child seed ``seed`` differ from numpy's
-    on the stream ``key`` of ``root``."""
-    seq = np.random.SeedSequence(entropy=root, spawn_key=key)
-    ref = np.random.default_rng(seq)
-    if ours.bit_generator.state != ref.bit_generator.state:
-        return f"PCG64 state of stream {key} of root {root} differs from numpy's"
-    if not np.array_equal(ours.random(16), ref.random(16)):
-        return f"draws of stream {key} of root {root} differ from numpy's"
-    if seed != int(seq.generate_state(1, np.uint64)[0]):
-        return f"derive_seed{(root, *key)} differs from numpy's"
-    return None
-
-
 def stream_derivation_mismatch(
-    root: int, scalars: tuple[int, ...], p, s, n_draws: int
+    root: int, salt: int, n_prompts: int, n_samples: int, n_draws: int
 ) -> str | None:
-    """Compare with numpy's SeedSequence the streams (root, *scalars, p[i], s[i])
-    of one ``stream_uniforms`` batch, and the one stream (root, *scalars), on
-    the first ``n_draws`` uniforms; and, through ``derive_rng`` (PCG64 state
-    and 16 draws) and ``derive_seed`` (against ``generate_state(1,
-    np.uint64)``), the streams (root, *scalars) and the batch's first."""
-    keys = [(*scalars, a, b) for a, b in zip(p.tolist(), s.tolist())]
-    for key in (scalars, *keys[:1]):
-        detail = _stream_mismatch(root, key, derive_rng(root, *key), derive_seed(root, *key))
-        if detail is not None:
-            return detail
-    for batch, streams in (
-        ([scalars], stream_uniforms(root, *scalars, n_draws=n_draws)),
-        (keys, stream_uniforms(root, *scalars, p, s, n_draws=n_draws)),
-    ):
-        for key in batch:
-            ref = np.random.default_rng(np.random.SeedSequence(entropy=root, spawn_key=key))
-            ours = next(streams)
-            if [ours.random() for _ in range(n_draws)] != ref.random(n_draws).tolist():
-                return f"{n_draws} uniforms of stream {key} of root {root} differ from numpy's"
-        if next(streams, None) is not None:
-            return f"stream_uniforms gave more than the {len(batch)} streams of its key"
+    """Compare the first ``n_draws`` uniforms of every stream of one
+    ``stream_uniforms`` call with those of numpy's SeedSequence on the stream
+    (salt, p, s), in (p, s) order."""
+    streams = list(stream_uniforms(root, salt, n_prompts, n_samples, n_draws))
+    if len(streams) != n_prompts * n_samples:
+        return f"stream_uniforms gave {len(streams)} streams, not {n_prompts} x {n_samples}"
+    for i, ours in enumerate(streams):
+        key = (salt, *divmod(i, n_samples))
+        ref = np.random.default_rng(np.random.SeedSequence(root, spawn_key=key))
+        if [ours.random() for _ in range(n_draws)] != ref.random(n_draws).tolist():
+            return f"{n_draws} uniforms of stream {key} of root {root} differ from numpy's"
     return None
 
 
 def check_stream_derivation(rng, n) -> str | None:
-    """stream_uniforms, derive_rng and derive_seed reproduce numpy's SeedSequence
-    on roots of one to three words, empty keys, key items of one and two
-    words, and index arrays that include 0 and 2**32 - 1, of one stream,
-    a few, and (the last instance) more than one block of streams; the
-    draw counts take both sides of 16, past which a block holds fewer
-    than _DRAW_BLOCK streams."""
+    """stream_uniforms reproduces numpy's SeedSequence on roots of one to three
+    words, salts 0, 2**32 - 1 and random ones, one stream, a few, and (the
+    last instance) more than _DRAW_BLOCK of them; the draw counts take both
+    sides of 16, past which a block holds fewer than _DRAW_BLOCK streams."""
     for i in range(n):
         root = (0, 3, 2**32, 2**64)[i % 4] + int(rng.integers(1 << 40)) * (i % 4 > 1)
-        pick = [0, int(rng.integers(1 << 32)), int(rng.integers(1 << 32, 1 << 48))]
-        scalars = tuple(pick[j] for j in rng.integers(3, size=int(rng.integers(3))))
-        if i == n - 1:
-            n_streams = policy._DRAW_BLOCK + int(rng.integers(1, 64))
-        else:
-            n_streams = int(rng.integers(2, 6)) if i % 2 else 1
+        salt = (0, (1 << 32) - 1, int(rng.integers(1 << 32)))[i % 3]
         n_draws = (1, int(rng.integers(2, 16)), 16, 17, int(rng.integers(18, 80)))[i % 5]
-        p, s = rng.integers(1 << 32, size=(2, n_streams))
-        p[0], s[-1] = 0, (1 << 32) - 1
-        detail = stream_derivation_mismatch(root, scalars, p, s, n_draws)
+        n_samples = int(rng.integers(1, 6)) if i % 2 else 1
+        n_prompts = int(rng.integers(1, 5)) if i % 2 else 1
+        if i == n - 1:
+            n_prompts = policy._DRAW_BLOCK // n_samples + int(rng.integers(1, 64))
+        detail = stream_derivation_mismatch(root, salt, n_prompts, n_samples, n_draws)
         if detail is not None:
             return detail
     return None

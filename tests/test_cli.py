@@ -549,6 +549,37 @@ class TestMalformedInput:
         assert run_cli("export-figures", flag, str(out / name), "--out", str(figs)) == 3
         assert not figs.exists()
 
+    @pytest.mark.parametrize(
+        "name, stage", [("dataset.jsonl", "sft"), ("target_sft.json", "po")]
+    )
+    def test_train_input_is_a_directory(self, run_dir, name, stage):
+        path, out = run_dir
+        (out / name).unlink()
+        (out / name).mkdir()
+        assert run_cli("train", "--config", path, "--stage", stage, "--out", str(out)) == 3
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--deviation", "--sweep"])
+    def test_figure_input_is_a_directory(self, tmp_path, flag):
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", flag, str(tmp_path), "--out", str(figs)) == 3
+        assert not figs.exists()
+
+    def test_config_is_a_directory(self, tmp_path):
+        assert run_cli("gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "run")) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen-data",), ("train", "--stage", "sft"), ("export-figures",)],
+        ids=["gen-data", "train", "export-figures"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_is_a_file(self, tmp_path, argv, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "run" if below else blocker
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert blocker.read_text() == ""
+
     def test_undecodable_dataset(self, run_dir):
         path, out = run_dir
         (out / "dataset.jsonl").write_bytes(b"\xff\xfe{}\n")
