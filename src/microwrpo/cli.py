@@ -37,21 +37,32 @@ PO_TELEMETRY = "po_telemetry.jsonl"
 METRICS_FILE = "metrics.json"
 SWEEP_FILE = "sweep.csv"
 RESOLVED_CONFIG = "config.resolved.json"
+HISTOGRAM_FILE = "deviation_histogram.csv"
+ALPHA_SWEEP_FILE = "alpha_sweep.csv"
+# The files each stage writes into the output directory.
+GEN_FILES = (RESOLVED_CONFIG, DATASET_FILE, ATTRIBUTION_FILE, DEVIATION_FILE, INIT_CKPT)
+SFT_FILES = (SFT_CKPT, SFT_TELEMETRY)
+PO_FILES = (PO_DATASET_FILE, PO_CKPT, PO_TELEMETRY, METRICS_FILE)
 
 
-def _make_dir(path) -> Path:
-    """The directory ``path``, created if missing; ConfigError if a file is in the way."""
+def _make_dir(path, files=()) -> Path:
+    """The directory ``path``, created if missing; ConfigError if a file is in the
+    way, or a directory where one of the output ``files`` goes. Checked before
+    any work, so a bad output path costs no run and leaves no partial output."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"output directory {path} is not a directory ({exc.strerror})") from exc
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"output file {out / name} is a directory")
     return out
 
 
 def cmd_gen_data(cfg: RunConfig) -> int:
     """Generate candidates, assemble quadruples, write the data artifacts."""
-    out = _make_dir(cfg.out_dir)
+    out = _make_dir(cfg.out_dir, GEN_FILES)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     data = pipeline.build_dataset(cfg)
     datagen.write_quadruples(out / DATASET_FILE, data.quadruples)
@@ -121,7 +132,8 @@ def _po_stage(cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel) -> N
 def cmd_train(cfg: RunConfig, stage: str) -> int:
     if stage not in ("sft", "po", "full"):
         raise ConfigError(f"unknown stage {stage!r}")
-    out = _make_dir(cfg.out_dir)
+    stages = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
+    out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
@@ -165,7 +177,8 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
     jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
     threads = _threads()
-    out = _make_dir(cfg.out_dir)
+    sft_files = () if (Path(cfg.out_dir) / SFT_CKPT).exists() else SFT_FILES
+    out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *sft_files))
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if not (out / DATASET_FILE).exists():
         cmd_gen_data(cfg)
@@ -256,9 +269,11 @@ def cmd_export_figures(
             raise DataError(f"{sweep_path}: undecodable bytes ({exc})") from exc
         except OSError as exc:
             raise DataError(f"{sweep_path}: cannot read ({exc.strerror})") from exc
-    out = _make_dir(out_dir)
-    for tpath, telemetry in telemetries:
-        dest = out / f"margin_dynamics__{Path(tpath).stem}.csv"
+    margins = [f"margin_dynamics__{Path(tpath).stem}.csv" for tpath in telemetry_paths]
+    inputs = ((HISTOGRAM_FILE, deviation_path), (ALPHA_SWEEP_FILE, sweep_path))
+    out = _make_dir(out_dir, margins + [name for name, path in inputs if path is not None])
+    for name, (tpath, telemetry) in zip(margins, telemetries):
+        dest = out / name
         with open(dest, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "alpha", "on_policy_margin", "hybrid_policy_margin"])
@@ -269,7 +284,7 @@ def cmd_export_figures(
             log.warning("telemetry %s has no step records; wrote headers only", tpath)
         print(f"wrote {dest}")
     if deviation_path is not None:
-        dest = out / "deviation_histogram.csv"
+        dest = out / HISTOGRAM_FILE
         with open(dest, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["role", "bin_left", "bin_right", "count"])
@@ -278,7 +293,7 @@ def cmd_export_figures(
                     writer.writerow([role, repr(edges[i]), repr(edges[i + 1]), count])
         print(f"wrote {dest}")
     if sweep_path is not None:
-        dest = out / "alpha_sweep.csv"
+        dest = out / ALPHA_SWEEP_FILE
         dest.write_text(sweep_text)
         print(f"wrote {dest}")
     return 0

@@ -209,7 +209,7 @@ def make_source_ensemble(
     return SourceEnsemble(members=tuple(members))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredResponse:
     sequence: Sequence
     score: float

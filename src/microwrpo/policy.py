@@ -17,6 +17,9 @@ import zlib
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -98,7 +101,7 @@ def default_vocabulary(n_content: int = 8) -> Vocabulary:
     return Vocabulary(tokens=("<bos>", "<eos>", *letters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
     """A prompt and a response of token indices; the response ends in eos."""
 
@@ -106,13 +109,22 @@ class Sequence:
     response: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt", tuple(int(t) for t in self.prompt))
-        object.__setattr__(self, "response", tuple(int(t) for t in self.response))
+        object.__setattr__(self, "prompt", tuple(map(int, self.prompt)))
+        object.__setattr__(self, "response", tuple(map(int, self.response)))
         if len(self.response) == 0:
             raise InputError("response must be non-empty")
 
     def __len__(self) -> int:
         return len(self.response)
+
+    @classmethod
+    def _of_ints(cls, prompt: tuple[int, ...], response: tuple[int, ...]) -> "Sequence":
+        """The Sequence of tuples that already hold Python ints, the response
+        non-empty: what __post_init__ would make of them, without the copies."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "prompt", prompt)
+        object.__setattr__(seq, "response", response)
+        return seq
 
 
 @dataclass(frozen=True)
@@ -203,15 +215,6 @@ def _validate_tokens(vocab: Vocabulary, seq: Sequence) -> None:
         raise InputError("response must terminate in eos")
 
 
-def _prompt_row(vocab: Vocabulary, order: int, prompt: tuple[int, ...]) -> int:
-    """Context row of the first response position: the prompt's last ``order``
-    tokens, bos-padded, in base ``vocab.size``."""
-    row = 0
-    for tok in ((vocab.bos_id,) * order + prompt)[-order:]:
-        row = row * vocab.size + tok
-    return row
-
-
 # Sequences per forward pass of PackedSequences.log_probs; bounds the
 # (positions x vocabulary) arrays a whole-dataset pass would allocate.
 _FORWARD_CHUNK = 64
@@ -236,7 +239,9 @@ class PackedSequences:
 
     Every response position becomes one entry of flat arrays: its context
     row, its target token and the index of that row among the distinct
-    rows of its group. A batch of groups is then one gather of
+    rows of its group (that index and the distinct rows are made on the
+    first gradient, which alone reads them). All of it comes from numpy
+    passes over one flat token stream, no per-token Python. A batch of groups is then one gather of
     ``logits[rows]``, one ``log_softmax_rows`` and one sum per sequence,
     and its gradient is ordered scatter-adds into a compact (member,
     distinct row) block per few groups. The packing depends on the
@@ -247,32 +252,79 @@ class PackedSequences:
     def __init__(self, model: PolicyModel, groups):
         self.vocab, self.order = model.vocab, model.order
         groups = [tuple(g) for g in groups]
-        self.width = len(groups[0]) if groups else 0
-        size, n_rows = self.vocab.size, self.vocab.size**self.order
-        # array("q") holds machine integers, not an int object per position.
-        rows, targets, slots, lengths = array("q"), array("q"), array("q"), array("q")
-        self.distinct: list[np.ndarray] = []
-        for group in groups:
-            if len(group) != self.width:
-                raise InputError("every group must hold the same number of sequences")
-            seen: dict[int, int] = {}
-            for seq in group:
-                _validate_tokens(self.vocab, seq)
-                row = _prompt_row(self.vocab, self.order, seq.prompt)
-                for tok in seq.response:
-                    rows.append(row)
-                    slots.append(seen.setdefault(row, len(seen)))
-                    row = (row * size + tok) % n_rows
-                targets.extend(seq.response)
-                lengths.append(len(seq.response))
-            self.distinct.append(np.array(list(seen), dtype=np.int64))
-        self.rows, self.targets, self.slots, self.lengths = (
-            np.frombuffer(a, dtype=np.int64) for a in (rows, targets, slots, lengths)
+        self.width = width = len(groups[0]) if groups else 0
+        # A bad token in a group before the first group of another width is the
+        # first error, as when each group is checked in turn.
+        short = next((i for i, g in enumerate(groups) if len(g) != width), len(groups))
+        seqs = [seq for group in groups[:short] for seq in group]
+        size, order, n = self.vocab.size, self.order, len(seqs)
+        prompts = [seq.prompt for seq in seqs]
+        responses = [seq.response for seq in seqs]
+        if seqs and not (
+            0 <= min(map(min, responses))
+            and max(map(max, responses)) < size
+            and 0 <= min(map(min, filter(None, prompts)), default=0)
+            and max(map(max, filter(None, prompts)), default=0) < size
+            and list(map(itemgetter(-1), responses)).count(self.vocab.eos_id) == n
+        ):
+            for seq in seqs:
+                _validate_tokens(self.vocab, seq)  # raises the first error
+        if short < len(groups):
+            raise InputError("every group must hold the same number of sequences")
+        # Each sequence as bos padding, prompt and response in one flat stream,
+        # and which stream positions are response positions.
+        pad = (self.vocab.bos_id,) * order
+        heads = [order + len(prompt) for prompt in prompts]
+        lengths = list(map(len, responses))
+        stream = np.fromiter(
+            chain.from_iterable(part for pr in zip(prompts, responses) for part in (pad, *pr)),
+            np.int64,
+            sum(heads) + sum(lengths),
         )
+        runs = list(chain.from_iterable(zip(heads, lengths)))
+        scored = np.repeat(np.array([False, True] * n, dtype=bool), runs)
+        self.targets = stream[scored]
+        self.lengths = np.array(lengths, dtype=np.int64)
         self.starts = np.cumsum(self.lengths) - self.lengths
+        # The context row of every stream position from the order-th on: the
+        # ``order`` tokens before it in base ``size``.
+        context = stream[: len(stream) - order]
+        for back in range(order - 1, 0, -1):
+            context = context * size + stream[order - back : len(stream) - back]
+        self.rows = context[scored[order:]]
+        self.n_groups = len(groups)
+
+    @cached_property
+    def _visits(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(slots, distinct rows of each group), made on the first use: only
+        gradient reads them."""
+        group = np.repeat(np.arange(len(self.lengths)) // max(self.width, 1), self.lengths)
+        _, visit, inverse = np.unique(
+            group * self.vocab.size**self.order + self.rows,
+            return_index=True,
+            return_inverse=True,
+        )
+        by_visit = np.argsort(visit)
+        rank = np.empty_like(by_visit)
+        rank[by_visit] = np.arange(len(by_visit))
+        counts = np.bincount(group[visit], minlength=self.n_groups)
+        ends = np.cumsum(counts)
+        slots = rank[inverse.ravel()] - (ends - counts)[group]
+        ordered = self.rows[visit[by_visit]]
+        return slots, [ordered[lo:hi] for lo, hi in zip((ends - counts).tolist(), ends.tolist())]
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Each position's row's rank among its group's rows, by first visit."""
+        return self._visits[0]
+
+    @property
+    def distinct(self) -> list[np.ndarray]:
+        """The distinct rows of each group, in order of first visit."""
+        return self._visits[1]
 
     def __len__(self) -> int:
-        return len(self.distinct)
+        return self.n_groups
 
     def _check(self, model: PolicyModel) -> None:
         if model.order != self.order or model.vocab != self.vocab:
@@ -413,6 +465,8 @@ _SHIFT_58, _SHIFT_63, _SHIFT_64, _LOW_32 = _u64(58), _u64(63), _u64(64), _u64(_M
 # its per-stream arrays stay bounded.
 _DRAW_BLOCK = 4096
 _DRAW_BUFFER = 16 * _DRAW_BLOCK
+# Streams whose uniforms stream_uniforms turns into Python lists in one call.
+_LIST_ROWS = 256
 
 
 def _int_words(value) -> list[int]:
@@ -545,8 +599,10 @@ def stream_uniforms(
         for k in range(n_draws):
             hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
             values[:, k] = _pcg64_uniform(hi, lo)
-        for row in values:
-            yield StreamDraws(row.tolist())
+        # Lists of a few rows at a time: a whole block's would hold one float
+        # object per uniform of _DRAW_BUFFER at once.
+        for lo in range(0, len(values), _LIST_ROWS):
+            yield from map(StreamDraws, values[lo : lo + _LIST_ROWS].tolist())
 
 
 def _seed_sequence(root: int, key: tuple) -> np.random.SeedSequence:
@@ -634,6 +690,11 @@ class NucleusRows(dict):
         self.model = model
         self.cfg = cfg
         n_rows, size = model.logits.shape
+        # What sample_response needs of the model on every call; bos_row is the
+        # all-bos context, where an empty prompt starts.
+        self.n_rows, self.size, self.order = n_rows, size, model.order
+        self.eos = model.vocab.eos_id
+        self.bos_row = sum(model.vocab.bos_id * size**k for k in range(model.order))
         self._ranked = np.empty((n_rows, size), dtype=np.int64)
         self._cdf = np.empty((n_rows, size))
         keep = np.empty(n_rows, dtype=np.int64)
@@ -677,34 +738,34 @@ def sample_response(
     eos is appended. ``rows`` shares one table across calls on the same
     model and config; without it, each call builds the whole table.
     """
-    size = model.vocab.size
-    prompt = tuple(int(t) for t in prompt)
-    for tok in prompt:
-        if not 0 <= tok < size:
-            raise InputError(f"prompt token {tok} outside vocabulary of size {size}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if rows is None:
         rows = NucleusRows(model, cfg)
-    elif rows.model is not model or rows.cfg != cfg:
+    elif rows.model is not model or (rows.cfg is not cfg and rows.cfg != cfg):
         raise UsageError("nucleus rows were built for another model or sampling config")
-
-    n_rows = size**model.order
-    row = _prompt_row(model.vocab, model.order, prompt)
-    eos = model.vocab.eos_id
+    size, n_rows, eos = rows.size, rows.n_rows, rows.eos
+    prompt = tuple(map(int, prompt))
+    if prompt and (min(prompt) < 0 or max(prompt) >= size):
+        bad = next(tok for tok in prompt if not 0 <= tok < size)
+        raise InputError(f"prompt token {bad} outside vocabulary of size {size}")
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
     draw = rng.random
 
+    # The bos-padded context row of the first response position.
+    row = rows.bos_row
+    for tok in prompt[-rows.order :]:
+        row = (row * size + tok) % n_rows
     response: list[int] = []
-    while len(response) < cfg.max_length:
+    for _ in range(cfg.max_length):
         kept, cdf = rows[row]
         tok = kept[bisect_right(cdf, draw())]
         response.append(tok)
         if tok == eos:
             break
         row = (row * size + tok) % n_rows
-    if response[-1] != eos:
+    else:
         response.append(eos)
-    return Sequence(prompt=prompt, response=tuple(response))
+    return Sequence._of_ints(prompt, tuple(response))
 
 
 CHECKPOINT_FORMAT = "microwrpo-policy"

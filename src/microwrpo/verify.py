@@ -5,7 +5,8 @@ instances from ``rng`` and returns a message for the first violation, or
 None. The suite calls every check at its own seed and size; `verify` runs
 them all at the sizes in ``CHECKS`` (normalization, gradient exactness,
 reduction identities, selection optimality, determinism, the nucleus
-table against its per-row pass, sampling streams and oracle scores against
+table against its per-row pass, packing against its per-position loop,
+sampling streams and oracle scores against
 numpy, telemetry bookkeeping) in about a second
 and needs no fixtures.
 """
@@ -25,6 +26,7 @@ from .policy import (
     PolicyModel,
     SamplingConfig,
     Sequence,
+    Vocabulary,
     default_vocabulary,
     log_prob_gradient,
     parameter_hash,
@@ -268,6 +270,116 @@ def check_nucleus_table(rng, n) -> str | None:
     return None
 
 
+def packed_reference(model: PolicyModel, groups):
+    """The groups packed position by position, the reference for PackedSequences:
+    its (rows, targets, slots, lengths) arrays and the distinct rows of each group."""
+    vocab, order = model.vocab, model.order
+    size, n_rows = vocab.size, vocab.size**order
+    groups = [tuple(g) for g in groups]
+    width = len(groups[0]) if groups else 0
+    rows, targets, slots, lengths, distinct = [], [], [], [], []
+    for group in groups:
+        if len(group) != width:
+            raise InputError("every group must hold the same number of sequences")
+        seen: dict[int, int] = {}
+        for seq in group:
+            policy._validate_tokens(vocab, seq)
+            row = 0
+            for tok in ((vocab.bos_id,) * order + seq.prompt)[-order:]:
+                row = row * size + tok
+            for tok in seq.response:
+                rows.append(row)
+                slots.append(seen.setdefault(row, len(seen)))
+                row = (row * size + tok) % n_rows
+            targets.extend(seq.response)
+            lengths.append(len(seq.response))
+        distinct.append(np.array(list(seen), dtype=np.int64))
+    arrays = [np.array(a, dtype=np.int64) for a in (rows, targets, slots, lengths)]
+    return arrays, distinct
+
+
+def _outcome(fn):
+    """(fn(), None), or (None, the message) if it raises InputError."""
+    try:
+        return fn(), None
+    except InputError as exc:
+        return None, str(exc)
+
+
+def packing_mismatch(model: PolicyModel, groups) -> str | None:
+    """How PackedSequences differs from packed_reference on ``groups``: an array or
+    a group's distinct rows that are not byte-equal, or another first error."""
+    packed, error = _outcome(lambda: policy.PackedSequences(model, groups))
+    ref, ref_error = _outcome(lambda: packed_reference(model, groups))
+    if error != ref_error:
+        return f"packing raised {error!r}, the per-position loop {ref_error!r}"
+    if error is not None:
+        return None
+    (rows, targets, slots, lengths), distinct = ref
+    for name, want in zip(("rows", "targets", "slots", "lengths"), (rows, targets, slots, lengths)):
+        got = getattr(packed, name)
+        if got.dtype != want.dtype or got.tobytes() != want.tobytes():
+            return f"packed {name} differ from the per-position loop's"
+    if len(packed.distinct) != len(distinct) or any(
+        a.dtype != b.dtype or a.tobytes() != b.tobytes() for a, b in zip(packed.distinct, distinct)
+    ):
+        return "a group's distinct rows differ from the per-position loop's"
+    return None
+
+
+def _corrupt(rng, groups, size: int, eos: int) -> list:
+    """``groups`` with one or two sequences spoilt (a token negative, at least
+    ``size`` or past 2**64, or no eos at the end) and, one time in two, one
+    group a sequence short. Each bad token is drawn afresh, so two spoilt
+    places seldom give the same message."""
+    groups = [list(g) for g in groups]
+    for _ in range(int(rng.integers(1, 3))):
+        g = int(rng.integers(len(groups)))
+        m = int(rng.integers(len(groups[g])))
+        seq = groups[g][m]
+        prompt, response = list(seq.prompt), list(seq.response)
+        bad = (-int(rng.integers(1, 10)), size + int(rng.integers(9)), 2**70 + int(rng.integers(9)))
+        kind = int(rng.integers(4))
+        if kind == 3:
+            response[-1] = (eos + 1) % size
+        elif kind == 2 and prompt:
+            prompt[int(rng.integers(len(prompt)))] = bad[int(rng.integers(3))]
+        else:
+            response[int(rng.integers(len(response)))] = bad[int(rng.integers(3))]
+        groups[g][m] = Sequence(tuple(prompt), tuple(response))
+    if rng.integers(2):
+        groups[int(rng.integers(len(groups)))].pop()
+    return groups
+
+
+def check_packed_sequences(rng, n) -> str | None:
+    """PackedSequences equals packed_reference, array for array and byte for byte,
+    on vocabularies of 2-9 content tokens in shuffled order (bos and eos at any
+    index), orders 1-3 and widths 1-4: prompts of 0 to order + 2 tokens, so
+    some are empty or shorter than the order (bos padding), and responses of 1
+    to max_length + 1 tokens, max_length 1-12. Each instance is then spoilt
+    (_corrupt), and both must raise the same first error."""
+    for _ in range(n):
+        tokens = default_vocabulary(int(rng.integers(2, 10))).tokens
+        vocab = Vocabulary(tuple(rng.permutation(tokens).tolist()))
+        order, width = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        model = PolicyModel.uniform(vocab, order)
+        size, eos, max_length = vocab.size, vocab.eos_id, int(rng.integers(1, 13))
+        groups = []
+        for _ in range(int(rng.integers(1, 7))):
+            group = []
+            for _ in range(width):
+                prompt = rng.integers(size, size=int(rng.integers(0, order + 3)))
+                n_body = (0, max_length, int(rng.integers(max_length + 1)))[int(rng.integers(3))]
+                group.append(Sequence(prompt, (*rng.integers(size, size=n_body), eos)))
+            groups.append(tuple(group))
+        for case in (groups, _corrupt(rng, groups, size, eos)):
+            detail = packing_mismatch(model, case)
+            if detail is not None:
+                return f"{detail} (order {order}, width {width}, {size} tokens)"
+    return None
+
+
 def check_reduction_identities(rng, n) -> str | None:
     """Each wrpo_* kind at alpha=0 is its pair kind on (y_wt, y_l), and at
     alpha=1 on (y_ws, y_l): loss and parameter gradient agree to 1e-12."""
@@ -454,6 +566,7 @@ CHECKS = [
     ("policy log-prob gradient vs finite differences", check_policy_gradient, 10, 3),
     ("sampling determinism", check_sampling_determinism, 10, 3),
     ("nucleus table equals its per-row pass", check_nucleus_table, 40, 8),
+    ("packed sequences equal the per-position loop", check_packed_sequences, 200, 40),
     ("sampling streams equal numpy's SeedSequence", check_stream_derivation, 100, 20),
     ("oracle score equals numpy's mean", check_oracle_mean, 10, 2),
     ("wrpo endpoint reduction identities", check_reduction_identities, 25, 5),

@@ -34,7 +34,7 @@ ARTIFACTS = [
 GRAD_NORM_DIFFERS = pytest.mark.xfail(
     strict=False,
     reason="StepRecord.grad_norm is np.linalg.norm, an OpenBLAS reduction whose order "
-    "follows the thread count (ROADMAP item 2)",
+    "follows the thread count (ROADMAP item 1)",
 )
 
 

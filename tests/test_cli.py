@@ -580,6 +580,42 @@ class TestMalformedInput:
         assert run_cli(*argv, "--out", str(out)) == 2
         assert blocker.read_text() == ""
 
+    def test_gen_data_output_file_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "dataset.jsonl").mkdir(parents=True)
+        assert run_cli("gen-data", "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["dataset.jsonl"]
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (("train", "--stage", "sft"), "sft_telemetry.jsonl"),
+            (("train", "--stage", "po"), "metrics.json"),
+            (("train", "--stage", "full"), "po_telemetry.jsonl"),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "static"), "sweep.csv"),
+        ],
+        ids=["train-sft", "train-po", "train-full", "sweep"],
+    )
+    def test_output_file_is_a_directory(self, run_dir, capsys, argv, name):
+        path, out = run_dir
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert run_cli(*argv, "--config", path, "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and "\n" not in err
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+    def test_figure_output_file_is_a_directory(self, run_dir, tmp_path, capsys):
+        _, out = run_dir
+        figs = tmp_path / "figs"
+        (figs / "margin_dynamics__po_telemetry.csv").mkdir(parents=True)
+        argv = ("--telemetry", str(out / "po_telemetry.jsonl"), "--deviation", str(out / "deviation.json"))
+        assert run_cli("export-figures", *argv, "--out", str(figs)) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in figs.iterdir()] == ["margin_dynamics__po_telemetry.csv"]
+
     def test_undecodable_dataset(self, run_dir):
         path, out = run_dir
         (out / "dataset.jsonl").write_bytes(b"\xff\xfe{}\n")

@@ -1,6 +1,7 @@
 """Data construction: oracle, candidates, quadruple assembly, splits, reports."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestMakePrompts:
     def test_too_many_prompts_rejected(self):
         with pytest.raises(InputError):
             datagen.make_prompts(VOCAB, 37, prompt_length=2, seed=0)  # 6^2 = 36
+
+
+class TestScoredResponseRecord:
+    def test_equality_hash_replace_and_pickle(self):
+        r = datagen.ScoredResponse(Sequence((2,), (np.int64(3), 1)), 0.25, "m", 2)
+        same = datagen.ScoredResponse(Sequence((2,), (3, 1)), 0.25, "m", 2)
+        assert r == same and hash(r) == hash(same)
+        assert replace(r, score=0.5) != r and replace(r, score=0.5).score == 0.5
+        again = pickle.loads(pickle.dumps(r))
+        assert again == r and type(again.sequence.response[0]) is int
+
+    def test_frozen_and_slotted(self):
+        r = datagen.ScoredResponse(Sequence((2,), (1,)), 0.25, "m", 2)
+        with pytest.raises(FrozenInstanceError):
+            r.score = 1.0
+        assert not hasattr(r, "__dict__")
 
 
 class TestSampleScored:

@@ -1,6 +1,8 @@
 """Policy substrate: log-probs, gradients, sampling, serialization."""
 
+import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -10,6 +12,7 @@ from microwrpo import verify
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import (
     NucleusRows,
+    PackedSequences,
     PolicyModel,
     SamplingConfig,
     Sequence,
@@ -93,6 +96,75 @@ class TestVocabulary:
         again = Vocabulary.from_dict(vocab.to_dict())
         assert again == vocab
         assert again.eos_id == vocab.eos_id
+
+
+class TestSequenceRecord:
+    def test_tokens_become_python_ints(self):
+        seq = Sequence(prompt=np.array([2, 3]), response=[np.int64(3), np.int64(1)])
+        assert seq == Sequence((2, 3), (3, 1))
+        assert all(type(t) is int for t in (*seq.prompt, *seq.response))
+
+    def test_equality_hash_and_replace(self):
+        seq = Sequence((2,), (3, 1))
+        assert seq == Sequence([2], [3, 1]) and hash(seq) == hash(Sequence([2], [3, 1]))
+        assert seq != Sequence((2,), (1,))
+        assert dataclasses.replace(seq, response=[np.int64(1)]) == Sequence((2,), (1,))
+        with pytest.raises(InputError):
+            dataclasses.replace(seq, response=())
+
+    def test_frozen_and_slotted(self):
+        seq = Sequence((2,), (3, 1))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.prompt = (3,)
+        assert not hasattr(seq, "__dict__")
+
+    def test_pickle_round_trip(self):
+        seq = Sequence((2, 3), (3, 2, 1))
+        again = pickle.loads(pickle.dumps(seq))
+        assert again == seq and hash(again) == hash(seq)
+
+    def test_sampled_sequence_equals_a_constructed_one(self):
+        model, cfg = random_model(5), SamplingConfig(0.8, 0.9, 6, 1)
+        seq = sample_response(model, np.array([2, 3]), cfg)
+        made = Sequence(seq.prompt, seq.response)
+        assert seq == made and hash(seq) == hash(made) and pickle.loads(pickle.dumps(seq)) == made
+        assert all(type(t) is int for t in (*seq.prompt, *seq.response))
+
+
+class TestPacking:
+    def test_equals_per_position_loop(self):
+        assert verify.check_packed_sequences(np.random.default_rng(11), 200) is None
+
+    def test_markers_anywhere_and_prompts_shorter_than_the_order(self):
+        # bos at index 3: a short prompt's padding is token 3, not 0.
+        vocab = Vocabulary(tokens=("a", "<eos>", "b", "<bos>"))
+        model = PolicyModel.uniform(vocab, order=3)
+        groups = [(Sequence((), (2, 1)), Sequence((0,), (1,))), (Sequence((2, 0, 2, 0), (0, 1)),) * 2]
+        packed = PackedSequences(model, groups)
+        assert packed.rows.tolist() == [63, 62, 60, 8, 32, 8, 32]
+        assert packed.slots.tolist() == [0, 1, 2, 0, 1, 0, 1]
+        assert [d.tolist() for d in packed.distinct] == [[63, 62, 60], [8, 32]]
+        assert verify.packing_mismatch(model, groups) is None
+
+    def test_bad_token_before_a_short_group_is_the_first_error(self):
+        model, eos = PolicyModel.uniform(VOCAB4, 1), VOCAB4.eos_id
+        good, bad = Sequence((2,), (3, eos)), Sequence((2,), (7, eos))
+        with pytest.raises(InputError, match="token index 7 outside vocabulary of size 4"):
+            PackedSequences(model, [(good, good), (good, bad), (good,)])
+        with pytest.raises(InputError, match="same number of sequences"):
+            PackedSequences(model, [(good, good), (good,), (good, bad)])
+        with pytest.raises(InputError, match="token index -1 outside"):
+            PackedSequences(model, [(good, Sequence((-1,), (2,)))])
+        with pytest.raises(InputError, match="terminate in eos"):
+            PackedSequences(model, [(good, Sequence((2,), (2,))), (good, bad)])
+
+    def test_no_groups_and_empty_groups(self):
+        model = PolicyModel.uniform(VOCAB4, 2)
+        for groups in ([], [(), ()]):
+            packed = PackedSequences(model, groups)
+            assert len(packed) == len(groups) and packed.width == 0
+            assert packed.rows.size == packed.lengths.size == 0
+            assert verify.packing_mismatch(model, groups) is None
 
 
 class TestSequenceLogProb:
@@ -280,6 +352,32 @@ class TestSampling:
                 sample_response(model, (2,), cfg, rows=rows)
         rows = NucleusRows(model, cfg)
         assert sample_response(model, (2,), cfg, rows=rows) == sample_response(model, (2,), cfg)
+
+    def test_rows_of_an_equal_but_distinct_config_accepted(self):
+        model, cfg = random_model(5), SamplingConfig(0.8, 0.9, 6, 1)
+        rows = NucleusRows(model, SamplingConfig(0.8, 0.9, 6, 1))
+        assert rows.cfg is not cfg
+        assert sample_response(model, (2,), cfg, rows=rows) == sample_response(model, (2,), cfg)
+
+    @pytest.mark.parametrize("bad", [-1, -(2**70), 4, 2**70])
+    def test_prompt_token_outside_vocabulary_rejected(self, bad):
+        model, cfg = random_model(5), SamplingConfig(0.8, 0.9, 6, 1)
+        message = f"prompt token {bad} outside vocabulary of size 4"
+        for rows in (None, NucleusRows(model, cfg)):
+            with pytest.raises(InputError, match=re.escape(message)):
+                sample_response(model, (2, np.int64(3), bad, -5), cfg, rows=rows)
+
+    def test_markers_anywhere_draw_for_draw_equal_to_generator_choice(self):
+        # bos and eos at any index, so the bos padding of short prompts is not row 0.
+        rng = np.random.default_rng(9)
+        for trial in range(300):
+            tokens = default_vocabulary(int(rng.integers(2, 9))).tokens
+            vocab = Vocabulary(tuple(rng.permutation(tokens).tolist()))
+            model = random_model(trial, vocab, int(rng.integers(1, 4)), float(rng.uniform(0.1, 4)))
+            prompt = tuple(rng.integers(vocab.size, size=int(rng.integers(0, 4))).tolist())
+            cfg = SamplingConfig(float(rng.uniform(0.3, 3)), float(rng.uniform(0.5, 1)), 8)
+            seq = sample_response(model, prompt, cfg, rng=np.random.default_rng(trial))
+            assert seq.response == choice_sample(model, prompt, cfg, np.random.default_rng(trial))
 
     def test_overflowing_logits_rejected(self):
         logits = np.full((16, 4), 1e308)
