@@ -12,9 +12,7 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from . import datagen, pipeline, trainer
@@ -94,14 +92,6 @@ def _load_model(cfg: RunConfig, path: Path) -> PolicyModel:
     return model.freeze()
 
 
-def _threads() -> int:
-    raw = os.environ.get("MICROWRPO_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"MICROWRPO_THREADS must be an integer, got {raw!r}") from None
-
-
 def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
     snapshot, losses = pipeline.sft(cfg, quadruples)
     save_checkpoint(snapshot, out / SFT_CKPT, label="target-sft")
@@ -156,8 +146,8 @@ def _job_config(cfg: RunConfig, target: float, kind: str) -> RunConfig:
     return RunConfig(raw=raw).validate()
 
 
-def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel, keep_pairs: bool = False):
-    """One sweep job, scored against the SFT snapshot: its row, and its pairs if ``keep_pairs``."""
+def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel):
+    """One sweep job, scored against the SFT snapshot: its row and its pairs."""
     pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
     model, _ = pipeline.run_po(cfg, snapshot, train, heldout)
     metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline=snapshot)
@@ -168,7 +158,7 @@ def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel, keep_pairs: bo
         "mean_oracle_score": metrics["candidate_mean_score"],
         "win_rate": metrics["win_rate"],
     }
-    return row, pairs if keep_pairs else None
+    return row, pairs
 
 
 def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> int:
@@ -176,32 +166,23 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     if cfg.objective_config().kind not in WRPO_KINDS:
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
     jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
-    threads = _threads()
-    sft_files = () if (Path(cfg.out_dir) / SFT_CKPT).exists() else SFT_FILES
-    out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *sft_files))
+    out = Path(cfg.out_dir)
+    gen_files = () if (out / DATASET_FILE).exists() else GEN_FILES
+    sft_files = () if (out / SFT_CKPT).exists() else SFT_FILES
+    out = _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    if not (out / DATASET_FILE).exists():
+    if gen_files:
         cmd_gen_data(cfg)
     quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary().size)
-    if (out / SFT_CKPT).exists():
-        snapshot = _load_model(cfg, out / SFT_CKPT)
-    else:
+    if sft_files:
         snapshot = _sft_stage(cfg, out, quadruples)
-    # Every job regenerates the same pairs; only the first job's are sent back and written.
-    args = (jobs, repeat(quadruples), repeat(snapshot), [i == 0 for i in range(len(jobs))])
-    # A fork pool starts all of its workers at the first submit: at most one per job.
-    workers = min(threads, len(jobs))
-    if workers > 1:
-        # Imported here, so that no other command loads multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, *args))
     else:
-        results = map(_sweep_one, *args)
+        snapshot = _load_model(cfg, out / SFT_CKPT)
+    # Every job regenerates the same pairs; the first job's are written.
     rows = []
-    for row, pairs in results:
-        if pairs is not None:
+    for i, job in enumerate(jobs):
+        row, pairs = _sweep_one(job, quadruples, snapshot)
+        if i == 0:
             datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
         rows.append(row)
     rows.sort(key=lambda r: (r["target"], r["kind"]))

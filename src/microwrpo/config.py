@@ -43,8 +43,9 @@ PAPER_OBJECTIVE_SETTINGS = {
 ALPHA_SWEEP_TARGETS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
 # The most entries a config may ask for in one logit table, (n_content_tokens + 2) **
-# (context_order + 1), or in the prompt space make_prompts permutes, n_content_tokens **
-# prompt_length: 1 MiB of float64. The benchmark's largest table is 26**3 = 17,576.
+# (context_order + 1), in the prompt space make_prompts permutes, n_content_tokens **
+# prompt_length, or in one stream's uniforms, sampling.max_length: 1 MiB of float64.
+# The benchmark's largest table is 26**3 = 17,576.
 MAX_SPACE = 2**17
 
 
@@ -225,7 +226,10 @@ class RunConfig:
         samp = d["sampling"]
         _require(samp["temperature"] > 0, "sampling.temperature must be positive")
         _require(0 < samp["top_p"] <= 1, "sampling.top_p must be in (0, 1]")
-        _require(samp["max_length"] >= 1, "sampling.max_length must be >= 1")
+        _require(
+            1 <= samp["max_length"] <= MAX_SPACE,
+            f"sampling.max_length must be in [1, {MAX_SPACE}]",
+        )
         _require(samp["n_samples"] >= 1, "sampling.n_samples must be >= 1")
         _require(0 < d["data"]["split_fraction"] < 1, "data.split_fraction must be in (0, 1)")
         objd = d["objective"]
@@ -329,14 +333,13 @@ class RunConfig:
             seed=derive_seed(self.seed, stream_salt("target-init")),
         )
 
-    def objective_config(self, alpha: float | None = None) -> ObjectiveConfig:
+    def objective_config(self) -> ObjectiveConfig:
         objd = self.raw["objective"]
         return ObjectiveConfig(
             kind=objd["kind"],
             beta=objd["beta"],
             tau=objd["tau"],
             gamma=objd["gamma"],
-            alpha=alpha,
         )
 
     def pairing(self) -> str:

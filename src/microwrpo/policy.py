@@ -583,7 +583,9 @@ def stream_uniforms(
     They come from one vectorized pass per block of streams: the
     SeedSequence hash, PCG64 seeding and ``n_draws`` LCG steps, all on
     uint64 arrays. A block holds at most _DRAW_BLOCK streams and
-    _DRAW_BUFFER uniforms, so the buffer stays bounded for any length.
+    _DRAW_BUFFER uniforms, or one stream when ``n_draws`` is larger: the
+    buffer then holds ``n_draws`` floats, at most config.MAX_SPACE (1 MiB)
+    for a validated config's ``sampling.max_length``.
     """
     if not is_number(n_draws, integer=True) or n_draws < 1:
         raise InputError(f"n_draws must be a positive int (got {n_draws!r})")

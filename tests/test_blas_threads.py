@@ -44,7 +44,7 @@ def run_dirs(tmp_path_factory):
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
     src = str(Path(microwrpo.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in ("MICROWRPO_OUT", "MICROWRPO_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k != "MICROWRPO_OUT"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     dirs = {}
     for threads in ("1", "2"):

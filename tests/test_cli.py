@@ -85,6 +85,15 @@ class TestGenData:
         assert time.monotonic() - start < 1.0
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", [2**17 + 1, 10**12], ids=["2**17+1", "10**12"])
+    def test_oversized_max_length_exit_2_quickly(self, tmp_path, value):
+        overrides = {"sampling": {"max_length": value}, "task": {"n_prompts": 2}}
+        path = write_config(tmp_path, overrides)
+        start = time.monotonic()
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert time.monotonic() - start < 1.0
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("section", ["task", "eval"])
     def test_more_prompts_than_the_prompt_space_exit_2(self, tmp_path, section):
         # The default 8 content tokens and prompt length 3 give 512 distinct prompts.
@@ -200,8 +209,8 @@ class TestTrain:
 
     def test_po_stage_imports_no_numpy_ma_and_keeps_no_context_cache(self, tmp_path):
         # numpy.ma (about 1 MiB resident) comes in with np.unique; a process-global
-        # context cache would grow with every distinct sequence; multiprocessing is
-        # for the sweep's process pool alone.
+        # context cache would grow with every distinct sequence; neither PO nor a
+        # sweep, which runs its jobs one after another, needs worker processes.
         path = write_config(tmp_path, MINI_CONFIG)
         out = tmp_path / "run"
         for argv in (("gen-data",), ("train", "--stage", "sft")):
@@ -209,9 +218,10 @@ class TestTrain:
         code = (
             "import json, sys\n"
             "from microwrpo import cli, policy\n"
-            f"rc = cli.main(['train', '--stage', 'po', '--config', {path!r}, '--out', {str(out)!r}])\n"
-            "print(json.dumps([rc, 'numpy.ma' in sys.modules, hasattr(policy, '_CONTEXT_CACHE'),"
-            " 'multiprocessing' in sys.modules]))\n"
+            "for argv in (['train', '--stage', 'po'], ['sweep-alpha', '--targets', '0.5']):\n"
+            f"    rc = cli.main([*argv, '--config', {path!r}, '--out', {str(out)!r}])\n"
+            "    print(json.dumps([rc, 'numpy.ma' in sys.modules, hasattr(policy, '_CONTEXT_CACHE'),"
+            " 'multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules]))\n"
         )
         src = str(Path(microwrpo.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -219,7 +229,8 @@ class TestTrain:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False, False]
+        results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+        assert results == [[0, False, False, False, False]] * 2
 
 
 class TestSweepAlpha:
@@ -273,63 +284,6 @@ class TestSweepAlpha:
         cfg["objective"] = {"kind": "dpo"}
         path = write_config(tmp_path, cfg)
         assert run_cli("sweep-alpha", "--config", path, "--out", str(tmp_path / "s")) == 2
-
-    def test_parallel_sweep_matches_sequential(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, MINI_CONFIG)
-        out1, out2 = tmp_path / "seq", tmp_path / "par"
-        for out, threads in ((out1, "1"), (out2, "3")):
-            monkeypatch.setenv("MICROWRPO_THREADS", threads)
-            monkeypatch.delenv("MICROWRPO_OUT", raising=False)
-            run_cli("gen-data", "--config", path, "--out", str(out), "--seed", "8")
-            run_cli("train", "--config", path, "--stage", "sft", "--out", str(out), "--seed", "8")
-            assert run_cli(
-                "sweep-alpha", "--config", path, "--out", str(out), "--seed", "8",
-                "--targets", "0.1", "0.9", "--kinds", "linear",
-            ) == 0
-        # each run is internally deterministic, so worker scheduling cannot
-        # change the row contents
-        assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
-        assert (out1 / "po_dataset.jsonl").read_bytes() == (out2 / "po_dataset.jsonl").read_bytes()
-
-    @pytest.mark.parametrize("threads, pools", [("3", [2]), ("1", [])])
-    def test_pool_has_at_most_one_worker_per_job(self, tmp_path, monkeypatch, threads, pools):
-        import concurrent.futures
-
-        made = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setenv("MICROWRPO_THREADS", threads)
-        monkeypatch.delenv("MICROWRPO_OUT", raising=False)
-        path = write_config(tmp_path, MINI_CONFIG)
-        assert run_cli(
-            "sweep-alpha", "--config", path, "--out", str(tmp_path / "sweep"),
-            "--targets", "0.1", "0.9", "--kinds", "static",
-        ) == 0
-        assert made == pools
-
-    def test_non_integer_threads_exit_2_before_any_output(self, tmp_path, monkeypatch, capsys):
-        path = write_config(tmp_path, MINI_CONFIG)
-        out = tmp_path / "sweep"
-        monkeypatch.setenv("MICROWRPO_THREADS", "abc")
-        monkeypatch.delenv("MICROWRPO_OUT", raising=False)
-        assert run_cli(
-            "sweep-alpha", "--config", path, "--out", str(out), "--targets", "0.5", "--kinds", "static"
-        ) == 2
-        assert "MICROWRPO_THREADS" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestEnvOverrides:
@@ -586,6 +540,17 @@ class TestMalformedInput:
         assert run_cli("gen-data", "--out", str(out)) == 2
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["dataset.jsonl"]
+
+    def test_sweep_gen_data_output_file_is_a_directory(self, tmp_path, capsys):
+        # With no dataset.jsonl the sweep runs gen-data first; its files are checked too.
+        out = tmp_path / "run"
+        (out / "attribution.csv").mkdir(parents=True)
+        path = write_config(tmp_path, MINI_CONFIG)
+        argv = ("--targets", "0.5", "--kinds", "static", "--config", path, "--out", str(out))
+        assert run_cli("sweep-alpha", *argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and "\n" not in err
+        assert [p.name for p in out.iterdir()] == ["attribution.csv"]
 
     @pytest.mark.parametrize(
         "argv, name",

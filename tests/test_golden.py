@@ -58,7 +58,6 @@ def run_digests(root: Path) -> dict:
 
 
 def test_tiny_run_matches_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("MICROWRPO_THREADS", raising=False)
     monkeypatch.delenv("MICROWRPO_OUT", raising=False)
     assert run_digests(tmp_path) == json.loads(GOLDEN_FILE.read_text())
 
