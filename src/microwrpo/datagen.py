@@ -505,17 +505,14 @@ def _role_dict(r: ScoredResponse) -> dict:
     }
 
 
-def _is_token_list(value, nonempty: bool = False) -> bool:
-    return (
-        isinstance(value, list)
-        and (len(value) > 0 or not nonempty)
-        and all(is_number(t, integer=True) and t >= 0 for t in value)
-    )
+def _is_token_list(value) -> bool:
+    """A non-empty list of non-negative JSON ints (bool is not one)."""
+    return isinstance(value, list) and {*map(type, value)} == {int} and min(value) >= 0
 
 
 # role field -> (type test, what the field must be)
 _ROLE_FIELDS = {
-    "tokens": (lambda v: _is_token_list(v, nonempty=True), "a non-empty list of token ids"),
+    "tokens": (_is_token_list, "a non-empty list of token ids"),
     "score": (is_number, "a finite number"),
     "model": (lambda v: isinstance(v, str), "a string"),
     "sample_index": (lambda v: is_number(v, integer=True), "an int"),
@@ -523,7 +520,7 @@ _ROLE_FIELDS = {
 
 
 def _check_range(tokens: list[int], vocab_size: int, field: str) -> None:
-    if any(t >= vocab_size for t in tokens):
+    if max(tokens) >= vocab_size:
         raise DataError(f"{field} has a token id outside the vocabulary of size {vocab_size}")
 
 
@@ -543,7 +540,7 @@ def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab_size: int) -> S
 
 
 def _quadruple_from_dict(d: dict, vocab_size: int) -> PreferenceQuadruple:
-    if not _is_token_list(d.get("prompt"), nonempty=True):
+    if not _is_token_list(d.get("prompt")):
         raise DataError("prompt must be a non-empty list of token ids")
     _check_range(d["prompt"], vocab_size, "prompt")
     prompt = tuple(d["prompt"])

@@ -465,6 +465,11 @@ _SHIFT_58, _SHIFT_63, _SHIFT_64, _LOW_32 = _u64(58), _u64(63), _u64(64), _u64(_M
 # its per-stream arrays stay bounded.
 _DRAW_BLOCK = 4096
 _DRAW_BUFFER = 16 * _DRAW_BLOCK
+# Past this many draws per stream, one Generator per stream is faster than the
+# vectorized pass, whose per-draw numpy calls then serve few streams each
+# (full blocks, 2-core x86-64: 19 against 28 us per stream at 128 draws,
+# 40 against 30 us at 192).
+_PORT_MAX_DRAWS = 128
 # Streams whose uniforms stream_uniforms turns into Python lists in one call.
 _LIST_ROWS = 256
 
@@ -580,12 +585,13 @@ def stream_uniforms(
     every p < ``n_prompts`` and s < ``n_samples``, in (p, s) order: what
     ``derive_rng(root, salt, p, s)`` gives call after call of ``random()``.
 
-    They come from one vectorized pass per block of streams: the
-    SeedSequence hash, PCG64 seeding and ``n_draws`` LCG steps, all on
-    uint64 arrays. A block holds at most _DRAW_BLOCK streams and
-    _DRAW_BUFFER uniforms, or one stream when ``n_draws`` is larger: the
-    buffer then holds ``n_draws`` floats, at most config.MAX_SPACE (1 MiB)
-    for a validated config's ``sampling.max_length``.
+    Up to _PORT_MAX_DRAWS draws they come from one vectorized pass per
+    block of streams: the SeedSequence hash, PCG64 seeding and ``n_draws``
+    LCG steps, all on uint64 arrays. A block holds at most _DRAW_BLOCK
+    streams and _DRAW_BUFFER uniforms. Past that, each stream's uniforms
+    are ``derive_rng(root, salt, p, s).random(n_draws)``: at most
+    config.MAX_SPACE (1 MiB) floats for a validated config's
+    ``sampling.max_length``.
     """
     if not is_number(n_draws, integer=True) or n_draws < 1:
         raise InputError(f"n_draws must be a positive int (got {n_draws!r})")
@@ -593,7 +599,12 @@ def stream_uniforms(
         if not is_number(value, integer=True) or not 0 <= value <= _MASK32:
             raise InputError(f"{name} must be an int in [0, 2**32) (got {value!r})")
     n_streams = n_prompts * n_samples
-    size = max(1, min(_DRAW_BLOCK, _DRAW_BUFFER // n_draws))
+    if n_draws > _PORT_MAX_DRAWS:
+        for i in range(n_streams):
+            rng = derive_rng(root, salt, *divmod(i, n_samples))
+            yield StreamDraws(rng.random(n_draws).tolist())
+        return
+    size = min(_DRAW_BLOCK, _DRAW_BUFFER // n_draws)
     for start in range(0, n_streams, size):
         p, s = np.divmod(np.arange(start, min(start + size, n_streams)), n_samples)
         hi, lo, inc_hi, inc_lo = _pcg64_seeded(_entropy_words(root, salt, p, s))

@@ -212,6 +212,27 @@ def _mean(values: list[float]) -> float:
     return float(sum(values) / len(values))
 
 
+# OpenBLAS computes a ddot of at most this many entries on the calling thread.
+_DOT_CHUNK = 10_000
+
+
+def _grad_norm(grad: np.ndarray) -> float:
+    """The Euclidean norm of ``grad``, whatever OpenBLAS's thread count.
+
+    The raveled entries are split into ceil(n / _DOT_CHUNK) consecutive
+    chunks as np.array_split splits them, and the chunks' dot products are
+    added to 0.0 in order, so no dot wakes OpenBLAS's thread pool. The value
+    is bit for bit ``np.linalg.norm(grad)``'s up to _DOT_CHUNK entries (one
+    chunk), and its value on two threads up to 2 * _DOT_CHUNK (OpenBLAS's
+    own two-way split).
+    """
+    flat = grad.ravel(order="K")
+    total = 0.0
+    for chunk in np.array_split(flat, -(-flat.size // _DOT_CHUNK)):
+        total += float(chunk.dot(chunk))
+    return math.sqrt(total)
+
+
 def run_preference_optimization(
     policy_init: PolicyModel,
     ref: PolicyModel | None,
@@ -296,7 +317,7 @@ def run_preference_optimization(
                 },
                 on_policy_margin=on_m,
                 hybrid_policy_margin=hy_m,
-                grad_norm=float(np.linalg.norm(grad)),
+                grad_norm=_grad_norm(grad),
             )
         )
         optimizer.step(policy.logits, grad)

@@ -1,13 +1,15 @@
 """Data construction: oracle, candidates, quadruple assembly, splits, reports."""
 
+import json
 import pickle
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from microwrpo import datagen, verify
-from microwrpo.errors import InputError
+from microwrpo.errors import DataError, InputError
 from microwrpo.policy import (
     PolicyModel,
     SamplingConfig,
@@ -106,7 +108,8 @@ class TestSampleScored:
     def test_draw_p_s_uses_stream_salt_p_s(self):
         """sample_scored's draws equal draws from a fresh derive_rng Generator per
         stream, truncated ones included, also past 16 draws per stream, where
-        policy.stream_uniforms takes fewer streams per block."""
+        policy.stream_uniforms takes fewer streams per block, and past 128,
+        where it takes one Generator per stream."""
         oracle = datagen.make_oracle(VOCAB, seed=5)
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
         # eos made rare, so draws run past 32 tokens, some to max_length.
@@ -118,6 +121,7 @@ class TestSampleScored:
             (model, SAMPLING),
             (model, replace(SAMPLING, temperature=3.0, max_length=3)),
             (long_model, replace(SAMPLING, temperature=1.0, top_p=1.0, max_length=40)),
+            (long_model, replace(SAMPLING, temperature=1.0, top_p=1.0, max_length=129)),
         ):
             out = datagen.sample_scored(model, "m", prompts, 4, cfg, oracle, "salt")
             assert [len(draws) for draws in out] == [4, 4, 4]
@@ -383,3 +387,105 @@ class TestJsonlRoundTrip:
 
         with pytest.raises(DataError):
             datagen.read_quadruples(path, VOCAB.size)
+
+
+TYPE_ERROR = "{} must be a non-empty list of token ids"
+RANGE_ERROR = f"{{}} has a token id outside the vocabulary of size {VOCAB.size}"
+
+
+def _tokens(role, tokens):
+    """An edit that sets the prompt, or a role's tokens, to ``tokens``."""
+
+    def edit(record):
+        if role == "prompt":
+            record["prompt"] = tokens
+        else:
+            record[role]["tokens"] = tokens
+
+    return edit
+
+
+class TestReadTokenLists:
+    """read_quadruples' token checks: the messages, and which of several faults a
+    record reports, field by field in the order prompt, y_ws, y_wt, y_l, y_ls."""
+
+    @pytest.fixture(scope="class")
+    def record(self, tmp_path_factory):
+        _, _, _, _, src, tgt = small_world(n_prompts=4)
+        quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
+        path = tmp_path_factory.mktemp("tokens") / "d.jsonl"
+        datagen.write_quadruples(path, quads[:1])
+        return json.loads(path.read_text())
+
+    def _read(self, tmp_path, record, *edits):
+        record = json.loads(json.dumps(record))
+        for edit in edits:
+            edit(record)
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        return datagen.read_quadruples(path, VOCAB.size)
+
+    @pytest.mark.parametrize("role", ["prompt", "y_ws", "y_wt", "y_l", "y_ls"])
+    @pytest.mark.parametrize(
+        "tokens, error",
+        [
+            ([True, 3], TYPE_ERROR),
+            ([3, False], TYPE_ERROR),
+            ([2.0, 3], TYPE_ERROR),
+            ([3, 1.5], TYPE_ERROR),
+            ([-1, 3], TYPE_ERROR),
+            ([3, -(2**70)], TYPE_ERROR),
+            ([3, "4"], TYPE_ERROR),
+            ([3, None], TYPE_ERROR),
+            ([], TYPE_ERROR),
+            ({"0": 3}, TYPE_ERROR),
+            ([3, VOCAB.size], RANGE_ERROR),
+            ([2**70, 3], RANGE_ERROR),
+        ],
+        ids=[
+            "bool", "false", "int-valued-float", "float", "negative", "huge-negative", "str",
+            "null", "empty", "object", "vocab-size", "huge",
+        ],
+    )
+    def test_bad_token_list(self, tmp_path, record, role, tokens, error):
+        field = role if role == "prompt" else f"{role}.tokens"
+        with pytest.raises(DataError, match=re.escape(":1: " + error.format(field)) + "$"):
+            self._read(tmp_path, record, _tokens(role, tokens))
+
+    def test_largest_token_id_read(self, tmp_path, record):
+        top = VOCAB.size - 1
+        quad = self._read(tmp_path, record, _tokens("prompt", [0, top]), _tokens("y_l", [top]))
+        assert quad[0].prompt == (0, top) and quad[0].y_l.sequence.response == (top,)
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            # Every field of a role is type-checked before its tokens' range.
+            (
+                [_tokens("y_ws", [VOCAB.size]), lambda r: r["y_ws"].update(score="x")],
+                "y_ws.score must be a finite number",
+            ),
+            (
+                [_tokens("y_ws", [True]), lambda r: r["y_ws"].update(score="x")],
+                TYPE_ERROR.format("y_ws.tokens"),
+            ),
+            # The prompt, then each role in turn, is checked whole.
+            (
+                [_tokens("prompt", [VOCAB.size]), _tokens("y_ws", [-1])],
+                RANGE_ERROR.format("prompt"),
+            ),
+            (
+                [_tokens("y_wt", [VOCAB.size]), _tokens("y_l", [1.0])],
+                RANGE_ERROR.format("y_wt.tokens"),
+            ),
+            (
+                [_tokens("y_l", [True]), _tokens("y_ls", [VOCAB.size])],
+                TYPE_ERROR.format("y_l.tokens"),
+            ),
+        ],
+        ids=["range-after-score", "type-before-score", "prompt-first", "y_wt-before-y_l",
+             "y_l-before-y_ls"],
+    )
+    def test_first_fault_reported(self, tmp_path, record, edits, error):
+        with pytest.raises(DataError, match=re.escape(":1: " + error) + "$"):
+            self._read(tmp_path, record, *edits)

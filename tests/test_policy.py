@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from microwrpo import verify
+from microwrpo import policy, verify
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import (
     NucleusRows,
@@ -455,6 +455,23 @@ class TestStreamDerivation:
     def test_streams_equal_numpy_seed_sequence(self, root, salt, n_prompts, n_samples, n_draws):
         detail = verify.stream_derivation_mismatch(root, salt, n_prompts, n_samples, n_draws)
         assert detail is None
+
+    @pytest.mark.parametrize(
+        "n_prompts, n_samples, n_draws",
+        [
+            (700, 3, policy._PORT_MAX_DRAWS),
+            (2, 5, policy._PORT_MAX_DRAWS),
+            (2, 5, policy._PORT_MAX_DRAWS + 1),
+            (3, 2, 4096),
+            (1, 2, 2**17),
+        ],
+    )
+    def test_streams_equal_numpy_either_side_of_the_generator_crossover(
+        self, n_prompts, n_samples, n_draws
+    ):
+        # Up to _PORT_MAX_DRAWS the vectorized port, past it one Generator per stream.
+        root, salt = 2**32 + 5, stream_salt("target")
+        assert verify.stream_derivation_mismatch(root, salt, n_prompts, n_samples, n_draws) is None
 
     def test_random_roots_and_keys_equal_numpy_seed_sequence(self):
         assert verify.check_stream_derivation(np.random.default_rng(5), 100) is None
