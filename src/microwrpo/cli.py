@@ -67,7 +67,7 @@ def cmd_gen_data(cfg: RunConfig) -> int:
     datagen.write_attribution_csv(out / ATTRIBUTION_FILE, data.attribution)
     report = datagen.distribution_deviation_report(data.target_init, data.quadruples)
     with open(out / DEVIATION_FILE, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(report, fh, indent=2, default=vars)
         fh.write("\n")
     save_checkpoint(data.target_init, out / INIT_CKPT, label="target-init")
     print(f"wrote {len(data.quadruples)} quadruples to {out / DATASET_FILE}")
@@ -147,7 +147,8 @@ def _job_config(cfg: RunConfig, target: float, kind: str) -> RunConfig:
 
 
 def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel):
-    """One sweep job, scored against the SFT snapshot: its row and its pairs."""
+    """One sweep job, scored against the SFT snapshot: its row, whose keys are the
+    sweep.csv columns in order, and its pairs."""
     pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
     model, _ = pipeline.run_po(cfg, snapshot, train, heldout)
     metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline=snapshot)
@@ -165,6 +166,8 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     """One PO run per (alpha target, schedule kind) off a shared SFT snapshot."""
     if cfg.objective_config().kind not in WRPO_KINDS:
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
+    if len(set(targets)) < len(targets) or len(set(kinds)) < len(kinds):
+        raise ConfigError(f"a sweep job is listed twice: targets {targets}, kinds {kinds}")
     jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
     out = Path(cfg.out_dir)
     gen_files = () if (out / DATASET_FILE).exists() else GEN_FILES
@@ -187,18 +190,11 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         rows.append(row)
     rows.sort(key=lambda r: (r["target"], r["kind"]))
     with open(out / SWEEP_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "kind", "reward_accuracy", "mean_oracle_score", "win_rate"])
-        for r in rows:
-            values = (r["reward_accuracy"], r["mean_oracle_score"], r["win_rate"])
-            writer.writerow([repr(r["target"]), r["kind"], *map(_cell, values)])
+        writer = csv.DictWriter(fh, list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {out / SWEEP_FILE}")
     return 0
-
-
-def _cell(value: float | None) -> str:
-    """A CSV cell that round-trips the float exactly; empty for None."""
-    return "" if value is None else repr(value)
 
 
 def _read_deviation(path: str) -> tuple[list, dict]:
@@ -237,6 +233,9 @@ def cmd_export_figures(
     out_dir: str,
 ) -> int:
     """Plot-ready CSV bundles; tolerant of empty inputs, and writes nothing on a bad one."""
+    margins = [f"margin_dynamics__{Path(tpath).stem}.csv" for tpath in telemetry_paths]
+    if len(set(margins)) < len(margins):
+        raise ConfigError(f"two telemetry inputs share a file name: {telemetry_paths}")
     for path in (*telemetry_paths, deviation_path, sweep_path):
         if path is not None and not Path(path).exists():
             raise DataError(f"input file not found: {path}")
@@ -250,7 +249,6 @@ def cmd_export_figures(
             raise DataError(f"{sweep_path}: undecodable bytes ({exc})") from exc
         except OSError as exc:
             raise DataError(f"{sweep_path}: cannot read ({exc.strerror})") from exc
-    margins = [f"margin_dynamics__{Path(tpath).stem}.csv" for tpath in telemetry_paths]
     inputs = ((HISTOGRAM_FILE, deviation_path), (ALPHA_SWEEP_FILE, sweep_path))
     out = _make_dir(out_dir, margins + [name for name, path in inputs if path is not None])
     for name, (tpath, telemetry) in zip(margins, telemetries):
@@ -259,8 +257,7 @@ def cmd_export_figures(
             writer = csv.writer(fh)
             writer.writerow(["step", "alpha", "on_policy_margin", "hybrid_policy_margin"])
             for s in telemetry.steps:
-                values = (s.alpha, s.on_policy_margin, s.hybrid_policy_margin)
-                writer.writerow([s.step, *map(_cell, values)])
+                writer.writerow([s.step, s.alpha, s.on_policy_margin, s.hybrid_policy_margin])
         if not telemetry.steps:
             log.warning("telemetry %s has no step records; wrote headers only", tpath)
         print(f"wrote {dest}")
@@ -271,7 +268,7 @@ def cmd_export_figures(
             writer.writerow(["role", "bin_left", "bin_right", "count"])
             for role, stats in roles.items():
                 for i, count in enumerate(stats["histogram"]):
-                    writer.writerow([role, repr(edges[i]), repr(edges[i + 1]), count])
+                    writer.writerow([role, edges[i], edges[i + 1], count])
         print(f"wrote {dest}")
     if sweep_path is not None:
         dest = out / ALPHA_SWEEP_FILE

@@ -426,23 +426,8 @@ class RoleStats:
 class DeviationReport:
     """Per-role avg-log-prob and score statistics under one evaluation model."""
 
-    roles: dict[str, RoleStats]
     bin_edges: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_edges": self.bin_edges,
-            "roles": {
-                name: {
-                    "n": s.n,
-                    "mean_avg_logp": s.mean_avg_logp,
-                    "std_avg_logp": s.std_avg_logp,
-                    "mean_score": s.mean_score,
-                    "histogram": s.histogram,
-                }
-                for name, s in self.roles.items()
-            },
-        }
+    roles: dict[str, RoleStats]
 
 
 def distribution_deviation_report(
@@ -493,7 +478,7 @@ def distribution_deviation_report(
             mean_score=float(np.mean([s.score for s in members])),
             histogram=[int(c) for c in hist],
         )
-    return DeviationReport(roles=roles, bin_edges=[float(e) for e in edges])
+    return DeviationReport(bin_edges=[float(e) for e in edges], roles=roles)
 
 
 def _role_dict(r: ScoredResponse) -> dict:
@@ -617,5 +602,4 @@ def write_attribution_csv(path, attribution: list[tuple[str, int, float]]) -> No
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "wins", "percentage"])
-        for name, count, pct in attribution:
-            writer.writerow([name, count, repr(pct)])
+        writer.writerows(attribution)

@@ -147,11 +147,5 @@ def evaluate(
     return {
         "objective": cfg.objective_config().kind,
         "reward_accuracy": _reward_accuracy(cfg, model, snapshot, heldout),
-        "candidate_mean_score": quality.candidate_mean,
-        "baseline_mean_score": quality.baseline_mean,
-        "win_rate": quality.win_rate,
-        "wins": quality.wins,
-        "ties": quality.ties,
-        "losses": quality.losses,
-        "n_eval_prompts": quality.n_prompts,
+        **vars(quality),
     }

@@ -371,16 +371,15 @@ def mean_score(scores: list[list[float]]) -> float:
 
 @dataclass
 class QualityReport:
-    candidate_mean: float
-    baseline_mean: float
+    """The sampled-quality part of metrics.json: its fields are those keys, in order."""
+
+    candidate_mean_score: float
+    baseline_mean_score: float
+    win_rate: float
     wins: int
     ties: int
     losses: int
-    n_prompts: int
-
-    @property
-    def win_rate(self) -> float:
-        return self.wins / self.n_prompts
+    n_eval_prompts: int
 
 
 def eval_policy_quality(
@@ -412,52 +411,24 @@ def eval_policy_quality(
         else:
             ties += 1
     return QualityReport(
-        candidate_mean=mean_score(cand),
-        baseline_mean=mean_score(base),
+        candidate_mean_score=mean_score(cand),
+        baseline_mean_score=mean_score(base),
+        win_rate=wins / len(prompts),
         wins=wins,
         ties=ties,
         losses=losses,
-        n_prompts=len(prompts),
+        n_eval_prompts=len(prompts),
     )
 
 
 def write_telemetry(path, telemetry: TrainingTelemetry) -> None:
-    """JSONL with a record-type tag; eval records interleave by step order."""
-    records: list[tuple[int, int, dict]] = []
-    for s in telemetry.steps:
-        records.append(
-            (
-                s.step,
-                0,
-                {
-                    "type": "step",
-                    "step": s.step,
-                    "alpha": s.alpha,
-                    "loss": s.loss,
-                    "internal_rewards": s.internal_rewards,
-                    "on_policy_margin": s.on_policy_margin,
-                    "hybrid_policy_margin": s.hybrid_policy_margin,
-                    "grad_norm": s.grad_norm,
-                },
-            )
-        )
-    for e in telemetry.evals:
-        records.append(
-            (
-                e.step,
-                1,
-                {
-                    "type": "eval",
-                    "step": e.step,
-                    "reward_accuracy": e.reward_accuracy,
-                    "mean_oracle_score": e.mean_oracle_score,
-                },
-            )
-        )
-    records.sort(key=lambda r: (r[0], r[1]))
+    """JSONL, one record a line: its type tag, then its dataclass fields. Records
+    go in step order, an eval record after the step record of its step."""
+    tagged = [("step", s) for s in telemetry.steps] + [("eval", e) for e in telemetry.evals]
+    tagged.sort(key=lambda t: (t[1].step, t[0] == "eval"))
     with open(path, "w") as fh:
-        for _, _, rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        for kind, record in tagged:
+            fh.write(json.dumps({"type": kind, **vars(record)}) + "\n")
 
 
 def _number(value, nullable: bool = False, integer: bool = False):

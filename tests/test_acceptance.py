@@ -267,7 +267,7 @@ class TestCriterion8PolicyImprovement:
                 model, env["target_init"], prompts, cfg.sampling_config(),
                 env["oracle"], samples_per_prompt=3,
             )
-            assert quality.candidate_mean > quality.baseline_mean
+            assert quality.candidate_mean_score > quality.baseline_mean_score
             assert quality.win_rate >= 0.6, f"seed {seed}: {quality}"
             win_rates.append(quality.win_rate)
         report(8, f"sft+wrpo beats the initial policy with win rates {win_rates}")

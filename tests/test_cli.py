@@ -285,6 +285,23 @@ class TestSweepAlpha:
         path = write_config(tmp_path, cfg)
         assert run_cli("sweep-alpha", "--config", path, "--out", str(tmp_path / "s")) == 2
 
+    @pytest.mark.parametrize(
+        "targets, kinds",
+        [
+            (["0.5", "0.5"], ["linear", "linear"]),
+            (["0.5", "0.50"], ["static"]),
+            (["0.3"], ["linear", "static", "linear"]),
+        ],
+        ids=["both", "same-target-spelled-apart", "kind"],
+    )
+    def test_repeated_job_exit_2_before_any_output(self, tmp_path, capsys, targets, kinds):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "sweep"
+        argv = ["--targets", *targets, "--kinds", *kinds]
+        assert run_cli("sweep-alpha", "--config", path, "--out", str(out), *argv) == 2
+        assert "config error: a sweep job is listed twice" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnvOverrides:
     def test_out_dir_env_var_wins(self, tmp_path, monkeypatch):
@@ -342,6 +359,40 @@ class TestExportFigures:
         with open(figs / "margin_dynamics__empty.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["step", "alpha", "on_policy_margin", "hybrid_policy_margin"]]
+
+    def test_margin_csv_cells_are_the_exact_values(self, tmp_path):
+        steps = [
+            {"alpha": None, "on_policy_margin": None, "hybrid_policy_margin": 1e-20},
+            {"alpha": 1, "on_policy_margin": 0.12345678901234568, "hybrid_policy_margin": -2.5},
+        ]
+        telemetry = tmp_path / "tel.jsonl"
+        telemetry.write_text("".join(
+            json.dumps({"type": "step", "step": i, "loss": 1.0, "internal_rewards": {},
+                        "grad_norm": 0.5, **step}) + "\n"
+            for i, step in enumerate(steps)
+        ))
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", "--telemetry", str(telemetry), "--out", str(figs)) == 0
+        assert (figs / "margin_dynamics__tel.csv").read_bytes() == (
+            b"step,alpha,on_policy_margin,hybrid_policy_margin\r\n"
+            b"0,,,1e-20\r\n"
+            b"1,1,0.12345678901234568,-2.5\r\n"
+        )
+
+    def test_telemetry_inputs_sharing_an_output_name_exit_2(self, tmp_path, capsys):
+        paths = []
+        for run in ("runA", "runB"):
+            (tmp_path / run).mkdir()
+            paths.append(tmp_path / run / "po_telemetry.jsonl")
+            paths[-1].write_text("")
+        figs = tmp_path / "figs"
+        for inputs in (paths, paths[:1] * 2):
+            argv = ["--telemetry", *map(str, inputs), "--out", str(figs)]
+            assert run_cli("export-figures", *argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+            assert not figs.exists()
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert run_cli("export-figures", "--telemetry", str(tmp_path / "nope.jsonl")) == 3

@@ -1,9 +1,10 @@
 """Byte identity against earlier code: a tiny run's artifacts match pinned sha256 digests.
 
 The run uses the default 10-token vocabulary at context order 2 (a 1,000-logit
-table) and covers gen-data, train --stage full with in-loop evaluation and a
-one-target sweep-alpha of both schedule kinds. config.resolved.json records
-the output path, so it is left out.
+table) and covers gen-data, train --stage full with in-loop evaluation, a
+one-target sweep-alpha of both schedule kinds and export-figures of the run's
+PO telemetry, deviation report and sweep. config.resolved.json records the
+output path, so it is left out.
 
 A change that moves these bytes on purpose re-pins them with
 
@@ -42,10 +43,21 @@ def run_digests(root: Path) -> dict:
     cfg = root / "cfg.json"
     cfg.write_text(json.dumps(CONFIG))
     out = root / "run"
+    runs = {
+        name: [*argv, "--config", str(cfg), "--out", str(out), "--seed", SEED]
+        for name, argv in COMMANDS.items()
+    }
+    runs["export-figures"] = [
+        "export-figures",
+        "--telemetry", str(out / cli.PO_TELEMETRY),
+        "--deviation", str(out / cli.DEVIATION_FILE),
+        "--sweep", str(out / cli.SWEEP_FILE),
+        "--out", str(out),
+    ]
     digests, seen = {}, {}
-    for name, argv in COMMANDS.items():
+    for name, argv in runs.items():
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*argv, "--config", str(cfg), "--out", str(out), "--seed", SEED])
+            code = cli.main(argv)
         assert code == 0, f"{name} exited with {code}"
         current = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -432,7 +432,7 @@ class TestEvalPolicyQuality:
         report = trainer.eval_policy_quality(model, model, prompts, SAMPLING, oracle, 3)
         assert report.wins == 0 and report.losses == 0
         assert report.ties == 10
-        assert report.candidate_mean == report.baseline_mean
+        assert report.candidate_mean_score == report.baseline_mean_score
 
     def test_oracle_greedy_beats_uniform(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
@@ -444,7 +444,7 @@ class TestEvalPolicyQuality:
             expert, uniform, prompts, SAMPLING, oracle, samples_per_prompt=3
         )
         assert report.win_rate == 1.0
-        assert report.candidate_mean > report.baseline_mean
+        assert report.candidate_mean_score > report.baseline_mean_score
 
     def test_deterministic(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
