@@ -9,6 +9,16 @@ two-stage SFT + preference-optimization trainer with per-step telemetry,
 and a CLI for config-driven runs, alpha sweeps, and figure exports.
 """
 
+import os
+
+# One OpenBLAS thread unless the user set a count: no numpy call in the package
+# hands OpenBLAS work for a second thread, whose worker would otherwise spin
+# idle for about 0.1 s of CPU in every command. OpenBLAS reads the variable
+# when numpy loads, so this must run before the first numpy import below, and
+# it has no effect if numpy was imported before microwrpo. It is set in
+# os.environ, so subprocesses inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .objectives import (
     LogProbBundle,
     LossResult,

@@ -20,6 +20,7 @@ from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_
 from .errors import ConfigError, DataError, InputError, NumericError, is_number
 from .objectives import WRPO_KINDS
 from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
+from .schedule import SCHEDULE_KINDS
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +38,7 @@ SWEEP_FILE = "sweep.csv"
 RESOLVED_CONFIG = "config.resolved.json"
 HISTOGRAM_FILE = "deviation_histogram.csv"
 ALPHA_SWEEP_FILE = "alpha_sweep.csv"
+SWEEP_COLUMNS = ("target", "kind", "reward_accuracy", "mean_oracle_score", "win_rate")
 # The files each stage writes into the output directory.
 GEN_FILES = (RESOLVED_CONFIG, DATASET_FILE, ATTRIBUTION_FILE, DEVIATION_FILE, INIT_CKPT)
 SFT_FILES = (SFT_CKPT, SFT_TELEMETRY)
@@ -190,7 +192,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         rows.append(row)
     rows.sort(key=lambda r: (r["target"], r["kind"]))
     with open(out / SWEEP_FILE, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, list(rows[0]))
+        writer = csv.DictWriter(fh, SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} sweep rows to {out / SWEEP_FILE}")
@@ -226,6 +228,30 @@ def _read_deviation(path: str) -> tuple[list, dict]:
     return edges, roles
 
 
+def _read_sweep(path: str) -> str:
+    """The text of a sweep.csv; DataError unless its header is SWEEP_COLUMNS and
+    every row has one cell per column, a numeric target and a schedule kind."""
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: undecodable bytes ({exc})") from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    rows = csv.reader(text.splitlines())
+    if next(rows, None) != list(SWEEP_COLUMNS):
+        raise DataError(f"{path}: header must be {','.join(SWEEP_COLUMNS)}")
+    for line, row in enumerate(rows, 2):
+        if len(row) != len(SWEEP_COLUMNS):
+            raise DataError(f"{path}: line {line} has {len(row)} cells, not {len(SWEEP_COLUMNS)}")
+        try:
+            float(row[0])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line}: target {row[0]!r} is not a number") from exc
+        if row[1] not in SCHEDULE_KINDS:
+            raise DataError(f"{path}: line {line}: kind must be one of {SCHEDULE_KINDS}")
+    return text
+
+
 def cmd_export_figures(
     telemetry_paths: list[str],
     deviation_path: str | None,
@@ -243,12 +269,7 @@ def cmd_export_figures(
     if deviation_path is not None:
         edges, roles = _read_deviation(deviation_path)
     if sweep_path is not None:
-        try:
-            sweep_text = Path(sweep_path).read_text()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{sweep_path}: undecodable bytes ({exc})") from exc
-        except OSError as exc:
-            raise DataError(f"{sweep_path}: cannot read ({exc.strerror})") from exc
+        sweep_text = _read_sweep(sweep_path)
     inputs = ((HISTOGRAM_FILE, deviation_path), (ALPHA_SWEEP_FILE, sweep_path))
     out = _make_dir(out_dir, margins + [name for name, path in inputs if path is not None])
     for name, (tpath, telemetry) in zip(margins, telemetries):

@@ -1,4 +1,5 @@
-"""Artifacts do not depend on how many threads OpenBLAS uses.
+"""Artifacts do not depend on how many threads OpenBLAS uses, and importing
+microwrpo picks one unless OPENBLAS_NUM_THREADS is already set.
 
 gen-data and train --stage full run with OPENBLAS_NUM_THREADS=1 and with 2,
 each in a fresh interpreter, because OpenBLAS reads the variable when numpy
@@ -42,11 +43,44 @@ TWO_CPUS = pytest.mark.skipif(
 )
 
 
-def _env(threads: str) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "MICROWRPO_OUT"}
+def _env(threads: str | None) -> dict:
+    """os.environ for a child with OPENBLAS_NUM_THREADS set to ``threads``, or
+    unset if None. Always set or unset: importing microwrpo sets it in this
+    process, and a child that copied os.environ would inherit the "1"."""
+    dropped = ("MICROWRPO_OUT", "OPENBLAS_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
     env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
-    env["OPENBLAS_NUM_THREADS"] = threads
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     return env
+
+
+def _after_import(threads: str | None) -> list[str]:
+    """[OPENBLAS_NUM_THREADS, thread count] of a fresh interpreter after
+    import microwrpo, started with the variable set to ``threads`` or unset."""
+    code = (
+        "import os\n"
+        "import microwrpo\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env(threads), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_sets_one_blas_thread_by_default():
+    assert _after_import(None) == ["1", "1"]
+
+
+def test_a_preset_blas_thread_count_wins():
+    assert _after_import("2")[0] == "2"
+
+
+@TWO_CPUS
+def test_a_preset_blas_thread_count_starts_its_worker():
+    assert _after_import("2") == ["2", "2"]
 
 
 def _runs(root: Path, n_content_tokens: int) -> dict:

@@ -313,6 +313,9 @@ class TestEnvOverrides:
         assert not (tmp_path / "ignored").exists()
 
 
+SWEEP_HEADER = "target,kind,reward_accuracy,mean_oracle_score,win_rate\n"
+
+
 class TestExportFigures:
     @pytest.mark.parametrize(
         "report",
@@ -393,6 +396,27 @@ class TestExportFigures:
             assert captured.out == ""
             assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
             assert not figs.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "hello\n",
+            "target,kind,reward_accuracy,mean_oracle_score\n",
+            SWEEP_HEADER + "0.5,linear,0.6,0.4\n",
+            SWEEP_HEADER + "half,linear,0.6,0.4,0.5\n",
+            SWEEP_HEADER + "0.5,cosine,0.6,0.4,0.5\n",
+        ],
+        ids=["hello", "wrong-header", "short-row", "non-numeric-target", "unknown-kind"],
+    )
+    def test_malformed_sweep_exit_3_and_no_output_dir(self, tmp_path, capsys, text):
+        sweep = tmp_path / "sweep.csv"
+        sweep.write_text(text)
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", "--sweep", str(sweep), "--out", str(figs)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+        assert not figs.exists()
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert run_cli("export-figures", "--telemetry", str(tmp_path / "nope.jsonl")) == 3
