@@ -1,9 +1,10 @@
 """Command-line orchestration: gen-data, train, sweep-alpha, export-figures, verify.
 
 Every command validates its config up front, writes the resolved config
-next to its outputs, and keeps wall-clock noise (timestamps) out of data
-files so reruns are byte-identical. Exit codes: 0 ok, 1 a verify check
-failed, 2 config error, 3 data error, 4 numeric failure.
+next to its outputs once its inputs are read and checked, and keeps
+wall-clock noise (timestamps) out of data files so reruns are byte-identical.
+Exit codes: 0 ok, 1 a verify check failed, 2 config error, 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -104,13 +105,20 @@ def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
     return snapshot
 
 
-def _po_stage(cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel) -> None:
+def _init_model(cfg: RunConfig, out: Path) -> PolicyModel | None:
+    """The initial target beside the dataset, checked against the config; None if absent."""
+    path = out / INIT_CKPT
+    return _load_model(cfg, path) if path.exists() else None
+
+
+def _po_stage(
+    cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel, baseline: PolicyModel
+) -> None:
     pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
     datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
     model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
     save_checkpoint(model, out / PO_CKPT, label=f"target-po-{cfg.raw['objective']['kind']}")
     trainer.write_telemetry(out / PO_TELEMETRY, telemetry)
-    baseline = _load_model(cfg, out / INIT_CKPT) if (out / INIT_CKPT).exists() else snapshot
     metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
     with open(out / METRICS_FILE, "w") as fh:
         json.dump(metrics, fh, indent=2)
@@ -126,15 +134,16 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
         raise ConfigError(f"unknown stage {stage!r}")
     stages = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
-    write_resolved_config(cfg, out / RESOLVED_CONFIG)
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
+    baseline = _init_model(cfg, out)
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
-    else:
+    write_resolved_config(cfg, out / RESOLVED_CONFIG)
+    if stage != "po":
         snapshot = _sft_stage(cfg, out, quadruples)
     if stage != "sft":
-        _po_stage(cfg, out, quadruples, snapshot)
+        _po_stage(cfg, out, quadruples, snapshot, snapshot if baseline is None else baseline)
     return 0
 
 
@@ -175,14 +184,15 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     gen_files = () if (out / DATASET_FILE).exists() else GEN_FILES
     sft_files = () if (out / SFT_CKPT).exists() else SFT_FILES
     out = _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
-    write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if gen_files:
-        cmd_gen_data(cfg)
+        cmd_gen_data(cfg)  # writes the resolved config with its first output
     quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary().size)
-    if sft_files:
+    _init_model(cfg, out)  # only checked: the jobs are scored against the snapshot
+    snapshot = None if sft_files else _load_model(cfg, out / SFT_CKPT)
+    if not gen_files:
+        write_resolved_config(cfg, out / RESOLVED_CONFIG)
+    if snapshot is None:
         snapshot = _sft_stage(cfg, out, quadruples)
-    else:
-        snapshot = _load_model(cfg, out / SFT_CKPT)
     # Every job regenerates the same pairs; the first job's are written.
     rows = []
     for i, job in enumerate(jobs):

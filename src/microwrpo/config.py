@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import json
-import os
 from dataclasses import dataclass
 
 from .datagen import (
@@ -22,23 +21,12 @@ from .datagen import (
     make_source_ensemble,
 )
 from .errors import ConfigError, InputError, is_number
-from .objectives import KINDS, ObjectiveConfig
+from .objectives import ObjectiveConfig
 from .policy import PolicyModel, SamplingConfig, Vocabulary, default_vocabulary, derive_seed, stream_salt
-from .schedule import SCHEDULE_KINDS, FusionSchedule
-from .trainer import LR_SCHEDULES, OPTIMIZER_KINDS, OptimizerConfig
+from .schedule import FusionSchedule
+from .trainer import OptimizerConfig
 
 __all__ = ["RunConfig", "load_config", "default_config_dict", "write_resolved_config"]
-
-# Per-kind operating points from the reference setup's tuning tables.
-PAPER_OBJECTIVE_SETTINGS = {
-    "dpo": {"beta": 0.01},
-    "ipo": {"tau": 0.01},
-    "simpo": {"beta": 10.0, "gamma": 1.0},
-    "wrpo_dpo": {"beta": 0.01, "alpha_target": 0.1},
-    "wrpo_simpo": {"beta": 10.0, "gamma": 0.0, "alpha_target": 0.5},
-    "wrpo_ipo": {"tau": 0.01, "alpha_target": 0.1},
-    "wrpo_with_yls": {"beta": 0.01, "alpha_target": 0.1},
-}
 
 ALPHA_SWEEP_TARGETS = [0.1, 0.3, 0.5, 0.7, 0.9]
 
@@ -134,20 +122,12 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-# Leaf types; null is allowed only where the defaults hold or accept it.
-_INT_FIELDS = (
-    "seed", "task.n_content_tokens", "task.context_order", "task.n_prompts",
-    "task.prompt_length", "task.oracle_seed", "sampling.max_length", "sampling.n_samples",
-    "sft.epochs", "sft.batch_size", "po.epochs", "po.batch_size", "po.eval_every",
-    "eval.n_prompts", "eval.samples_per_prompt", "eval.prompt_seed", "schedule.total_steps",
-)
-_NUMBER_FIELDS = (
-    "task.length_penalty", "task.target_init_scale", "sampling.temperature", "sampling.top_p",
-    "data.split_fraction", "objective.beta", "objective.tau", "objective.gamma",
-    "schedule.target", "sft.optimizer.step_size", "sft.optimizer.warmup_fraction",
-    "po.optimizer.step_size", "po.optimizer.warmup_fraction", "po.eval_holdout_fraction",
-)
-_NULLABLE_FIELDS = ("schedule.total_steps", "objective.tau", "objective.gamma")
+# The leaves that may be null, with the type each takes otherwise; every other
+# leaf takes the type of its default.
+_NULLABLE = {"schedule.total_steps": int, "objective.tau": float, "objective.gamma": float}
+_TYPE_NAMES = {
+    int: "an int", float: "a number", bool: "true or false", str: "a string", list: "a list"
+}
 
 
 def _require_space(base: int, exponent: int, what: str) -> None:
@@ -159,17 +139,18 @@ def _require_space(base: int, exponent: int, what: str) -> None:
     )
 
 
-def _check_types(d: dict) -> None:
-    for fields, integer in ((_INT_FIELDS, True), (_NUMBER_FIELDS, False)):
-        for path in fields:
-            value = d
-            for part in path.split("."):
-                value = value[part]
-            if value is None and path in _NULLABLE_FIELDS:
-                continue
-            _require(is_number(value, integer), f"{path} must be {'an int' if integer else 'a number'}")
-    _require(isinstance(d["out_dir"], str), "out_dir must be a string")
-    _require(isinstance(d["data"]["include_yls"], bool), "data.include_yls must be true or false")
+def _check_types(value, default, path: str = "") -> None:
+    """ConfigError unless every leaf of value has the type of its default: an int
+    default takes an int, a float default any finite number (errors.is_number)."""
+    if isinstance(default, dict):
+        for key, sub in default.items():
+            _check_types(value[key], sub, f"{path}.{key}" if path else key)
+        return
+    if value is None and path in _NULLABLE:
+        return
+    kind = _NULLABLE.get(path, type(default))
+    ok = is_number(value, kind is int) if kind in (int, float) else isinstance(value, kind)
+    _require(ok, f"{path} must be {_TYPE_NAMES[kind]}")
 
 
 @dataclass
@@ -181,7 +162,7 @@ class RunConfig:
     # -- validation ---------------------------------------------------------
     def validate(self) -> "RunConfig":
         d = self.raw
-        _check_types(d)
+        _check_types(d, default_config_dict())
         task = d["task"]
         _require(d["seed"] >= 0, "seed must be a non-negative int")
         _require(task["oracle_seed"] >= 0, "task.oracle_seed must be >= 0")
@@ -208,10 +189,7 @@ class RunConfig:
                 f"{where}.n_prompts is {n}, more than the {n_space} distinct prompts of "
                 f"length {task['prompt_length']} over {task['n_content_tokens']} content tokens",
             )
-        _require(
-            isinstance(d["ensemble"], list) and len(d["ensemble"]) >= 1,
-            "ensemble must be a non-empty list",
-        )
+        _require(len(d["ensemble"]) >= 1, "ensemble must be a non-empty list")
         for i, member in enumerate(d["ensemble"]):
             if not isinstance(member, dict):
                 raise ConfigError(f"ensemble[{i}] must be an object")
@@ -224,45 +202,32 @@ class RunConfig:
         names = [m["name"] for m in d["ensemble"]]
         _require(len(set(names)) == len(names), "ensemble member names must be unique")
         samp = d["sampling"]
-        _require(samp["temperature"] > 0, "sampling.temperature must be positive")
-        _require(0 < samp["top_p"] <= 1, "sampling.top_p must be in (0, 1]")
         _require(
-            1 <= samp["max_length"] <= MAX_SPACE,
-            f"sampling.max_length must be in [1, {MAX_SPACE}]",
+            samp["max_length"] <= MAX_SPACE, f"sampling.max_length must be at most {MAX_SPACE}"
         )
         _require(samp["n_samples"] >= 1, "sampling.n_samples must be >= 1")
         _require(0 < d["data"]["split_fraction"] < 1, "data.split_fraction must be in (0, 1)")
-        objd = d["objective"]
-        _require(objd["kind"] in KINDS, f"objective.kind must be one of {KINDS}")
-        _require(objd["pairing"] in ("on_policy", "hybrid"), "objective.pairing invalid")
-        sched = d["schedule"]
-        _require(sched["kind"] in SCHEDULE_KINDS, f"schedule.kind must be one of {SCHEDULE_KINDS}")
-        _require(0 <= sched["target"] <= 1, "schedule.target must be in [0, 1]")
-        if sched["total_steps"] is not None:
-            _require(sched["total_steps"] >= 1, "schedule.total_steps must be >= 1 or null")
+        _require(d["objective"]["pairing"] in ("on_policy", "hybrid"), "objective.pairing invalid")
         for stage in ("sft", "po"):
-            st = d[stage]
-            _require(st["epochs"] >= 0, f"{stage}.epochs must be >= 0")
-            _require(st["batch_size"] >= 1, f"{stage}.batch_size must be >= 1")
-            opt = st["optimizer"]
-            _require(opt["kind"] in OPTIMIZER_KINDS, f"{stage}.optimizer.kind invalid")
-            _require(opt["schedule"] in LR_SCHEDULES, f"{stage}.optimizer.schedule invalid")
-            _require(opt["step_size"] > 0, f"{stage}.optimizer.step_size must be positive")
-            _require(
-                0 <= opt["warmup_fraction"] < 1,
-                f"{stage}.optimizer.warmup_fraction must be in [0, 1)",
-            )
+            _require(d[stage]["epochs"] >= 0, f"{stage}.epochs must be >= 0")
+            _require(d[stage]["batch_size"] >= 1, f"{stage}.batch_size must be >= 1")
         _require(0 <= d["po"]["eval_holdout_fraction"] < 1, "po.eval_holdout_fraction must be in [0, 1)")
         _require(d["po"]["eval_every"] >= 0, "po.eval_every must be >= 0")
         _require(d["eval"]["n_prompts"] >= 1, "eval.n_prompts must be >= 1")
         _require(d["eval"]["samples_per_prompt"] >= 1, "eval.samples_per_prompt must be >= 1")
-        # Try constructing the typed configs so their own checks run early.
-        try:
-            self.objective_config()
-            self.optimizer_config("sft")
-            self.optimizer_config("po")
-        except InputError as exc:
-            raise ConfigError(str(exc)) from None
+        # The typed configs own the range rules of their sections.
+        for section, build in (
+            ("task", self.vocabulary),
+            ("sampling", self.sampling_config),
+            ("objective", self.objective_config),
+            ("schedule", lambda: self.fusion_schedule(1)),
+            ("sft.optimizer", lambda: self.optimizer_config("sft")),
+            ("po.optimizer", lambda: self.optimizer_config("po")),
+        ):
+            try:
+                build()
+            except (InputError, ConfigError) as exc:
+                raise ConfigError(f"{section}: {exc}") from None
         return self
 
     # -- builders ------------------------------------------------------------
@@ -347,8 +312,8 @@ class RunConfig:
 
     def fusion_schedule(self, total_steps: int) -> FusionSchedule:
         sched = self.raw["schedule"]
-        steps = sched["total_steps"] if sched["total_steps"] is not None else total_steps
-        return FusionSchedule(kind=sched["kind"], target=sched["target"], total_steps=max(1, steps))
+        steps = sched["total_steps"] if sched["total_steps"] is not None else max(1, total_steps)
+        return FusionSchedule(kind=sched["kind"], target=sched["target"], total_steps=steps)
 
     def optimizer_config(self, stage: str) -> OptimizerConfig:
         opt = self.raw[stage]["optimizer"]
@@ -368,8 +333,7 @@ def load_config(
 ) -> RunConfig:
     """Merge a config file over the defaults and validate the result.
 
-    CLI flags (seed, out) beat the file; the MICROWRPO_OUT environment
-    variable beats both for the output directory.
+    CLI flags (seed, out) beat the file.
     """
     data: dict = {}
     if path is not None:
@@ -391,9 +355,6 @@ def load_config(
         merged["seed"] = seed
     if out_dir is not None:
         merged["out_dir"] = out_dir
-    env_out = os.environ.get("MICROWRPO_OUT")
-    if env_out:
-        merged["out_dir"] = env_out
     return RunConfig(raw=merged).validate()
 
 

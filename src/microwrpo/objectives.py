@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import policy as policy_mod
-from .errors import InputError, UsageError
+from .errors import InputError, UsageError, is_number
 
 __all__ = [
     "KINDS",
@@ -125,14 +125,14 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown objective kind {self.kind!r}")
-        if not self.beta > 0:
-            raise InputError("beta must be positive")
-        if self.tau is not None and not self.tau > 0:
-            raise InputError("tau must be positive")
-        if self.gamma is not None and self.gamma < 0:
-            raise InputError("gamma must be >= 0")
-        if self.alpha is not None and not 0 <= self.alpha <= 1:
-            raise InputError("alpha must be in [0, 1]")
+        if not is_number(self.beta) or self.beta <= 0:
+            raise InputError(f"beta must be a positive number (got {self.beta!r})")
+        if self.tau is not None and (not is_number(self.tau) or self.tau <= 0):
+            raise InputError(f"tau must be a positive number or None (got {self.tau!r})")
+        if self.gamma is not None and (not is_number(self.gamma) or self.gamma < 0):
+            raise InputError(f"gamma must be a number >= 0 or None (got {self.gamma!r})")
+        if self.alpha is not None and (not is_number(self.alpha) or not 0 <= self.alpha <= 1):
+            raise InputError(f"alpha must be a number in [0, 1] or None (got {self.alpha!r})")
 
     def require_tau(self) -> float:
         if self.tau is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, is_number
 
 __all__ = ["FusionSchedule", "alpha_at"]
 
@@ -25,10 +25,10 @@ class FusionSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise InputError(f"unknown schedule kind {self.kind!r}")
-        if not 0 <= self.target <= 1:
-            raise InputError("schedule target must be in [0, 1]")
-        if self.total_steps < 1:
-            raise InputError("total_steps must be >= 1")
+        if not is_number(self.target) or not 0 <= self.target <= 1:
+            raise InputError(f"target must be a number in [0, 1] (got {self.target!r})")
+        if not is_number(self.total_steps, integer=True) or self.total_steps < 1:
+            raise InputError(f"total_steps must be an int >= 1 (got {self.total_steps!r})")
 
 
 def alpha_at(schedule: FusionSchedule, step: int) -> float:

@@ -66,10 +66,12 @@ class OptimizerConfig:
             raise ConfigError(f"unknown optimizer kind {self.kind!r}")
         if self.schedule not in LR_SCHEDULES:
             raise ConfigError(f"unknown lr schedule {self.schedule!r}")
-        if not self.step_size > 0:
-            raise ConfigError("step_size must be positive")
-        if not 0 <= self.warmup_fraction < 1:
-            raise ConfigError("warmup_fraction must be in [0, 1)")
+        if not is_number(self.step_size) or self.step_size <= 0:
+            raise ConfigError(f"step_size must be a positive number (got {self.step_size!r})")
+        if not is_number(self.warmup_fraction) or not 0 <= self.warmup_fraction < 1:
+            raise ConfigError(
+                f"warmup_fraction must be a number in [0, 1) (got {self.warmup_fraction!r})"
+            )
 
 
 class Optimizer:

@@ -47,8 +47,7 @@ def _env(threads: str | None) -> dict:
     """os.environ for a child with OPENBLAS_NUM_THREADS set to ``threads``, or
     unset if None. Always set or unset: importing microwrpo sets it in this
     process, and a child that copied os.environ would inherit the "1"."""
-    dropped = ("MICROWRPO_OUT", "OPENBLAS_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads

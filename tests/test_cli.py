@@ -72,9 +72,33 @@ class TestGenData:
         path = write_config(tmp_path, {"task": {"n_promptz": 4}})
         assert run_cli("gen-data", "--config", path) == 2
 
-    def test_invalid_value_exit_2(self, tmp_path):
-        path = write_config(tmp_path, {"sampling": {"top_p": 1.5}})
-        assert run_cli("gen-data", "--config", path) == 2
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sampling": {"temperature": 0}},
+            {"sampling": {"top_p": 1.5}},
+            {"sampling": {"max_length": 0}},
+            {"objective": {"kind": "x"}},
+            {"objective": {"beta": 0}},
+            {"schedule": {"kind": "x"}},
+            {"schedule": {"target": 1.5}},
+            {"schedule": {"total_steps": 0}},
+            {"sft": {"optimizer": {"kind": "x"}}},
+            {"po": {"optimizer": {"schedule": "x"}}},
+            {"po": {"optimizer": {"step_size": 0}}},
+            {"sft": {"optimizer": {"warmup_fraction": 1.0}}},
+            {"task": {"n_content_tokens": 1}},
+        ],
+        ids=[
+            "temperature-0", "top_p-1.5", "max_length-0", "objective-kind", "beta-0",
+            "schedule-kind", "target-1.5", "total_steps-0", "sft-optimizer-kind",
+            "po-lr-schedule", "po-step_size-0", "sft-warmup_fraction-1", "n_content_tokens-1",
+        ],
+    )
+    def test_invalid_value_exit_2(self, tmp_path, overrides):
+        path = write_config(tmp_path, overrides)
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", [64, 2**64], ids=["64", "2**64"])
     @pytest.mark.parametrize("field", ["n_content_tokens", "context_order", "prompt_length"])
@@ -120,12 +144,33 @@ class TestGenData:
             {"data": {"include_yls": "no"}},
             {"objective": {"beta": True}},
             {"task": 5},
+            {"out_dir": 5},
+            {"objective": {"kind": 3}},
+            {"schedule": {"total_steps": 1.5}},
         ],
-        ids=["str-int", "str-sharpness", "bool-int", "str-bool", "bool-float", "int-section"],
+        ids=[
+            "str-int", "str-sharpness", "bool-int", "str-bool", "bool-float", "int-section",
+            "int-out_dir", "int-kind", "float-total_steps",
+        ],
     )
-    def test_wrong_value_type_exit_2(self, tmp_path, overrides):
+    def test_wrong_value_type_exit_2(self, tmp_path, monkeypatch, overrides):
+        # No --out, which would replace a wrong out_dir; relative paths land in tmp_path.
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, overrides)
-        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert run_cli("gen-data", "--config", path) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("objective", "tau", None), ("schedule", "total_steps", 7)],
+        ids=["null-tau", "int-total_steps"],
+    )
+    def test_nullable_leaf_accepted(self, tmp_path, section, key, value):
+        path = write_config(tmp_path, {**MINI_CONFIG, section: {key: value}})
+        out = tmp_path / "run"
+        assert run_cli("gen-data", "--config", path, "--out", str(out)) == 0
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved[section][key] == value
 
     def test_default_config_mirrors_reference_knobs(self):
         d = default_config_dict()
@@ -301,16 +346,6 @@ class TestSweepAlpha:
         assert run_cli("sweep-alpha", "--config", path, "--out", str(out), *argv) == 2
         assert "config error: a sweep job is listed twice" in capsys.readouterr().err
         assert not out.exists()
-
-
-class TestEnvOverrides:
-    def test_out_dir_env_var_wins(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, MINI_CONFIG)
-        env_out = tmp_path / "from_env"
-        monkeypatch.setenv("MICROWRPO_OUT", str(env_out))
-        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "ignored")) == 0
-        assert (env_out / "dataset.jsonl").exists()
-        assert not (tmp_path / "ignored").exists()
 
 
 SWEEP_HEADER = "target,kind,reward_accuracy,mean_oracle_score,win_rate\n"
@@ -539,6 +574,47 @@ class TestMalformedInput:
         model = PolicyModel.random_init(default_vocabulary(n_content), order, 0.5, frozen=True)
         save_checkpoint(model, out / name, label="mismatch")
         assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train", "--stage", "sft"),
+            ("train", "--stage", "full"),
+            ("sweep-alpha", "--targets", "0.5", "--kinds", "linear"),
+        ],
+        ids=["train-sft", "train-full", "sweep"],
+    )
+    def test_dataset_from_another_vocabulary(self, tmp_path, argv):
+        # Every token of a 6-token dataset fits a 7-token vocabulary; target_init.json
+        # beside it tells the two apart before any stage runs.
+        out = tmp_path / "run"
+        narrow = write_config(tmp_path, MINI_CONFIG)
+        assert run_cli("gen-data", "--config", narrow, "--out", str(out)) == 0
+        wider = {**MINI_CONFIG, "task": {**MINI_CONFIG["task"], "n_content_tokens": 7}}
+        path = write_config(tmp_path, wider, name="wider.json")
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert run_cli(*argv, "--config", path, "--out", str(out)) == 3
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "argv, break_input",
+        [
+            (("train", "--stage", "po"), lambda out: (out / "target_sft.json").unlink()),
+            (
+                ("sweep-alpha", "--targets", "0.5", "--kinds", "linear"),
+                lambda out: (out / "dataset.jsonl").write_text("{}\n"),
+            ),
+        ],
+        ids=["train-po-no-sft", "sweep-bad-dataset"],
+    )
+    def test_failed_command_keeps_the_resolved_config(self, run_dir, tmp_path, argv, break_input):
+        _, out = run_dir
+        break_input(out)
+        before = (out / "config.resolved.json").read_bytes()
+        other = {**MINI_CONFIG, "sampling": {**MINI_CONFIG["sampling"], "temperature": 0.7}}
+        other_path = write_config(tmp_path, other, name="other.json")
+        assert run_cli(*argv, "--config", other_path, "--out", str(out)) == 3
+        assert (out / "config.resolved.json").read_bytes() == before
 
     def test_unfrozen_checkpoint_is_used_frozen(self, run_dir):
         path, out = run_dir

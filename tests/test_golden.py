@@ -69,8 +69,7 @@ def run_digests(root: Path) -> dict:
     return digests
 
 
-def test_tiny_run_matches_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("MICROWRPO_OUT", raising=False)
+def test_tiny_run_matches_pinned_digests(tmp_path):
     assert run_digests(tmp_path) == json.loads(GOLDEN_FILE.read_text())
 
 

@@ -147,6 +147,20 @@ class TestIpoLoss:
             obj.ObjectiveConfig("ipo", tau=-1.0)
 
 
+class TestObjectiveConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta", True), ("beta", math.inf), ("beta", "x"), ("tau", math.inf),
+            ("tau", True), ("gamma", math.inf), ("gamma", "0"), ("alpha", False),
+            ("alpha", math.nan),
+        ],
+    )
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(InputError):
+            obj.ObjectiveConfig("wrpo_ipo", **{field: value})
+
+
 class TestSimpoLoss:
     def test_equal_averages_gamma_zero_is_log_two(self):
         bundle = obj.LogProbBundle.pair(role(-2.0, length=2), role(-4.0, length=4))

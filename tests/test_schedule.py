@@ -57,6 +57,15 @@ class TestValidation:
         with pytest.raises(InputError):
             FusionSchedule("linear", target=0.5, total_steps=0)
 
+    @pytest.mark.parametrize(
+        "target, total_steps",
+        [(True, 1), ("0.5", 1), (float("nan"), 1), (0.5, 2.5), (0.5, True), (0.5, "3")],
+        ids=["bool-target", "str-target", "nan-target", "float-steps", "bool-steps", "str-steps"],
+    )
+    def test_non_numbers_rejected(self, target, total_steps):
+        with pytest.raises(InputError):
+            FusionSchedule("linear", target, total_steps)
+
     def test_negative_step(self):
         sched = FusionSchedule("linear", target=0.5, total_steps=10)
         with pytest.raises(InputError):

@@ -62,6 +62,17 @@ class TestOptimizer:
         assert opt.lr_at(mid) == pytest.approx(0.5, rel=1e-6)
         assert opt.lr_at(99) < 0.01
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("step_size", True), ("step_size", math.inf), ("step_size", "1"),
+            ("warmup_fraction", False), ("warmup_fraction", "0.1"), ("warmup_fraction", math.nan),
+        ],
+    )
+    def test_non_numbers_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            trainer.OptimizerConfig(**{field: value})
+
     def test_sgd_step(self):
         cfg = trainer.OptimizerConfig(kind="sgd", step_size=0.5)
         opt = trainer.Optimizer(cfg, (2,), total_steps=10)
