@@ -20,11 +20,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .objectives import (
-    LogProbBundle,
     LossResult,
     ObjectiveConfig,
     RoleLogProb,
-    bt_probability,
     compound_reward,
     internal_reward,
 )
@@ -34,11 +32,9 @@ from .schedule import FusionSchedule, alpha_at
 __version__ = "0.1.0"
 
 __all__ = [
-    "LogProbBundle",
     "LossResult",
     "ObjectiveConfig",
     "RoleLogProb",
-    "bt_probability",
     "compound_reward",
     "internal_reward",
     "PolicyModel",

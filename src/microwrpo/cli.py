@@ -105,9 +105,13 @@ def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
     return snapshot
 
 
-def _init_model(cfg: RunConfig, out: Path) -> PolicyModel | None:
-    """The initial target beside the dataset, checked against the config; None if absent."""
+def _init_model(cfg: RunConfig, out: Path, sft: bool) -> PolicyModel | None:
+    """The initial target beside the dataset, checked against the config. A dataset
+    records no vocabulary, so a command that runs SFT on it needs this file; for
+    any other command it may be absent (None)."""
     path = out / INIT_CKPT
+    if sft:
+        _existing(path, "run gen-data first: SFT checks the dataset's vocabulary against it")
     return _load_model(cfg, path) if path.exists() else None
 
 
@@ -136,7 +140,7 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
-    baseline = _init_model(cfg, out)
+    baseline = _init_model(cfg, out, sft=stage != "po")
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
@@ -187,7 +191,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     if gen_files:
         cmd_gen_data(cfg)  # writes the resolved config with its first output
     quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary().size)
-    _init_model(cfg, out)  # only checked: the jobs are scored against the snapshot
+    _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
     snapshot = None if sft_files else _load_model(cfg, out / SFT_CKPT)
     if not gen_files:
         write_resolved_config(cfg, out / RESOLVED_CONFIG)

@@ -41,15 +41,12 @@ __all__ = [
     "WRPO_KINDS",
     "YLS_KINDS",
     "RoleLogProb",
-    "LogProbBundle",
     "ObjectiveConfig",
     "LossResult",
     "internal_reward",
-    "bt_probability",
     "compound_reward",
     "evaluate_loss",
     "PackedRecords",
-    "bundle_from_quadruple",
     "loss_gradient_wrt_params",
 ]
 
@@ -78,37 +75,6 @@ class RoleLogProb:
 
 
 @dataclass(frozen=True)
-class LogProbBundle:
-    roles: Mapping[str, RoleLogProb]
-
-    @classmethod
-    def pair(cls, w: RoleLogProb, l: RoleLogProb) -> "LogProbBundle":
-        return cls(roles={"w": w, "l": l})
-
-    @classmethod
-    def triple(
-        cls, w_s: RoleLogProb, w_t: RoleLogProb, l: RoleLogProb
-    ) -> "LogProbBundle":
-        return cls(roles={"w_s": w_s, "w_t": w_t, "l": l})
-
-    @classmethod
-    def quad(
-        cls,
-        w_s: RoleLogProb,
-        w_t: RoleLogProb,
-        l_s: RoleLogProb,
-        l_t: RoleLogProb,
-    ) -> "LogProbBundle":
-        return cls(roles={"w_s": w_s, "w_t": w_t, "l_s": l_s, "l_t": l_t})
-
-    def role(self, name: str) -> RoleLogProb:
-        try:
-            return self.roles[name]
-        except KeyError:
-            raise InputError(f"bundle is missing role {name!r}") from None
-
-
-@dataclass(frozen=True)
 class ObjectiveConfig:
     """Which loss of the family to use and its hyperparameters.
 
@@ -133,16 +99,9 @@ class ObjectiveConfig:
             raise InputError(f"gamma must be a number >= 0 or None (got {self.gamma!r})")
         if self.alpha is not None and (not is_number(self.alpha) or not 0 <= self.alpha <= 1):
             raise InputError(f"alpha must be a number in [0, 1] or None (got {self.alpha!r})")
-
-    def require_tau(self) -> float:
-        if self.tau is None:
-            raise InputError(f"kind {self.kind!r} requires tau")
-        return self.tau
-
-    def require_gamma(self) -> float:
-        if self.gamma is None:
-            raise InputError(f"kind {self.kind!r} requires gamma")
-        return self.gamma
+        offset = _TABLE[self.kind].offset
+        if offset is not None and getattr(self, offset.field) is None:
+            raise InputError(f"kind {self.kind!r} requires {offset.field}")
 
     def require_alpha(self) -> float:
         if self.alpha is None:
@@ -166,13 +125,6 @@ def internal_reward(theta_logp: float, ref_logp: float, beta: float) -> float:
     if not beta > 0:
         raise InputError("beta must be positive")
     return beta * (theta_logp - ref_logp)
-
-
-def bt_probability(reward_w: float, reward_l: float) -> float:
-    """Bradley-Terry win probability sigma(reward_w - reward_l)."""
-    if not (np.isfinite(reward_w) and np.isfinite(reward_l)):
-        raise InputError("rewards must be finite")
-    return expit(reward_w - reward_l)
 
 
 def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
@@ -215,8 +167,13 @@ def _length_normalized(r: RoleLogProb, beta: float) -> tuple[float, float]:
     return beta * r.theta / r.length, beta / r.length
 
 
-def _ipo_target(cfg: ObjectiveConfig) -> float:
-    return 1.0 / (2.0 * cfg.require_tau())
+class _Offset(NamedTuple):
+    field: str  # the ObjectiveConfig field it reads; the config refuses None there
+    value: Callable[[float], float]
+
+
+_IPO_TARGET = _Offset("tau", lambda tau: 1.0 / (2.0 * tau))
+_GAMMA = _Offset("gamma", lambda gamma: gamma)
 
 
 class _Row(NamedTuple):
@@ -224,18 +181,17 @@ class _Row(NamedTuple):
     dispreferred: tuple[str, ...]
     link: _Link
     base: Callable[[RoleLogProb, float], tuple[float, float]]
-    offset: Callable[[ObjectiveConfig], float] | None
+    offset: _Offset | None
 
 
-_GAMMA = ObjectiveConfig.require_gamma
 _FUSED = ("w_s", "w_t")
 _TABLE = {
     "dpo": _Row(("w",), ("l",), _SIGMOID, _log_ratio, None),
-    "ipo": _Row(("w",), ("l",), _SQUARE, _log_ratio, _ipo_target),
+    "ipo": _Row(("w",), ("l",), _SQUARE, _log_ratio, _IPO_TARGET),
     "simpo": _Row(("w",), ("l",), _SIGMOID, _length_normalized, _GAMMA),
     "wrpo_dpo": _Row(_FUSED, ("l",), _SIGMOID, _log_ratio, None),
     "wrpo_simpo": _Row(_FUSED, ("l",), _SIGMOID, _length_normalized, _GAMMA),
-    "wrpo_ipo": _Row(_FUSED, ("l",), _SQUARE, _log_ratio, _ipo_target),
+    "wrpo_ipo": _Row(_FUSED, ("l",), _SQUARE, _log_ratio, _IPO_TARGET),
     "wrpo_with_yls": _Row(_FUSED, ("l_s", "l_t"), _SIGMOID, _log_ratio, None),
 }
 
@@ -253,9 +209,10 @@ def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
     return compound_reward(terms[names[0]], terms[names[1]], alpha), (alpha, 1 - alpha)
 
 
-def evaluate_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
-    """The loss of kind ``cfg.kind`` on ``bundle``, with its derivative w.r.t. each role's
-    policy log-prob; the one scalar entry point of the family."""
+def evaluate_loss(roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig) -> LossResult:
+    """The loss of kind ``cfg.kind`` on ``roles`` (role name -> RoleLogProb), with its
+    derivative w.r.t. each role's policy log-prob; the one scalar entry point of the family.
+    InputError names a role the kind needs that ``roles`` lacks."""
     row = _TABLE[cfg.kind]
     # Pinned artifacts depend on this float order: a pair fused by compound_reward,
     # the offset subtracted last, and each coefficient formed as (weight * scale) * dz.
@@ -263,15 +220,17 @@ def evaluate_loss(bundle: LogProbBundle, cfg: ObjectiveConfig) -> LossResult:
     margin_beta = cfg.beta if row.link.beta_scaled else 1.0
     terms, scales = {}, {}
     for name in row.preferred + row.dispreferred:
-        terms[name], scales[name] = row.base(bundle.role(name), margin_beta)
+        if name not in roles:
+            raise InputError(f"kind {cfg.kind!r} needs role {name!r}")
+        terms[name], scales[name] = row.base(roles[name], margin_beta)
     rewards = terms
     if not row.link.beta_scaled:
-        rewards = {name: row.base(bundle.role(name), cfg.beta)[0] for name in terms}
+        rewards = {name: row.base(roles[name], cfg.beta)[0] for name in terms}
     z_w, weights_w = _side(row.preferred, terms, alpha)
     z_l, weights_l = _side(row.dispreferred, terms, alpha)
     z = z_w - z_l
     if row.offset is not None:
-        z = z - row.offset(cfg)
+        z = z - row.offset.value(getattr(cfg, row.offset.field))
     dz = row.link.slope(z)
     grads = {n: (w * scales[n]) * dz for n, w in zip(row.preferred, weights_w)}
     grads.update({n: -((w * scales[n]) * dz) for n, w in zip(row.dispreferred, weights_l)})
@@ -333,17 +292,6 @@ class PackedRecords:
         else:
             self.ref = self.sequences.log_probs(ref).tolist()
 
-    def bundles(self, model, ids) -> tuple[list[LogProbBundle], policy_mod.PackedBatch]:
-        """The log-prob bundle of each record ``ids`` under ``model``, and the forward pass."""
-        batch = self.sequences.forward(model, ids)
-        bundles = []
-        for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
-            roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
-            bundles.append(
-                LogProbBundle(roles={n: RoleLogProb(t, r, length) for n, t, r, length in roles})
-            )
-        return bundles, batch
-
     def loss_gradient(self, model, ids, cfg: ObjectiveConfig):
         """The LossResult of each record ``ids`` and the sum of their parameter gradients.
 
@@ -352,17 +300,15 @@ class PackedRecords:
         """
         if cfg.kind != self.kind:
             raise UsageError(f"records were packed for {self.kind!r}, not {cfg.kind!r}")
-        bundles, batch = self.bundles(model, ids)
-        results = [evaluate_loss(bundle, cfg) for bundle in bundles]
+        batch = self.sequences.forward(model, ids)
+        results = []
+        for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
+            roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
+            results.append(
+                evaluate_loss({n: RoleLogProb(t, r, length) for n, t, r, length in roles}, cfg)
+            )
         coefficients = [[r.grad_wrt_logps[name] for name in self.roles] for r in results]
         return results, self.sequences.gradient(model, batch, coefficients)
-
-
-def bundle_from_quadruple(model, ref, quadruple, kind: str, pairing: str = "on_policy"):
-    """Build (bundle, role -> Sequence) for one preference record; see PackedRecords."""
-    packed = PackedRecords(model, ref, [quadruple], kind, pairing)
-    bundles, _ = packed.bundles(model, [0])
-    return bundles[0], dict(zip(packed.roles, packed.groups[0]))
 
 
 def loss_gradient_wrt_params(

@@ -33,8 +33,7 @@ def report(num: int, description: str) -> None:
 
 
 def composed_loss(model, ref, quad, cfg, pairing):
-    bundle, _ = obj.bundle_from_quadruple(model, ref, quad, cfg.kind, pairing)
-    return obj.evaluate_loss(bundle, cfg).loss
+    return obj.loss_gradient_wrt_params(model, ref, quad, cfg, pairing)[0].loss
 
 
 class TestCriterion1GradientSuite:

@@ -88,11 +88,14 @@ class TestGenData:
             {"po": {"optimizer": {"step_size": 0}}},
             {"sft": {"optimizer": {"warmup_fraction": 1.0}}},
             {"task": {"n_content_tokens": 1}},
+            {"objective": {"kind": "wrpo_simpo", "gamma": None}},
+            {"objective": {"kind": "ipo", "tau": None}},
         ],
         ids=[
             "temperature-0", "top_p-1.5", "max_length-0", "objective-kind", "beta-0",
             "schedule-kind", "target-1.5", "total_steps-0", "sft-optimizer-kind",
             "po-lr-schedule", "po-step_size-0", "sft-warmup_fraction-1", "n_content_tokens-1",
+            "simpo-gamma-null", "ipo-tau-null",
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, overrides):
@@ -576,20 +579,28 @@ class TestMalformedInput:
         assert run_cli(*command, "--config", path, "--out", str(out)) == 3
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, keep_init",
         [
-            ("train", "--stage", "sft"),
-            ("train", "--stage", "full"),
-            ("sweep-alpha", "--targets", "0.5", "--kinds", "linear"),
+            (("train", "--stage", "sft"), True),
+            (("train", "--stage", "full"), True),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "linear"), True),
+            (("train", "--stage", "sft"), False),
+            (("train", "--stage", "full"), False),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "linear"), False),
         ],
-        ids=["train-sft", "train-full", "sweep"],
+        ids=[
+            "train-sft", "train-full", "sweep",
+            "train-sft-no-init", "train-full-no-init", "sweep-no-init",
+        ],
     )
-    def test_dataset_from_another_vocabulary(self, tmp_path, argv):
+    def test_dataset_from_another_vocabulary(self, tmp_path, argv, keep_init):
         # Every token of a 6-token dataset fits a 7-token vocabulary; target_init.json
-        # beside it tells the two apart before any stage runs.
+        # beside it tells the two apart before any stage runs, so SFT needs it.
         out = tmp_path / "run"
         narrow = write_config(tmp_path, MINI_CONFIG)
         assert run_cli("gen-data", "--config", narrow, "--out", str(out)) == 0
+        if not keep_init:
+            (out / "target_init.json").unlink()
         wider = {**MINI_CONFIG, "task": {**MINI_CONFIG["task"], "n_content_tokens": 7}}
         path = write_config(tmp_path, wider, name="wider.json")
         before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}

@@ -5,10 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from microwrpo import datagen, verify
+from microwrpo import datagen
 from microwrpo import objectives as obj
 from microwrpo.errors import InputError, UsageError
 from microwrpo.policy import PolicyModel, Sequence, default_vocabulary, stream_salt
@@ -18,6 +16,18 @@ LOG2 = math.log(2.0)
 
 def role(theta, ref=0.0, length=1):
     return obj.RoleLogProb(theta=theta, ref=ref, length=length)
+
+
+def pair(w, l):
+    return {"w": w, "l": l}
+
+
+def triple(w_s, w_t, l):
+    return {"w_s": w_s, "w_t": w_t, "l": l}
+
+
+def quad_roles(w_s, w_t, l_s, l_t):
+    return {"w_s": w_s, "w_t": w_t, "l_s": l_s, "l_t": l_t}
 
 
 def rand_role(rng, length=None):
@@ -38,33 +48,6 @@ class TestInternalReward:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             obj.internal_reward(float("-inf"), -1.0, 0.1)
-
-
-class TestBtProbability:
-    def test_equal_rewards_half(self):
-        assert obj.bt_probability(1.3, 1.3) == 0.5
-
-    def test_logistic_value(self):
-        expected = 1.0 / (1.0 + math.exp(-2.0))
-        assert obj.bt_probability(3.0, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert obj.bt_probability(3.0, 1.0) == pytest.approx(0.880797, abs=1e-6)
-
-    def test_saturation_without_overflow(self):
-        assert obj.bt_probability(1e4, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert obj.bt_probability(0.0, 1e4) == pytest.approx(0.0, abs=1e-12)
-
-    @given(
-        st.floats(-100, 100, allow_nan=False),
-        st.floats(-100, 100, allow_nan=False),
-    )
-    @settings(max_examples=200)
-    def test_complement(self, a, b):
-        assert obj.bt_probability(a, b) + obj.bt_probability(b, a) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_complement_1000_random_pairs(self):
-        assert verify.check_bt_complement(np.random.default_rng(0), 1000) is None
 
 
 class TestScalarSigmoid:
@@ -103,26 +86,25 @@ class TestCompoundReward:
 class TestDpoLoss:
     def test_zero_margin_is_log_two(self):
         r = role(-4.0, -4.0)
-        out = obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("dpo"))
+        out = obj.evaluate_loss(pair(r, r), obj.ObjectiveConfig("dpo"))
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_direct_value(self):
         # beta=1, delta_w=1, delta_l=-1 -> z=2, loss=log(1+e^-2)
-        bundle = obj.LogProbBundle.pair(role(-1.0, -2.0), role(-3.0, -2.0))
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo", beta=1.0))
+        roles = pair(role(-1.0, -2.0), role(-3.0, -2.0))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("dpo", beta=1.0))
         assert out.loss == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-12)
         assert out.loss == pytest.approx(0.126928, abs=1e-6)
 
     def test_missing_role(self):
-        bundle = obj.LogProbBundle(roles={"w": role(-1.0)})
-        with pytest.raises(InputError):
-            obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo"))
+        with pytest.raises(InputError, match="'l'"):
+            obj.evaluate_loss({"w": role(-1.0)}, obj.ObjectiveConfig("dpo"))
 
     def test_grad_signs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            bundle = obj.LogProbBundle.pair(rand_role(rng), rand_role(rng))
-            out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("dpo", beta=0.05))
+            roles = pair(rand_role(rng), rand_role(rng))
+            out = obj.evaluate_loss(roles, obj.ObjectiveConfig("dpo", beta=0.05))
             assert out.grad_wrt_logps["w"] <= 0
             assert out.grad_wrt_logps["l"] >= 0
 
@@ -130,19 +112,18 @@ class TestDpoLoss:
 class TestIpoLoss:
     def test_exact_target_margin_zero_loss(self):
         tau = 0.05
-        bundle = obj.LogProbBundle.pair(role(-1.0, -1.0 - 1 / (2 * tau)), role(-2.0, -2.0))
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("ipo", tau=tau))
+        roles = pair(role(-1.0, -1.0 - 1 / (2 * tau)), role(-2.0, -2.0))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("ipo", tau=tau))
         assert out.loss == pytest.approx(0.0, abs=1e-18)
 
     def test_equal_deltas_value(self):
         r = role(-3.0, -3.0)
-        out = obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo", tau=0.01))
+        out = obj.evaluate_loss(pair(r, r), obj.ObjectiveConfig("ipo", tau=0.01))
         assert out.loss == pytest.approx(2500.0, rel=1e-12)
 
     def test_tau_required_and_positive(self):
-        r = role(-3.0)
-        with pytest.raises(InputError):
-            obj.evaluate_loss(obj.LogProbBundle.pair(r, r), obj.ObjectiveConfig("ipo"))
+        with pytest.raises(InputError, match="requires tau"):
+            obj.ObjectiveConfig("ipo")
         with pytest.raises(InputError):
             obj.ObjectiveConfig("ipo", tau=-1.0)
 
@@ -158,25 +139,37 @@ class TestObjectiveConfig:
     )
     def test_non_numbers_rejected(self, field, value):
         with pytest.raises(InputError):
-            obj.ObjectiveConfig("wrpo_ipo", **{field: value})
+            obj.ObjectiveConfig("wrpo_ipo", **{"tau": 0.01, field: value})
+
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_offset_of_the_kind_required(self, kind):
+        # Each kind's row reads tau (ipo), gamma (simpo) or neither; only that one must be set.
+        needs = {"ipo": "tau", "wrpo_ipo": "tau", "simpo": "gamma", "wrpo_simpo": "gamma"}
+        for field in ("tau", "gamma"):
+            values = {"tau": 0.01, "gamma": 0.0, field: None}
+            if needs.get(kind) == field:
+                with pytest.raises(InputError, match=f"requires {field}"):
+                    obj.ObjectiveConfig(kind, **values)
+            else:
+                assert getattr(obj.ObjectiveConfig(kind, **values), field) is None
 
 
 class TestSimpoLoss:
     def test_equal_averages_gamma_zero_is_log_two(self):
-        bundle = obj.LogProbBundle.pair(role(-2.0, length=2), role(-4.0, length=4))
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("simpo", beta=2.0, gamma=0.0))
+        roles = pair(role(-2.0, length=2), role(-4.0, length=4))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("simpo", beta=2.0, gamma=0.0))
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_direct_value(self):
         # beta=10, avg_w=-1.0, avg_l=-1.2, gamma=1 -> z = 1.0
-        bundle = obj.LogProbBundle.pair(role(-2.0, length=2), role(-6.0, length=5))
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("simpo", beta=10.0, gamma=1.0))
+        roles = pair(role(-2.0, length=2), role(-6.0, length=5))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("simpo", beta=10.0, gamma=1.0))
         assert out.loss == pytest.approx(math.log1p(math.exp(-1.0)), rel=1e-12)
         assert out.loss == pytest.approx(0.313262, abs=1e-6)
 
     def test_reference_not_consumed(self):
-        a = obj.LogProbBundle.pair(role(-2.0, -9.0, 2), role(-3.0, -0.5, 3))
-        b = obj.LogProbBundle.pair(role(-2.0, -1.0, 2), role(-3.0, -8.0, 3))
+        a = pair(role(-2.0, -9.0, 2), role(-3.0, -0.5, 3))
+        b = pair(role(-2.0, -1.0, 2), role(-3.0, -8.0, 3))
         cfg = obj.ObjectiveConfig("simpo", beta=5.0, gamma=0.5)
         assert obj.evaluate_loss(a, cfg).loss == obj.evaluate_loss(b, cfg).loss
 
@@ -187,8 +180,8 @@ class TestWrpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.0)
-            out = obj.evaluate_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
-            ref = obj.evaluate_loss(obj.LogProbBundle.pair(w_t, l), obj.ObjectiveConfig("dpo", beta=0.01))
+            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg)
+            ref = obj.evaluate_loss(pair(w_t, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_t"] - ref.grad_wrt_logps["w"]) <= 1e-12
             assert abs(out.grad_wrt_logps["l"] - ref.grad_wrt_logps["l"]) <= 1e-12
@@ -199,33 +192,33 @@ class TestWrpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=1.0)
-            out = obj.evaluate_loss(obj.LogProbBundle.triple(w_s, w_t, l), cfg)
-            ref = obj.evaluate_loss(obj.LogProbBundle.pair(w_s, l), obj.ObjectiveConfig("dpo", beta=0.01))
+            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg)
+            ref = obj.evaluate_loss(pair(w_s, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_s"] - ref.grad_wrt_logps["w"]) <= 1e-12
             assert out.grad_wrt_logps["w_t"] == 0.0
 
     def test_direct_value(self):
         # alpha=.5, beta=.01, deltas (2, 1, 0) -> z = 0.015
-        bundle = obj.LogProbBundle.triple(
+        roles = triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.015)), rel=1e-12)
         assert out.loss == pytest.approx(0.685669, abs=1e-5)
 
     def test_margins_reported(self):
-        bundle = obj.LogProbBundle.triple(
+        roles = triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
         assert out.hybrid_policy_margin == pytest.approx(0.02, rel=1e-12)
         assert out.on_policy_margin == pytest.approx(0.01, rel=1e-12)
 
     def test_alpha_required(self):
-        bundle = obj.LogProbBundle.triple(role(-1.0), role(-1.0), role(-1.0))
+        roles = triple(role(-1.0), role(-1.0), role(-1.0))
         with pytest.raises(InputError):
-            obj.evaluate_loss(bundle, obj.ObjectiveConfig("wrpo_dpo", beta=0.01))
+            obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01))
 
 
 class TestWrpoSimpoLoss:
@@ -234,22 +227,22 @@ class TestWrpoSimpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             out = obj.evaluate_loss(
-                obj.LogProbBundle.triple(w_s, w_t, l),
+                triple(w_s, w_t, l),
                 obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.0),
             )
             ref = obj.evaluate_loss(
-                obj.LogProbBundle.pair(w_t, l),
+                pair(w_t, l),
                 obj.ObjectiveConfig("simpo", beta=10.0, gamma=0.0),
             )
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_t"] - ref.grad_wrt_logps["w"]) <= 1e-12
 
     def test_equal_averages_gamma_zero_is_log_two(self):
-        bundle = obj.LogProbBundle.triple(
+        roles = triple(
             role(-1.0, length=1), role(-2.0, length=2), role(-3.0, length=3)
         )
         out = obj.evaluate_loss(
-            bundle, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.4)
+            roles, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.4)
         )
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
@@ -260,11 +253,11 @@ class TestWrpoIpoLoss:
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             out = obj.evaluate_loss(
-                obj.LogProbBundle.triple(w_s, w_t, l),
+                triple(w_s, w_t, l),
                 obj.ObjectiveConfig("wrpo_ipo", tau=0.01, alpha=0.0),
             )
             ref = obj.evaluate_loss(
-                obj.LogProbBundle.pair(w_t, l), obj.ObjectiveConfig("ipo", tau=0.01)
+                pair(w_t, l), obj.ObjectiveConfig("ipo", tau=0.01)
             )
             assert abs(out.loss - ref.loss) <= 1e-12
 
@@ -275,7 +268,7 @@ class TestWrpoIpoLoss:
         w_t = role(-2.0, -2.0 - c)
         l = role(-3.0, -3.0)
         out = obj.evaluate_loss(
-            obj.LogProbBundle.triple(w_s, w_t, l),
+            triple(w_s, w_t, l),
             obj.ObjectiveConfig("wrpo_ipo", tau=tau, alpha=alpha),
         )
         assert out.loss == pytest.approx(0.0, abs=1e-18)
@@ -287,11 +280,11 @@ class TestWrpoWithYlsLoss:
         for _ in range(50):
             roles = [rand_role(rng) for _ in range(4)]
             out = obj.evaluate_loss(
-                obj.LogProbBundle.quad(*roles),
+                quad_roles(*roles),
                 obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.0),
             )
             ref = obj.evaluate_loss(
-                obj.LogProbBundle.pair(roles[1], roles[3]),
+                pair(roles[1], roles[3]),
                 obj.ObjectiveConfig("dpo", beta=0.01),
             )
             assert abs(out.loss - ref.loss) <= 1e-12
@@ -299,36 +292,36 @@ class TestWrpoWithYlsLoss:
     def test_all_deltas_zero_is_log_two(self):
         r = role(-5.0, -5.0)
         out = obj.evaluate_loss(
-            obj.LogProbBundle.quad(r, r, r, r),
+            quad_roles(r, r, r, r),
             obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5),
         )
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
     def test_direct_value(self):
         # deltas (2, 1, 0.5, 0), alpha=.5, beta=.01 -> z = 0.0125
-        bundle = obj.LogProbBundle.quad(
+        roles = quad_roles(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-2.5, -3.0), role(-3.0, -3.0)
         )
         out = obj.evaluate_loss(
-            bundle, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
+            roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
         )
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.0125)), rel=1e-12)
         assert out.loss == pytest.approx(0.686913, abs=5e-6)
 
     def test_missing_role(self):
-        bundle = obj.LogProbBundle.triple(role(-1.0), role(-1.0), role(-1.0))
-        with pytest.raises(InputError):
+        roles = triple(role(-1.0), role(-1.0), role(-1.0))
+        with pytest.raises(InputError, match="'l_s'"):
             obj.evaluate_loss(
-                bundle, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
+                roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
             )
 
 
-def make_bundle(rng, kind):
+def make_roles(rng, kind):
     if kind in ("dpo", "ipo", "simpo"):
-        return obj.LogProbBundle.pair(rand_role(rng), rand_role(rng))
+        return pair(rand_role(rng), rand_role(rng))
     if kind == "wrpo_with_yls":
-        return obj.LogProbBundle.quad(*[rand_role(rng) for _ in range(4)])
-    return obj.LogProbBundle.triple(rand_role(rng), rand_role(rng), rand_role(rng))
+        return quad_roles(*[rand_role(rng) for _ in range(4)])
+    return triple(rand_role(rng), rand_role(rng), rand_role(rng))
 
 
 def cfg_for(kind, rng):
@@ -350,22 +343,12 @@ class TestGradientConsistency:
         # cancellation against their ~(1/(2 tau))^2 loss values.
         h = 1e-3 if kind in ("ipo", "wrpo_ipo") else 1e-6
         for _ in range(30):
-            bundle = make_bundle(rng, kind)
+            roles = make_roles(rng, kind)
             cfg = cfg_for(kind, rng)
-            out = obj.evaluate_loss(bundle, cfg)
-            for name, r in bundle.roles.items():
-                up = obj.evaluate_loss(
-                    obj.LogProbBundle(
-                        {**bundle.roles, name: replace(r, theta=r.theta + h)}
-                    ),
-                    cfg,
-                )
-                dn = obj.evaluate_loss(
-                    obj.LogProbBundle(
-                        {**bundle.roles, name: replace(r, theta=r.theta - h)}
-                    ),
-                    cfg,
-                )
+            out = obj.evaluate_loss(roles, cfg)
+            for name, r in roles.items():
+                up = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta + h)}, cfg)
+                dn = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta - h)}, cfg)
                 fd = (up.loss - dn.loss) / (2 * h)
                 assert out.grad_wrt_logps[name] == pytest.approx(
                     fd, rel=1e-6, abs=1e-9
@@ -375,19 +358,14 @@ class TestGradientConsistency:
     def test_sigmoid_losses_positive_and_monotone_in_margin(self, kind):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            bundle = make_bundle(rng, kind)
+            roles = make_roles(rng, kind)
             cfg = cfg_for(kind, rng)
-            base = obj.evaluate_loss(bundle, cfg)
+            base = obj.evaluate_loss(roles, cfg)
             assert base.loss > 0
             # raising any preferred theta lowers the loss, raising a
             # dispreferred one raises it (strict monotonicity in z)
-            for name, r in bundle.roles.items():
-                bumped = obj.evaluate_loss(
-                    obj.LogProbBundle(
-                        {**bundle.roles, name: replace(r, theta=r.theta - 0.5)}
-                    ),
-                    cfg,
-                )
+            for name, r in roles.items():
+                bumped = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta - 0.5)}, cfg)
                 coeff = base.grad_wrt_logps[name]
                 if coeff < 0:
                     assert bumped.loss > base.loss
@@ -405,7 +383,7 @@ class TestGradientConsistency:
         }
 
         def margin(roles):
-            out = obj.evaluate_loss(obj.LogProbBundle(roles), cfg)
+            out = obj.evaluate_loss(roles, cfg)
             r = out.internal_rewards
             return obj.compound_reward(r["w_s"], r["w_t"], alpha) - r["l"]
 
@@ -452,11 +430,9 @@ class TestComposedParameterGradient:
             for k in rng.choice(flat.size, size=15, replace=False):
                 orig = flat[k]
                 flat[k] = orig + h
-                bundle, _ = obj.bundle_from_quadruple(model, ref, quad, kind)
-                up = obj.evaluate_loss(bundle, cfg).loss
+                up = obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
                 flat[k] = orig - h
-                bundle, _ = obj.bundle_from_quadruple(model, ref, quad, kind)
-                dn = obj.evaluate_loss(bundle, cfg).loss
+                dn = obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
                 assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd))
@@ -491,8 +467,8 @@ class TestComposedParameterGradient:
                 alpha=0.5,
             )
             _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
-            _, seqs = obj.bundle_from_quadruple(model, ref, quad, kind)
-            for name, s in seqs.items():
+            packed = obj.PackedRecords(model, ref, [quad], kind)
+            for name, s in zip(packed.roles, packed.groups[0]):
                 direction = float(np.sum(log_prob_gradient(model, s) * -grad))
                 if name.startswith("w"):
                     assert direction > 0, f"{kind}/{name}"
@@ -545,21 +521,20 @@ class TestBundleFromQuadruple:
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_roles_read_their_fields(self, kind, pairing):
         model, ref, quad = self._instance()
-        bundle, seqs = obj.bundle_from_quadruple(model, ref, quad, kind, pairing)
+        packed = obj.PackedRecords(model, ref, [quad], kind, pairing)
         paired = "y_wt" if pairing == "on_policy" else "y_ws"
         expected = {
             name: getattr(quad, field or paired).sequence
             for name, field in self.FIELDS[kind].items()
         }
-        assert list(seqs) == list(expected) == list(bundle.roles)
-        assert seqs == expected
-        for name, seq in seqs.items():
-            assert bundle.roles[name].length == len(seq.response)
+        assert packed.roles == tuple(expected)
+        assert packed.groups[0] == tuple(expected.values())
+        assert packed.lengths == [[len(seq.response) for seq in expected.values()]]
 
     def test_yls_kind_without_yls_rejected(self):
         model, ref, quad = self._instance(y_ls=False)
         with pytest.raises(InputError):
-            obj.bundle_from_quadruple(model, ref, quad, "wrpo_with_yls")
+            obj.PackedRecords(model, ref, [quad], "wrpo_with_yls")
 
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_missing_reference(self, kind):

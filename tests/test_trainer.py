@@ -517,7 +517,7 @@ def _loop_po_step(policy, ref, quads, batch, cfg, pairing):
             seq = seqs[name] = getattr(quads[i], fields[name]).sequence
             ref_lp = 0.0 if cfg.kind in obj.REFERENCE_FREE_KINDS else _loop_log_prob(ref, seq)
             roles[name] = obj.RoleLogProb(_loop_log_prob(policy, seq), ref_lp, len(seq.response))
-        result = obj.evaluate_loss(obj.LogProbBundle(roles=roles), cfg)
+        result = obj.evaluate_loss(roles, cfg)
         g = np.zeros_like(policy.logits)
         for name, seq in seqs.items():
             g += result.grad_wrt_logps[name] * _loop_log_prob_gradient(policy, seq)
