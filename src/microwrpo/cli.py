@@ -139,7 +139,7 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     stages = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
-    quadruples = datagen.read_quadruples(dataset, cfg.vocabulary().size)
+    quadruples = datagen.read_quadruples(dataset, cfg.vocabulary())
     baseline = _init_model(cfg, out, sft=stage != "po")
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
@@ -190,7 +190,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     out = _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
     if gen_files:
         cmd_gen_data(cfg)  # writes the resolved config with its first output
-    quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary().size)
+    quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary())
     _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
     snapshot = None if sft_files else _load_model(cfg, out / SFT_CKPT)
     if not gen_files:

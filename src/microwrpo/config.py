@@ -13,13 +13,7 @@ import copy
 import json
 from dataclasses import dataclass
 
-from .datagen import (
-    BigramRewardOracle,
-    SourceEnsemble,
-    make_oracle,
-    make_prompts,
-    make_source_ensemble,
-)
+from .datagen import BigramRewardOracle, make_oracle, make_prompts, make_source_ensemble
 from .errors import ConfigError, InputError, is_number
 from .objectives import ObjectiveConfig
 from .policy import PolicyModel, SamplingConfig, Vocabulary, default_vocabulary, derive_seed, stream_salt
@@ -278,7 +272,7 @@ class RunConfig:
     def n_samples(self) -> int:
         return self.raw["sampling"]["n_samples"]
 
-    def ensemble(self) -> SourceEnsemble:
+    def ensemble(self) -> dict[str, PolicyModel]:
         task = self.raw["task"]
         specs = [(m["name"], m["sharpness"], m["noise"]) for m in self.raw["ensemble"]]
         return make_source_ensemble(

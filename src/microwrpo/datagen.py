@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,13 +37,8 @@ __all__ = [
     "make_oracle",
     "expert_logit_table",
     "make_source_ensemble",
-    "EnsembleMember",
-    "SourceEnsemble",
     "ScoredResponse",
     "PreferenceQuadruple",
-    "CandidateSet",
-    "SftRecord",
-    "DatasetSplit",
     "make_prompts",
     "sample_scored",
     "generate_candidates",
@@ -157,56 +154,28 @@ def expert_logit_table(
     return sharpness * oracle.weights[last_token]
 
 
-@dataclass(frozen=True)
-class EnsembleMember:
-    name: str
-    model: PolicyModel
-
-    def __post_init__(self):
-        if not self.model.frozen:
-            raise InputError(f"ensemble member {self.name!r} must be frozen")
-
-
-@dataclass(frozen=True)
-class SourceEnsemble:
-    members: tuple[EnsembleMember, ...]
-
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise InputError("ensemble needs at least one member")
-        names = [m.name for m in self.members]
-        if len(set(names)) != len(names):
-            raise InputError("ensemble member names must be unique")
-
-    @classmethod
-    def single(cls, name: str, model: PolicyModel):
-        return cls(members=(EnsembleMember(name, model),))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.members)
-
-
 def make_source_ensemble(
     vocab: Vocabulary,
     order: int,
     oracle: BigramRewardOracle,
     specs: list[tuple[str, float, float]],
     seed: int = 0,
-) -> SourceEnsemble:
-    """Members are expert tables perturbed by per-member Gaussian noise.
+) -> dict[str, PolicyModel]:
+    """{name: frozen model} in spec order; each model is the expert table perturbed
+    by its own Gaussian noise.
 
     specs: (name, sharpness, noise_scale) per member; higher sharpness and
     lower noise means closer to the oracle's preferences.
     """
-    members = []
+    members = {}
     for idx, (name, sharpness, noise) in enumerate(specs):
+        if name in members:
+            raise InputError(f"ensemble member name {name!r} is given twice")
         rng = derive_rng(seed, stream_salt("ensemble-init"), idx)
         table = expert_logit_table(vocab, order, oracle, sharpness)
         table = table + noise * rng.standard_normal(table.shape)
-        model = PolicyModel(vocab=vocab, order=order, logits=table, frozen=True)
-        members.append(EnsembleMember(name=name, model=model))
-    return SourceEnsemble(members=tuple(members))
+        members[name] = PolicyModel(vocab=vocab, order=order, logits=table, frozen=True)
+    return members
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,28 +193,6 @@ class PreferenceQuadruple:
     y_wt: ScoredResponse
     y_l: ScoredResponse
     y_ls: ScoredResponse | None = None
-
-
-@dataclass(frozen=True)
-class SftRecord:
-    prompt: tuple[int, ...]
-    y_ws: ScoredResponse
-
-
-@dataclass
-class CandidateSet:
-    """N scored samples per (prompt, model), in generation order."""
-
-    prompts: list[tuple[int, ...]]
-    model_names: list[str]
-    samples: list[list[list[ScoredResponse]]]  # [prompt][model][sample]
-
-
-@dataclass
-class DatasetSplit:
-    sft_records: list[SftRecord]
-    po_records: list[PreferenceQuadruple]
-    split_fraction: float
 
 
 def make_prompts(
@@ -307,25 +254,26 @@ def sample_scored(
 
 
 def generate_candidates(
-    ensemble: SourceEnsemble,
+    members: Mapping[str, PolicyModel],
     prompts: list[tuple[int, ...]],
     n_samples: int,
     sampling: SamplingConfig,
     oracle: BigramRewardOracle,
-) -> CandidateSet:
-    """Exactly n_samples scored draws per (prompt, member), all under ``sampling``,
-    salted by the member's name."""
+) -> list[list[ScoredResponse]]:
+    """Each prompt's pool of scored draws, in (member, sample) order: exactly
+    n_samples per frozen member, all under ``sampling``, salted by the member's name."""
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
+    if len(members) == 0:
+        raise InputError("ensemble needs at least one member")
+    for name, model in members.items():
+        if not model.frozen:
+            raise InputError(f"ensemble member {name!r} must be frozen")
     per_member = [
-        sample_scored(m.model, m.name, prompts, n_samples, sampling, oracle, m.name)
-        for m in ensemble.members
+        sample_scored(model, name, prompts, n_samples, sampling, oracle, name)
+        for name, model in members.items()
     ]
-    return CandidateSet(
-        prompts=list(prompts),
-        model_names=list(ensemble.names),
-        samples=[list(per_prompt) for per_prompt in zip(*per_member)],
-    )
+    return [list(chain.from_iterable(per_prompt)) for per_prompt in zip(*per_member)]
 
 
 def _argbest(candidates: list[ScoredResponse], want_max: bool) -> ScoredResponse:
@@ -354,27 +302,29 @@ def target_pairs(
     return pairs
 
 
+def _pool_prompts(pools: list[list[ScoredResponse]]) -> list[tuple[int, ...]]:
+    return [pool[0].sequence.prompt for pool in pools]
+
+
 def assemble_quadruples(
-    candidates_source: CandidateSet,
-    candidates_target: CandidateSet,
+    source_pools: list[list[ScoredResponse]],
+    target_pools: list[list[ScoredResponse]],
     include_yls: bool = False,
 ) -> tuple[list[PreferenceQuadruple], list[tuple[str, int, float]]]:
-    """Select y_ws / y_wt / y_l per prompt and tally source attribution.
+    """Select y_ws / y_wt / y_l per prompt from generate_candidates' pools and
+    tally source attribution.
 
     Returns (quadruples, attribution rows) where each attribution row is
-    (model name, win count, percentage of prompts won).
+    (model name, win count, percentage of prompts won), in member order.
     """
-    if candidates_source.prompts != candidates_target.prompts:
-        raise InputError("source and target candidate sets cover different prompts")
-    wins = {name: 0 for name in candidates_source.model_names}
+    prompts = _pool_prompts(source_pools)
+    if prompts != _pool_prompts(target_pools):
+        raise InputError("source and target candidate pools cover different prompts")
+    # Every pool holds every member's draws, in member order.
+    wins = dict.fromkeys((c.model for c in source_pools[0]), 0)
     quadruples = []
-    pairs = target_pairs(
-        [[c for per_model in samples for c in per_model] for samples in candidates_target.samples]
-    )
-    for p_idx, (prompt, (y_wt, y_l)) in enumerate(zip(candidates_source.prompts, pairs)):
-        source_pool = [
-            c for per_model in candidates_source.samples[p_idx] for c in per_model
-        ]
+    pairs = target_pairs(target_pools)
+    for prompt, source_pool, (y_wt, y_l) in zip(prompts, source_pools, pairs):
         y_ws = _argbest(source_pool, want_max=True)
         y_ls = None
         if include_yls:
@@ -387,17 +337,14 @@ def assemble_quadruples(
             )
         )
     n = len(quadruples)
-    attribution = [
-        (name, wins[name], 100.0 * wins[name] / n)
-        for name in candidates_source.model_names
-    ]
+    attribution = [(name, count, 100.0 * count / n) for name, count in wins.items()]
     return quadruples, attribution
 
 
 def split_dataset(
     quadruples: list[PreferenceQuadruple], fraction: float, seed: int
-) -> DatasetSplit:
-    """Seeded shuffle then prefix split into SFT records and PO quadruples."""
+) -> tuple[list[PreferenceQuadruple], list[PreferenceQuadruple]]:
+    """Seeded shuffle then prefix split: (SFT part, PO part)."""
     if not 0 < fraction < 1:
         raise InputError("split fraction must be in (0, 1)")
     if len(quadruples) < 2:
@@ -408,9 +355,7 @@ def split_dataset(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(quadruples))
     n_sft = int(fraction * len(quadruples))
-    sft = [SftRecord(quadruples[i].prompt, quadruples[i].y_ws) for i in perm[:n_sft]]
-    po = [quadruples[i] for i in perm[n_sft:]]
-    return DatasetSplit(sft_records=sft, po_records=po, split_fraction=fraction)
+    return [quadruples[i] for i in perm[:n_sft]], [quadruples[i] for i in perm[n_sft:]]
 
 
 @dataclass
@@ -509,13 +454,15 @@ def _check_range(tokens: list[int], vocab_size: int, field: str) -> None:
         raise DataError(f"{field} has a token id outside the vocabulary of size {vocab_size}")
 
 
-def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab_size: int) -> ScoredResponse:
+def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab: Vocabulary) -> ScoredResponse:
     if not isinstance(d, dict):
         raise DataError(f"{role} must be an object")
     for key, (ok, what) in _ROLE_FIELDS.items():
         if not ok(d.get(key)):
             raise DataError(f"{role}.{key} must be {what}")
-    _check_range(d["tokens"], vocab_size, f"{role}.tokens")
+    _check_range(d["tokens"], vocab.size, f"{role}.tokens")
+    if d["tokens"][-1] != vocab.eos_id:
+        raise DataError(f"{role}.tokens must end in eos")
     return ScoredResponse(
         sequence=Sequence(prompt=prompt, response=tuple(d["tokens"])),
         score=float(d["score"]),
@@ -524,20 +471,20 @@ def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab_size: int) -> S
     )
 
 
-def _quadruple_from_dict(d: dict, vocab_size: int) -> PreferenceQuadruple:
+def _quadruple_from_dict(d: dict, vocab: Vocabulary) -> PreferenceQuadruple:
     if not _is_token_list(d.get("prompt")):
         raise DataError("prompt must be a non-empty list of token ids")
-    _check_range(d["prompt"], vocab_size, "prompt")
+    _check_range(d["prompt"], vocab.size, "prompt")
     prompt = tuple(d["prompt"])
     roles = {
-        role: _role_from_dict(prompt, d.get(role), role, vocab_size)
+        role: _role_from_dict(prompt, d.get(role), role, vocab)
         for role in ("y_ws", "y_wt", "y_l")
     }
     y_ls = d.get("y_ls")
     return PreferenceQuadruple(
         prompt=prompt,
         **roles,
-        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls", vocab_size),
+        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls", vocab),
     )
 
 
@@ -580,9 +527,9 @@ def jsonl_records(path):
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
 
 
-def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:
-    """Read write_quadruples' JSONL; a malformed record, an empty prompt or a token id
-    outside a vocabulary of ``vocab_size`` tokens raises DataError."""
+def read_quadruples(path, vocab: Vocabulary) -> list[PreferenceQuadruple]:
+    """Read write_quadruples' JSONL; a malformed record, an empty prompt, a token id
+    outside ``vocab`` or a response that does not end in its eos raises DataError."""
     quadruples = []
     for line_no, d in jsonl_records(path):
         if not isinstance(d, dict):
@@ -592,7 +539,7 @@ def read_quadruples(path, vocab_size: int) -> list[PreferenceQuadruple]:
                 f"{path}:{line_no}: unsupported schema version {d.get('schema_version')!r}"
             )
         try:
-            quadruples.append(_quadruple_from_dict(d, vocab_size))
+            quadruples.append(_quadruple_from_dict(d, vocab))
         except DataError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
     return quadruples

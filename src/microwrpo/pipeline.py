@@ -13,7 +13,7 @@ import numpy as np
 
 from . import datagen, trainer
 from .config import RunConfig
-from .datagen import CandidateSet, PreferenceQuadruple
+from .datagen import PreferenceQuadruple, ScoredResponse
 from .objectives import WRPO_KINDS
 from .policy import PolicyModel, derive_seed, stream_salt
 
@@ -26,13 +26,14 @@ def _seed(cfg: RunConfig, stream: str) -> int:
 
 @dataclass
 class Dataset:
-    """The quadruples, the frozen initial target and the candidates they were selected from."""
+    """The quadruples, the frozen initial target and the per-prompt candidate pools
+    they were selected from."""
 
     target_init: PolicyModel
     quadruples: list[PreferenceQuadruple]
     attribution: list[tuple[str, int, float]]
-    source_candidates: CandidateSet
-    target_candidates: CandidateSet
+    source_pools: list[list[ScoredResponse]]
+    target_pools: list[list[ScoredResponse]]
 
 
 def build_dataset(cfg: RunConfig) -> Dataset:
@@ -40,17 +41,18 @@ def build_dataset(cfg: RunConfig) -> Dataset:
     oracle = cfg.oracle()
     prompts = cfg.prompts()
     target = cfg.target_init().copy(frozen=True)
-    target_ensemble = datagen.SourceEnsemble.single("target-init", target)
     n, sampling = cfg.n_samples(), cfg.sampling_config()
     src = datagen.generate_candidates(cfg.ensemble(), prompts, n, sampling, oracle)
-    tgt = datagen.generate_candidates(target_ensemble, prompts, n, sampling, oracle)
+    tgt = datagen.generate_candidates({"target-init": target}, prompts, n, sampling, oracle)
     quadruples, attribution = datagen.assemble_quadruples(
         src, tgt, include_yls=cfg.raw["data"]["include_yls"]
     )
     return Dataset(target, quadruples, attribution, src, tgt)
 
 
-def _split(cfg: RunConfig, quadruples: list[PreferenceQuadruple]) -> datagen.DatasetSplit:
+def _split(
+    cfg: RunConfig, quadruples: list[PreferenceQuadruple]
+) -> tuple[list[PreferenceQuadruple], list[PreferenceQuadruple]]:
     return datagen.split_dataset(
         quadruples, cfg.raw["data"]["split_fraction"], seed=_seed(cfg, "split")
     )
@@ -59,9 +61,10 @@ def _split(cfg: RunConfig, quadruples: list[PreferenceQuadruple]) -> datagen.Dat
 def sft(cfg: RunConfig, quadruples: list[PreferenceQuadruple]) -> tuple[PolicyModel, list[float]]:
     """SFT of the initial target on the SFT split's y_ws: a frozen snapshot and per-step losses."""
     stage = cfg.raw["sft"]
+    sft_part, _ = _split(cfg, quadruples)
     return trainer.run_sft(
         cfg.target_init(),
-        _split(cfg, quadruples).sft_records,
+        [q.y_ws.sequence for q in sft_part],
         cfg.optimizer_config("sft"),
         epochs=stage["epochs"],
         batch_size=stage["batch_size"],
@@ -74,9 +77,10 @@ def prepare_po(
 ) -> tuple[list[PreferenceQuadruple], list[PreferenceQuadruple], list[PreferenceQuadruple]]:
     """(pairs, train, heldout): y_wt / y_l regenerated from the snapshot in PO-split
     order, then po.eval_holdout_fraction of them held out."""
+    _, po_part = _split(cfg, quadruples)
     pairs = trainer.regenerate_target_pairs(
         snapshot,
-        _split(cfg, quadruples).po_records,
+        po_part,
         cfg.n_samples(),
         cfg.sampling_config(),
         cfg.oracle(),

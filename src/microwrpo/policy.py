@@ -33,7 +33,6 @@ __all__ = [
     "SamplingConfig",
     "default_vocabulary",
     "sequence_log_prob",
-    "avg_log_prob",
     "log_prob_gradient",
     "PackedBatch",
     "PackedSequences",
@@ -412,19 +411,9 @@ def _cuts(counts: np.ndarray, step: int) -> list[int]:
     return [*ends[:-1][::step].tolist(), int(ends[-1])]
 
 
-def context_rows(model: PolicyModel, seq: Sequence) -> np.ndarray:
-    """Row index into the logit table for each response position."""
-    return PackedSequences(model, [(seq,)]).rows
-
-
 def sequence_log_prob(model: PolicyModel, seq: Sequence) -> float:
     """Sum over response positions of log p(y_t | last-k context)."""
     return float(PackedSequences(model, [(seq,)]).log_probs(model)[0, 0])
-
-
-def avg_log_prob(model: PolicyModel, seq: Sequence) -> float:
-    """Per-token average of sequence_log_prob (the length-normalized reward base)."""
-    return sequence_log_prob(model, seq) / len(seq.response)
 
 
 def log_prob_gradient(model: PolicyModel, seq: Sequence) -> np.ndarray:

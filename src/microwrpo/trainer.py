@@ -19,13 +19,12 @@ from . import objectives as obj
 from .datagen import (
     BigramRewardOracle,
     PreferenceQuadruple,
-    SftRecord,
     jsonl_records,
     sample_scored,
     target_pairs,
 )
 from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
-from .policy import PackedSequences, PolicyModel, SamplingConfig
+from .policy import PackedSequences, PolicyModel, SamplingConfig, Sequence
 from .schedule import FusionSchedule, alpha_at
 
 __all__ = [
@@ -154,27 +153,27 @@ def n_optimizer_steps(n_records: int, batch_size: int, epochs: int) -> int:
 
 def run_sft(
     model: PolicyModel,
-    sft_records: list[SftRecord],
+    sequences: list[Sequence],
     opt_cfg: OptimizerConfig,
     epochs: int = 1,
     batch_size: int = 16,
     seed: int = 0,
 ) -> tuple[PolicyModel, list[float]]:
-    """Minimize mean NLL of y_ws given its prompt; returns a frozen snapshot.
+    """Minimize mean NLL of each response given its prompt; returns a frozen snapshot.
 
     The input model is left untouched. With epochs == 0 the snapshot is a
     frozen copy of the input.
     """
-    if len(sft_records) == 0:
-        raise InputError("sft record list is empty")
+    if len(sequences) == 0:
+        raise InputError("sft sequence list is empty")
     if model.frozen:
         raise UsageError("cannot train a frozen model")
     policy = model.copy(frozen=False)
-    total = n_optimizer_steps(len(sft_records), batch_size, epochs)
+    total = n_optimizer_steps(len(sequences), batch_size, epochs)
     optimizer = Optimizer(opt_cfg, policy.logits.shape, total)
-    packed = PackedSequences(policy, [(r.y_ws.sequence,) for r in sft_records])
+    packed = PackedSequences(policy, [(seq,) for seq in sequences])
     losses: list[float] = []
-    for batch in _batches(len(sft_records), batch_size, epochs, seed):
+    for batch in _batches(len(sequences), batch_size, epochs, seed):
         forward = packed.forward(policy, batch)
         nll = 0.0
         for (log_prob,) in forward.log_probs.tolist():

@@ -463,9 +463,8 @@ def check_selection_optimality(rng, n) -> str | None:
     for _ in range(n):
         cfg = _toy_config(rng)
         data, oracle = pipeline.build_dataset(cfg), cfg.oracle()
-        for p_idx, quad in enumerate(data.quadruples):
-            pool = [c for per_model in data.source_candidates.samples[p_idx] for c in per_model]
-            tpool = [c for per_model in data.target_candidates.samples[p_idx] for c in per_model]
+        pools = zip(data.quadruples, data.source_pools, data.target_pools)
+        for p_idx, (quad, pool, tpool) in enumerate(pools):
             for cand in pool + tpool:
                 if cand.score != oracle.score(quad.prompt, cand.sequence.response):
                     return f"prompt {p_idx}: a stored score differs from its rescoring"

@@ -117,38 +117,29 @@ class TestCriterion4DataConstruction:
         cfg = load_config(None, overrides={"task": {"n_prompts": 200}}, seed=1)
         oracle = cfg.oracle()
         prompts = cfg.prompts()
-        assert len(prompts) == 200 and len(cfg.ensemble().members) == 3
+        ensemble = cfg.ensemble()
+        assert len(prompts) == 200 and len(ensemble) == 3
         sampling = cfg.sampling_config()
-        src = datagen.generate_candidates(cfg.ensemble(), prompts, 5, sampling, oracle)
+        src = datagen.generate_candidates(ensemble, prompts, 5, sampling, oracle)
         target = cfg.target_init().copy(frozen=True)
-        tgt = datagen.generate_candidates(
-            datagen.SourceEnsemble.single("target-init", target),
-            prompts,
-            5,
-            sampling,
-            oracle,
-        )
+        tgt = datagen.generate_candidates({"target-init": target}, prompts, 5, sampling, oracle)
         quads, attribution = datagen.assemble_quadruples(src, tgt, include_yls=True)
-        ens_order = list(src.model_names)
-        for p_idx, quad in enumerate(quads):
+        ens_order = list(ensemble)
+        for quad, pool, tpool in zip(quads, src, tgt):
             # independent selection: rescore every stored candidate from its
             # raw tokens and apply the (model order, sample index) tie rule
             best = None
-            for m_idx, per_model in enumerate(src.samples[p_idx]):
-                for cand in per_model:
-                    score = oracle.score(quad.prompt, cand.sequence.response)
-                    assert score == cand.score  # stored scores are honest
-                    key = (-score, m_idx, cand.sample_index)
-                    if best is None or key < best[0]:
-                        best = (key, cand)
+            for cand in pool:
+                score = oracle.score(quad.prompt, cand.sequence.response)
+                assert score == cand.score  # stored scores are honest
+                key = (-score, ens_order.index(cand.model), cand.sample_index)
+                if best is None or key < best[0]:
+                    best = (key, cand)
             assert quad.y_ws == best[1]
-            t_scores = [
-                oracle.score(quad.prompt, c.sequence.response)
-                for c in tgt.samples[p_idx][0]
-            ]
+            t_scores = [oracle.score(quad.prompt, c.sequence.response) for c in tpool]
             assert quad.y_wt.score == max(t_scores)
             assert quad.y_l.score == min(t_scores)
-            same = [c for c in sum(src.samples[p_idx], []) if c.model == quad.y_ws.model]
+            same = [c for c in pool if c.model == quad.y_ws.model]
             assert quad.y_ls.score == min(c.score for c in same)
         total = sum(pct for _, _, pct in attribution)
         assert abs(total - 100.0) <= 0.01

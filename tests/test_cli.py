@@ -54,7 +54,7 @@ class TestGenData:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert run_cli("gen-data", "--config", path, "--out", str(out)) == 0
-        quads = datagen.read_quadruples(out / "dataset.jsonl", default_vocabulary(6).size)
+        quads = datagen.read_quadruples(out / "dataset.jsonl", default_vocabulary(6))
         assert len(quads) == 4
         assert (out / "attribution.csv").exists()
         assert (out / "deviation.json").exists()
@@ -299,7 +299,7 @@ class TestSweepAlpha:
         cfg = load_config(path, seed=6, out_dir=str(out))
         direct, _ = cli._sweep_one(
             cli._job_config(cfg, 0.3, "linear"),
-            datagen.read_quadruples(out / "dataset.jsonl", cfg.vocabulary().size),
+            datagen.read_quadruples(out / "dataset.jsonl", cfg.vocabulary()),
             load_checkpoint(out / "target_sft.json"),
         )
         row = next(r for r in rows if r["kind"] == "linear")
@@ -540,6 +540,21 @@ class TestMalformedInput:
         path, out = run_dir
         _edit_first_line(out / "dataset.jsonl", edit)
         assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+
+    @pytest.mark.parametrize(
+        "command",
+        [("train", "--stage", "po"), ("sweep-alpha", "--targets", "0.5", "--kinds", "static")],
+        ids=["train-po", "sweep"],
+    )
+    @pytest.mark.parametrize("role", ["y_ws", "y_l", "y_ls"])
+    def test_response_without_eos(self, run_dir, capsys, command, role):
+        # PO regenerates y_l and wrpo_dpo never reads y_ls; the read still refuses them.
+        path, out = run_dir
+        _edit_first_line(out / "dataset.jsonl", lambda r: r[role]["tokens"].__setitem__(-1, 3))
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+        assert f"dataset.jsonl:1: {role}.tokens must end in eos" in capsys.readouterr().err
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
 
     @pytest.mark.parametrize(
         "edit",

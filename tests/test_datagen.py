@@ -14,10 +14,10 @@ from microwrpo.policy import (
     PolicyModel,
     SamplingConfig,
     Sequence,
-    avg_log_prob,
     default_vocabulary,
     derive_rng,
     sample_response,
+    sequence_log_prob,
     stream_salt,
 )
 
@@ -32,13 +32,7 @@ def small_world(seed=0, n_prompts=20, n_samples=3, specs=None):
     target = PolicyModel.random_init(VOCAB, 2, 0.5, seed=seed + 99, frozen=True)
     prompts = datagen.make_prompts(VOCAB, n_prompts, prompt_length=2, seed=seed)
     src = datagen.generate_candidates(ensemble, prompts, n_samples, SAMPLING, oracle)
-    tgt = datagen.generate_candidates(
-        datagen.SourceEnsemble.single("target", target),
-        prompts,
-        n_samples,
-        SAMPLING,
-        oracle,
-    )
+    tgt = datagen.generate_candidates({"target": target}, prompts, n_samples, SAMPLING, oracle)
     return oracle, ensemble, target, prompts, src, tgt
 
 
@@ -143,11 +137,11 @@ class TestSampleScored:
 
     def test_candidates_are_per_member_draws_transposed(self):
         oracle, ensemble, _, prompts, src, _ = small_world(n_prompts=4)
-        for m, member in enumerate(ensemble.members):
-            draws = datagen.sample_scored(
-                member.model, member.name, prompts, 3, SAMPLING, oracle, member.name
-            )
-            assert [per_prompt[m] for per_prompt in src.samples] == draws
+        per_member = [
+            datagen.sample_scored(model, name, prompts, 3, SAMPLING, oracle, name)
+            for name, model in ensemble.items()
+        ]
+        assert src == [a + b for a, b in zip(*per_member)]
 
     def test_zero_samples_rejected(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
@@ -159,35 +153,55 @@ class TestSampleScored:
 class TestGenerateCandidates:
     def test_counts(self):
         _, _, _, prompts, src, _ = small_world(n_prompts=5, n_samples=4)
-        assert len(src.samples) == 5
-        for per_prompt in src.samples:
-            assert len(per_prompt) == 2
-            for per_model in per_prompt:
-                assert len(per_model) == 4
+        assert len(src) == 5
+        for prompt, pool in zip(prompts, src):
+            assert [(c.model, c.sample_index) for c in pool] == [
+                (name, s) for name in ("sharp", "noisy") for s in range(4)
+            ]
+            assert {c.sequence.prompt for c in pool} == {prompt}
 
     def test_single_sample_single_member(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
         member = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
-        ens = datagen.SourceEnsemble.single("only", member)
-        out = datagen.generate_candidates(ens, [(2, 3)], 1, SAMPLING, oracle)
-        assert len(out.samples) == 1 and len(out.samples[0][0]) == 1
+        out = datagen.generate_candidates({"only": member}, [(2, 3)], 1, SAMPLING, oracle)
+        assert len(out) == 1 and len(out[0]) == 1
 
     def test_deterministic_rerun(self):
         _, _, _, _, src1, _ = small_world(seed=2)
         _, _, _, _, src2, _ = small_world(seed=2)
-        assert src1.samples == src2.samples
+        assert src1 == src2
 
     def test_empty_prompts_rejected(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
         member = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
-        ens = datagen.SourceEnsemble.single("only", member)
         with pytest.raises(InputError):
-            datagen.generate_candidates(ens, [], 1, SAMPLING, oracle)
+            datagen.generate_candidates({"only": member}, [], 1, SAMPLING, oracle)
+
+    def test_empty_ensemble_rejected(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
+        with pytest.raises(InputError, match="at least one member"):
+            datagen.generate_candidates({}, [(2, 3)], 1, SAMPLING, oracle)
 
     def test_unfrozen_member_rejected(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1)
-        with pytest.raises(InputError):
-            datagen.EnsembleMember("x", model)
+        with pytest.raises(InputError, match="'x' must be frozen"):
+            datagen.generate_candidates({"x": model}, [(2, 3)], 1, SAMPLING, oracle)
+
+
+class TestMakeSourceEnsemble:
+    def test_members_frozen_in_spec_order(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
+        specs = [("b", 6.0, 0.3), ("a", 2.0, 1.0)]
+        members = datagen.make_source_ensemble(VOCAB, 2, oracle, specs)
+        assert list(members) == ["b", "a"]
+        assert all(model.frozen for model in members.values())
+
+    def test_repeated_name_rejected(self):
+        oracle = datagen.make_oracle(VOCAB, seed=5)
+        specs = [("a", 6.0, 0.3), ("a", 2.0, 1.0)]
+        with pytest.raises(InputError, match="'a' is given twice"):
+            datagen.make_source_ensemble(VOCAB, 2, oracle, specs)
 
 
 class TestAssembleQuadruples:
@@ -209,8 +223,8 @@ class TestAssembleQuadruples:
         assert by_name["expert"] == 100.0
         assert by_name["anti"] == 0.0
         # brute-force check: every winner really outscored every anti sample
-        for p_idx, quad in enumerate(quads):
-            anti = [c for c in sum(src.samples[p_idx], []) if c.model == "anti"]
+        for quad, pool in zip(quads, src):
+            anti = [c for c in pool if c.model == "anti"]
             assert all(quad.y_ws.score > c.score for c in anti)
 
     def test_tie_break_prefers_earlier_model_then_lower_index(self):
@@ -219,41 +233,26 @@ class TestAssembleQuadruples:
         def cand(model, idx, score):
             return datagen.ScoredResponse(seq, score, model, idx)
 
-        src = datagen.CandidateSet(
-            prompts=[(2,)],
-            model_names=["a", "b"],
-            samples=[[[cand("a", 0, 1.0), cand("a", 1, 1.0)], [cand("b", 0, 1.0)]]],
-        )
-        tgt = datagen.CandidateSet(
-            prompts=[(2,)],
-            model_names=["t"],
-            samples=[[[cand("t", 0, 0.5), cand("t", 1, 0.5)]]],
-        )
+        src = [[cand("a", 0, 1.0), cand("a", 1, 1.0), cand("b", 0, 1.0)]]
+        tgt = [[cand("t", 0, 0.5), cand("t", 1, 0.5)]]
         quads, attribution = datagen.assemble_quadruples(src, tgt)
         assert quads[0].y_ws.model == "a" and quads[0].y_ws.sample_index == 0
         assert quads[0].y_wt.sample_index == 0
         assert quads[0].y_l.sample_index == 0
-        assert attribution[0] == ("a", 1, 100.0)
+        assert attribution == [("a", 1, 100.0), ("b", 0, 0.0)]
 
     def test_identical_target_samples_keep_degenerate_pair(self):
         seq = Sequence(prompt=(2,), response=(3, VOCAB.eos_id))
         cand = lambda i: datagen.ScoredResponse(seq, 0.4, "t", i)
-        src = datagen.CandidateSet(
-            prompts=[(2,)],
-            model_names=["s"],
-            samples=[[[datagen.ScoredResponse(seq, 1.0, "s", 0)]]],
-        )
-        tgt = datagen.CandidateSet(
-            prompts=[(2,)], model_names=["t"], samples=[[[cand(0), cand(1)]]]
-        )
+        src = [[datagen.ScoredResponse(seq, 1.0, "s", 0)]]
+        tgt = [[cand(0), cand(1)]]
         quads, _ = datagen.assemble_quadruples(src, tgt)
         assert quads[0].y_wt.score == quads[0].y_l.score
 
     def test_prompt_mismatch_rejected(self):
         _, _, _, _, src, tgt = small_world(n_prompts=5)
-        tgt.prompts = list(reversed(tgt.prompts))
-        with pytest.raises(InputError):
-            datagen.assemble_quadruples(src, tgt)
+        with pytest.raises(InputError, match="different prompts"):
+            datagen.assemble_quadruples(src, tgt[::-1])
 
     def test_attribution_sums_to_100(self):
         _, _, _, _, src, tgt = small_world(n_prompts=23, n_samples=3)
@@ -269,9 +268,9 @@ class TestSplitDataset:
 
     def test_floor_arithmetic_300_records(self):
         quads = self._quads_300()
-        split = datagen.split_dataset(quads, 1.0 / 3.0, seed=0)
-        assert len(split.sft_records) == 100
-        assert len(split.po_records) == 200
+        sft_part, po_part = datagen.split_dataset(quads, 1.0 / 3.0, seed=0)
+        assert len(sft_part) == 100
+        assert len(po_part) == 200
 
     def _quads_300(self):
         # synthetic quadruples; splitting only looks at prompts
@@ -289,9 +288,9 @@ class TestSplitDataset:
 
     def test_disjoint_prompts(self):
         quads = self._quads(20)
-        split = datagen.split_dataset(quads, 0.3, seed=1)
-        sft_prompts = {r.prompt for r in split.sft_records}
-        po_prompts = {q.prompt for q in split.po_records}
+        sft_part, po_part = datagen.split_dataset(quads, 0.3, seed=1)
+        sft_prompts = {q.prompt for q in sft_part}
+        po_prompts = {q.prompt for q in po_part}
         assert sft_prompts.isdisjoint(po_prompts)
         assert len(sft_prompts) + len(po_prompts) == 20
 
@@ -299,7 +298,7 @@ class TestSplitDataset:
         quads = self._quads(20)
         a = datagen.split_dataset(quads, 0.3, seed=9)
         b = datagen.split_dataset(quads, 0.3, seed=9)
-        assert [r.prompt for r in a.sft_records] == [r.prompt for r in b.sft_records]
+        assert a == b
 
     def test_bad_fraction_rejected(self):
         quads = self._quads(10)
@@ -324,16 +323,16 @@ class TestDeviationReport:
             < report.roles["target_origin"].mean_avg_logp
         )
         # verify one role mean by direct recomputation
-        direct = np.mean([avg_log_prob(target, q.y_ws.sequence) for q in quads])
+        direct = np.mean(
+            [sequence_log_prob(target, q.y_ws.sequence) / len(q.y_ws.sequence) for q in quads]
+        )
         assert report.roles["y_ws"].mean_avg_logp == pytest.approx(direct, rel=1e-12)
 
     def test_identical_models_agree_within_three_se(self):
         oracle = datagen.make_oracle(VOCAB, seed=5)
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
         prompts = datagen.make_prompts(VOCAB, 30, 2, seed=8)
-        mk = lambda name: datagen.generate_candidates(
-            datagen.SourceEnsemble.single(name, model), prompts, 4, SAMPLING, oracle
-        )
+        mk = lambda name: datagen.generate_candidates({name: model}, prompts, 4, SAMPLING, oracle)
         quads, _ = datagen.assemble_quadruples(mk("as-source"), mk("as-target"))
         report = datagen.distribution_deviation_report(model, quads)
         s, t = report.roles["y_ws"], report.roles["target_origin"]
@@ -375,7 +374,7 @@ class TestJsonlRoundTrip:
         quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         datagen.write_quadruples(p1, quads)
-        again = datagen.read_quadruples(p1, VOCAB.size)
+        again = datagen.read_quadruples(p1, VOCAB)
         assert again == quads
         datagen.write_quadruples(p2, again)
         assert p1.read_bytes() == p2.read_bytes()
@@ -386,7 +385,7 @@ class TestJsonlRoundTrip:
         from microwrpo.errors import DataError
 
         with pytest.raises(DataError):
-            datagen.read_quadruples(path, VOCAB.size)
+            datagen.read_quadruples(path, VOCAB)
 
 
 TYPE_ERROR = "{} must be a non-empty list of token ids"
@@ -423,7 +422,7 @@ class TestReadTokenLists:
             edit(record)
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        return datagen.read_quadruples(path, VOCAB.size)
+        return datagen.read_quadruples(path, VOCAB)
 
     @pytest.mark.parametrize("role", ["prompt", "y_ws", "y_wt", "y_l", "y_ls"])
     @pytest.mark.parametrize(
@@ -454,8 +453,15 @@ class TestReadTokenLists:
 
     def test_largest_token_id_read(self, tmp_path, record):
         top = VOCAB.size - 1
-        quad = self._read(tmp_path, record, _tokens("prompt", [0, top]), _tokens("y_l", [top]))
-        assert quad[0].prompt == (0, top) and quad[0].y_l.sequence.response == (top,)
+        edits = _tokens("prompt", [0, top]), _tokens("y_l", [top, VOCAB.eos_id])
+        quad = self._read(tmp_path, record, *edits)
+        assert quad[0].prompt == (0, top) and quad[0].y_l.sequence.response == (top, VOCAB.eos_id)
+
+    @pytest.mark.parametrize("role", ["y_ws", "y_wt", "y_l", "y_ls"])
+    @pytest.mark.parametrize("tokens", [[3], [VOCAB.eos_id, 3]], ids=["no-eos", "eos-not-last"])
+    def test_response_must_end_in_eos(self, tmp_path, record, role, tokens):
+        with pytest.raises(DataError, match=re.escape(f":1: {role}.tokens must end in eos") + "$"):
+            self._read(tmp_path, record, _tokens(role, tokens))
 
     @pytest.mark.parametrize(
         "edits, error",
@@ -482,9 +488,15 @@ class TestReadTokenLists:
                 [_tokens("y_l", [True]), _tokens("y_ls", [VOCAB.size])],
                 TYPE_ERROR.format("y_l.tokens"),
             ),
+            # A role's range is checked before its final eos.
+            ([_tokens("y_ws", [VOCAB.size, 3])], RANGE_ERROR.format("y_ws.tokens")),
+            (
+                [_tokens("y_ws", [3]), _tokens("y_wt", [VOCAB.size])],
+                "y_ws.tokens must end in eos",
+            ),
         ],
         ids=["range-after-score", "type-before-score", "prompt-first", "y_wt-before-y_l",
-             "y_l-before-y_ls"],
+             "y_l-before-y_ls", "range-before-eos", "y_ws-eos-before-y_wt"],
     )
     def test_first_fault_reported(self, tmp_path, record, edits, error):
         with pytest.raises(DataError, match=re.escape(":1: " + error) + "$"):

@@ -17,7 +17,6 @@ from microwrpo.policy import (
     SamplingConfig,
     Sequence,
     Vocabulary,
-    avg_log_prob,
     default_vocabulary,
     derive_rng,
     derive_seed,
@@ -211,27 +210,6 @@ class TestSequenceLogProb:
         model = PolicyModel.uniform(VOCAB4)
         with pytest.raises(InputError):
             sequence_log_prob(model, Sequence(prompt=(2,), response=(2, 3)))
-
-
-class TestAvgLogProb:
-    def test_uniform_model_is_length_invariant(self):
-        model = PolicyModel.uniform(VOCAB4)
-        for n in (1, 3, 7):
-            seq = Sequence(prompt=(2,), response=(2,) * (n - 1) + (VOCAB4.eos_id,))
-            assert avg_log_prob(model, seq) == pytest.approx(math.log(1 / 4), rel=1e-12)
-            assert avg_log_prob(model, seq) == pytest.approx(-1.386294, abs=1e-6)
-
-    def test_length_one_equals_sequence_log_prob(self):
-        model = random_model(5)
-        seq = Sequence(prompt=(2, 2), response=(VOCAB4.eos_id,))
-        assert avg_log_prob(model, seq) == sequence_log_prob(model, seq)
-
-    def test_is_sum_oracle_over_length(self):
-        rng = np.random.default_rng(11)
-        model = random_model(9)
-        seq = verify.random_sequence(rng, VOCAB4)
-        expected = brute_force_log_prob(model, seq) / len(seq.response)
-        assert avg_log_prob(model, seq) == pytest.approx(expected, rel=1e-12)
 
 
 class TestLogProbGradient:

@@ -11,10 +11,10 @@ from microwrpo import objectives as obj
 from microwrpo.config import load_config
 from microwrpo.errors import ConfigError, InputError, UsageError
 from microwrpo.policy import (
+    PackedSequences,
     PolicyModel,
     SamplingConfig,
     Sequence,
-    context_rows,
     default_vocabulary,
     sequence_log_prob,
 )
@@ -32,21 +32,13 @@ def toy_quadruples(seed=0, n_prompts=24, n_samples=3):
     target = PolicyModel.random_init(VOCAB, 2, 0.5, seed=seed + 99, frozen=True)
     prompts = datagen.make_prompts(VOCAB, n_prompts, prompt_length=2, seed=seed)
     src = datagen.generate_candidates(ensemble, prompts, n_samples, SAMPLING, oracle)
-    tgt = datagen.generate_candidates(
-        datagen.SourceEnsemble.single("target", target),
-        prompts,
-        n_samples,
-        SAMPLING,
-        oracle,
-    )
+    tgt = datagen.generate_candidates({"target": target}, prompts, n_samples, SAMPLING, oracle)
     quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
     return oracle, target, quads
 
 
-def full_nll(model, records):
-    return -float(
-        np.mean([sequence_log_prob(model, r.y_ws.sequence) for r in records])
-    )
+def full_nll(model, sequences):
+    return -float(np.mean([sequence_log_prob(model, seq) for seq in sequences]))
 
 
 class TestOptimizer:
@@ -103,10 +95,10 @@ class TestOptimizer:
 class TestRunSft:
     def test_zero_epochs_returns_unchanged_snapshot(self):
         _, _, quads = toy_quadruples()
-        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        sequences = [q.y_ws.sequence for q in quads]
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1)
         snap, losses = trainer.run_sft(
-            model, records, trainer.OptimizerConfig(), epochs=0
+            model, sequences, trainer.OptimizerConfig(), epochs=0
         )
         assert losses == []
         assert snap.frozen
@@ -115,26 +107,26 @@ class TestRunSft:
 
     def test_loss_decreases_on_same_data(self):
         _, _, quads = toy_quadruples()
-        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        sequences = [q.y_ws.sequence for q in quads]
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1)
-        before = full_nll(model, records)
+        before = full_nll(model, sequences)
         snap, _ = trainer.run_sft(
             model,
-            records,
+            sequences,
             trainer.OptimizerConfig(kind="adam", step_size=0.1),
             epochs=3,
             batch_size=8,
             seed=0,
         )
-        assert full_nll(snap, records) < before
+        assert full_nll(snap, sequences) < before
 
     def test_windowed_batch_loss_decreases_on_average(self):
         _, _, quads = toy_quadruples(n_prompts=32)
-        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        sequences = [q.y_ws.sequence for q in quads]
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=2)
         _, losses = trainer.run_sft(
             model,
-            records,
+            sequences,
             trainer.OptimizerConfig(kind="adam", step_size=0.05),
             epochs=50,
             batch_size=8,
@@ -146,16 +138,7 @@ class TestRunSft:
     def test_single_record_memorization_reaches_entropy_floor(self):
         # A tabular model can match the record's empirical conditionals exactly;
         # the NLL floor is the summed conditional entropy of repeated contexts.
-        record = datagen.SftRecord(
-            prompt=(2, 3),
-            y_ws=datagen.ScoredResponse(
-                Sequence(prompt=(2, 3), response=(4, 5, 4, 3, 4, 5, VOCAB.eos_id)),
-                1.0,
-                "m",
-                0,
-            ),
-        )
-        seq = record.y_ws.sequence
+        seq = Sequence(prompt=(2, 3), response=(4, 5, 4, 3, 4, 5, VOCAB.eos_id))
         stream = (VOCAB.bos_id,) * 2 + seq.prompt + seq.response
         start = 2 + len(seq.prompt)
         transitions = Counter()
@@ -172,7 +155,7 @@ class TestRunSft:
         model = PolicyModel.uniform(VOCAB, order=2)
         snap, losses = trainer.run_sft(
             model,
-            [record],
+            [seq],
             trainer.OptimizerConfig(kind="adam", step_size=0.5),
             epochs=3000,
             batch_size=1,
@@ -188,10 +171,10 @@ class TestRunSft:
 
     def test_frozen_model_rejected(self):
         _, _, quads = toy_quadruples()
-        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        sequences = [q.y_ws.sequence for q in quads]
         model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1, frozen=True)
         with pytest.raises(UsageError):
-            trainer.run_sft(model, records, trainer.OptimizerConfig())
+            trainer.run_sft(model, sequences, trainer.OptimizerConfig())
 
 
 class TestRegenerateTargetPairs:
@@ -398,10 +381,10 @@ class TestEvalRewardAccuracy:
         ref = PolicyModel.uniform(VOCAB, order=2, frozen=True)
         model = ref.copy(frozen=False)
         for q in quads:
-            rows = context_rows(model, q.y_ws.sequence)
+            rows = PackedSequences(model, [(q.y_ws.sequence,)]).rows
             for row, tok in zip(rows, q.y_ws.sequence.response):
                 model.logits[row, tok] += 2.0
-            rows = context_rows(model, q.y_l.sequence)
+            rows = PackedSequences(model, [(q.y_l.sequence,)]).rows
             for row, tok in zip(rows, q.y_l.sequence.response):
                 model.logits[row, tok] -= 2.0
         model.freeze()
@@ -526,16 +509,16 @@ def _loop_po_step(policy, ref, quads, batch, cfg, pairing):
     return results, grad
 
 
-def _loop_sft(model, records, opt_cfg, epochs, batch_size, seed):
+def _loop_sft(model, sequences, opt_cfg, epochs, batch_size, seed):
     policy = model.copy(frozen=False)
-    total = trainer.n_optimizer_steps(len(records), batch_size, epochs)
+    total = trainer.n_optimizer_steps(len(sequences), batch_size, epochs)
     optimizer = trainer.Optimizer(opt_cfg, policy.logits.shape, total)
     losses = []
-    for batch in trainer._batches(len(records), batch_size, epochs, seed):
+    for batch in trainer._batches(len(sequences), batch_size, epochs, seed):
         grad = np.zeros_like(policy.logits)
         nll = 0.0
         for i in batch:
-            seq = records[i].y_ws.sequence
+            seq = sequences[i]
             nll -= _loop_log_prob(policy, seq)
             grad -= _loop_log_prob_gradient(policy, seq)
         nll /= len(batch)
@@ -577,7 +560,7 @@ class TestPackedBatchesEqualThePerRecordLoop:
     def test_data_repeats_rows(self):
         vocab, quads = repetitive_quadruples(np.random.default_rng(0), 37)
         model = PolicyModel.uniform(vocab, 2)
-        visits = Counter(context_rows(model, quads[0].y_ws.sequence).tolist())
+        visits = Counter(PackedSequences(model, [(quads[0].y_ws.sequence,)]).rows.tolist())
         assert max(visits.values()) == 6
 
     @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
@@ -600,10 +583,10 @@ class TestPackedBatchesEqualThePerRecordLoop:
     @pytest.mark.parametrize("batch_size", [1, 16])
     def test_sft_run(self, batch_size):
         vocab, quads = repetitive_quadruples(np.random.default_rng(7), 37)
-        records = [datagen.SftRecord(q.prompt, q.y_ws) for q in quads]
+        sequences = [q.y_ws.sequence for q in quads]
         model = PolicyModel.random_init(vocab, 2, 1.5, seed=3)
         opt_cfg = trainer.OptimizerConfig(kind="adam", step_size=0.1)
-        snap, losses = trainer.run_sft(model, records, opt_cfg, 2, batch_size, seed=5)
-        want, want_losses = _loop_sft(model, records, opt_cfg, 2, batch_size, seed=5)
+        snap, losses = trainer.run_sft(model, sequences, opt_cfg, 2, batch_size, seed=5)
+        want, want_losses = _loop_sft(model, sequences, opt_cfg, 2, batch_size, seed=5)
         assert losses == want_losses
         assert np.array_equal(snap.logits, want.logits)
