@@ -19,7 +19,7 @@ from pathlib import Path
 from . import datagen, pipeline, trainer
 from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_config
 from .errors import ConfigError, DataError, InputError, NumericError, is_number
-from .objectives import WRPO_KINDS
+from .objectives import WRPO_KINDS, check_fields
 from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
 from .schedule import SCHEDULE_KINDS
 
@@ -140,6 +140,8 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary())
+    if stage != "sft":
+        check_fields(quadruples, cfg.objective_config())
     baseline = _init_model(cfg, out, sft=stage != "po")
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
@@ -191,6 +193,7 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     if gen_files:
         cmd_gen_data(cfg)  # writes the resolved config with its first output
     quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary())
+    check_fields(quadruples, cfg.objective_config())
     _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
     snapshot = None if sft_files else _load_model(cfg, out / SFT_CKPT)
     if not gen_files:

@@ -201,7 +201,6 @@ class RunConfig:
         )
         _require(samp["n_samples"] >= 1, "sampling.n_samples must be >= 1")
         _require(0 < d["data"]["split_fraction"] < 1, "data.split_fraction must be in (0, 1)")
-        _require(d["objective"]["pairing"] in ("on_policy", "hybrid"), "objective.pairing invalid")
         for stage in ("sft", "po"):
             _require(d[stage]["epochs"] >= 0, f"{stage}.epochs must be >= 0")
             _require(d[stage]["batch_size"] >= 1, f"{stage}.batch_size must be >= 1")
@@ -292,17 +291,9 @@ class RunConfig:
             seed=derive_seed(self.seed, stream_salt("target-init")),
         )
 
+    # The objective and optimizer sections' keys are the fields of their typed configs.
     def objective_config(self) -> ObjectiveConfig:
-        objd = self.raw["objective"]
-        return ObjectiveConfig(
-            kind=objd["kind"],
-            beta=objd["beta"],
-            tau=objd["tau"],
-            gamma=objd["gamma"],
-        )
-
-    def pairing(self) -> str:
-        return self.raw["objective"]["pairing"]
+        return ObjectiveConfig(**self.raw["objective"])
 
     def fusion_schedule(self, total_steps: int) -> FusionSchedule:
         sched = self.raw["schedule"]
@@ -310,13 +301,7 @@ class RunConfig:
         return FusionSchedule(kind=sched["kind"], target=sched["target"], total_steps=steps)
 
     def optimizer_config(self, stage: str) -> OptimizerConfig:
-        opt = self.raw[stage]["optimizer"]
-        return OptimizerConfig(
-            kind=opt["kind"],
-            step_size=opt["step_size"],
-            schedule=opt["schedule"],
-            warmup_fraction=opt["warmup_fraction"],
-        )
+        return OptimizerConfig(**self.raw[stage]["optimizer"])
 
 
 def load_config(

@@ -317,6 +317,8 @@ def assemble_quadruples(
     Returns (quadruples, attribution rows) where each attribution row is
     (model name, win count, percentage of prompts won), in member order.
     """
+    if not source_pools:
+        raise InputError("candidate pools are empty")
     prompts = _pool_prompts(source_pools)
     if prompts != _pool_prompts(target_pools):
         raise InputError("source and target candidate pools cover different prompts")
@@ -529,8 +531,9 @@ def jsonl_records(path):
 
 def read_quadruples(path, vocab: Vocabulary) -> list[PreferenceQuadruple]:
     """Read write_quadruples' JSONL; a malformed record, an empty prompt, a token id
-    outside ``vocab`` or a response that does not end in its eos raises DataError."""
-    quadruples = []
+    outside ``vocab``, a response that does not end in its eos or a prompt given on
+    an earlier line raises DataError."""
+    quadruples, first_lines = [], {}
     for line_no, d in jsonl_records(path):
         if not isinstance(d, dict):
             raise DataError(f"{path}:{line_no}: a record must be a JSON object")
@@ -539,9 +542,14 @@ def read_quadruples(path, vocab: Vocabulary) -> list[PreferenceQuadruple]:
                 f"{path}:{line_no}: unsupported schema version {d.get('schema_version')!r}"
             )
         try:
-            quadruples.append(_quadruple_from_dict(d, vocab))
+            quadruple = _quadruple_from_dict(d, vocab)
         except DataError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
+        first = first_lines.setdefault(quadruple.prompt, line_no)
+        if first != line_no:
+            prompt = list(quadruple.prompt)
+            raise DataError(f"{path}:{line_no}: prompt {prompt} repeats line {first}")
+        quadruples.append(quadruple)
     return quadruples
 
 

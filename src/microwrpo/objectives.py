@@ -26,7 +26,7 @@ cancels in every pairwise comparison and is never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -37,15 +37,14 @@ from .errors import InputError, UsageError, is_number
 __all__ = [
     "KINDS",
     "SIGMOID_KINDS",
-    "REFERENCE_FREE_KINDS",
     "WRPO_KINDS",
-    "YLS_KINDS",
     "RoleLogProb",
     "ObjectiveConfig",
     "LossResult",
     "internal_reward",
     "compound_reward",
     "evaluate_loss",
+    "check_fields",
     "PackedRecords",
     "loss_gradient_wrt_params",
 ]
@@ -79,7 +78,9 @@ class ObjectiveConfig:
     """Which loss of the family to use and its hyperparameters.
 
     alpha is only meaningful for the wrpo_* kinds and is normally filled
-    in per optimizer step by the fusion schedule.
+    in per optimizer step by the fusion schedule. pairing names the single
+    preferred response of the pair-based kinds: the target's best
+    ("on_policy") or the source's best ("hybrid").
     """
 
     kind: str
@@ -87,6 +88,7 @@ class ObjectiveConfig:
     tau: float | None = None
     gamma: float | None = None
     alpha: float | None = None
+    pairing: str = "on_policy"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -99,6 +101,8 @@ class ObjectiveConfig:
             raise InputError(f"gamma must be a number >= 0 or None (got {self.gamma!r})")
         if self.alpha is not None and (not is_number(self.alpha) or not 0 <= self.alpha <= 1):
             raise InputError(f"alpha must be a number in [0, 1] or None (got {self.alpha!r})")
+        if self.pairing not in _PAIRED_FIELDS:
+            raise InputError(f"unknown pairing {self.pairing!r}")
         offset = _TABLE[self.kind].offset
         if offset is not None and getattr(self, offset.field) is None:
             raise InputError(f"kind {self.kind!r} requires {offset.field}")
@@ -197,9 +201,7 @@ _TABLE = {
 
 KINDS = tuple(_TABLE)
 SIGMOID_KINDS = tuple(k for k, row in _TABLE.items() if row.link is _SIGMOID)
-REFERENCE_FREE_KINDS = tuple(k for k, row in _TABLE.items() if row.base is _length_normalized)
 WRPO_KINDS = tuple(k for k, row in _TABLE.items() if len(row.preferred) == 2)
-YLS_KINDS = tuple(k for k, row in _TABLE.items() if "l_s" in row.dispreferred)
 
 
 def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
@@ -235,11 +237,12 @@ def evaluate_loss(roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig) -> Los
     grads = {n: (w * scales[n]) * dz for n, w in zip(row.preferred, weights_w)}
     grads.update({n: -((w * scales[n]) * dz) for n, w in zip(row.dispreferred, weights_l)})
     loss = row.link.loss(z)
-    if alpha is None:
-        return LossResult(loss, rewards, grads)
-    # Each preferred response is compared with the dispreferred one of its origin.
-    l_s, l_t = row.dispreferred[0], row.dispreferred[-1]
-    on_policy, hybrid = rewards["w_t"] - rewards[l_t], rewards["w_s"] - rewards[l_s]
+    if alpha is None:  # a pair kind's one margin goes in the column its pairing names
+        margin = rewards["w"] - rewards["l"]
+        on_policy, hybrid = (margin, None) if cfg.pairing == "on_policy" else (None, margin)
+    else:  # each preferred response against the dispreferred one of its origin
+        l_s, l_t = row.dispreferred[0], row.dispreferred[-1]
+        on_policy, hybrid = rewards["w_t"] - rewards[l_t], rewards["w_s"] - rewards[l_s]
     return LossResult(loss, rewards, grads, on_policy, hybrid)
 
 
@@ -248,43 +251,46 @@ _ROLE_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "
 _PAIRED_FIELDS = {"on_policy": "y_wt", "hybrid": "y_ws"}
 
 
-class PackedRecords:
-    """Preference records packed once for one kind and pairing.
+def check_fields(quadruples, cfg: ObjectiveConfig) -> tuple[str, ...]:
+    """The quadruple field each role of ``cfg.kind`` reads, in role order: w_s is
+    y_ws, w_t is y_wt, l and l_t are y_l, l_s is y_ls, and w is the field
+    ``cfg.pairing`` names. InputError names the first quadruple that lacks one;
+    only y_ls may be absent from a dataset."""
+    row = _TABLE[cfg.kind]
+    role_fields = {**_ROLE_FIELDS, "w": _PAIRED_FIELDS[cfg.pairing]}
+    fields = tuple(role_fields[name] for name in row.preferred + row.dispreferred)
+    for i, quadruple in enumerate(quadruples):
+        for name in fields:
+            if getattr(quadruple, name) is None:
+                raise InputError(
+                    f"objective kind {cfg.kind!r} reads {name}, which quadruple {i} lacks; "
+                    "generate the data with data.include_yls"
+                )
+    return fields
 
-    Each role of the kind's row reads one quadruple field: w_s is y_ws,
-    w_t is y_wt, l and l_t are y_l, l_s is y_ls. The single preferred role
-    w of the pair-based kinds is the target's best response
-    (pairing="on_policy") or the source's best (pairing="hybrid"). A
+
+class PackedRecords:
+    """Preference records packed once for one objective.
+
+    Each role of the kind's row reads one quadruple field (check_fields). A
     record's role sequences are one group of a PackedSequences, in role
     order. The reference is frozen, so its log-probs are computed here,
     once, on the same packing; kinds that use it raise InputError when ref
-    is None, and UsageError when it has another vocabulary or context
-    order. The reference-free kinds never read it.
+    is None, and UsageError when it is not frozen or has another vocabulary
+    or context order. The reference-free kinds never read it.
     """
 
-    def __init__(self, model, ref, quadruples, kind: str, pairing: str = "on_policy"):
-        if pairing not in _PAIRED_FIELDS:
-            raise InputError(f"unknown pairing {pairing!r}")
-        if kind not in KINDS:
-            raise InputError(f"unknown objective kind {kind!r}")
-        row = _TABLE[kind]
+    def __init__(self, model, ref, quadruples, objective: ObjectiveConfig):
+        row = _TABLE[objective.kind]
         if row.base is _length_normalized:
             ref = None
         elif ref is None:
-            raise InputError(f"objective kind {kind!r} needs a reference model")
-        fields = {**_ROLE_FIELDS, "w": _PAIRED_FIELDS[pairing]}
-        self.kind, self.roles = kind, row.preferred + row.dispreferred
-        self.groups = []
-        for quadruple in quadruples:
-            group = []
-            for name in self.roles:
-                response = getattr(quadruple, fields[name])
-                if response is None:
-                    raise InputError(
-                        f"quadruple has no {fields[name]}; regenerate data with include_yls"
-                    )
-                group.append(response.sequence)
-            self.groups.append(tuple(group))
+            raise InputError(f"objective kind {objective.kind!r} needs a reference model")
+        elif not ref.frozen:
+            raise UsageError("the reference model must be frozen")
+        fields = check_fields(quadruples, objective)
+        self.objective, self.roles = objective, row.preferred + row.dispreferred
+        self.groups = [tuple(getattr(q, name).sequence for name in fields) for q in quadruples]
         self.sequences = policy_mod.PackedSequences(model, self.groups)
         self.lengths = self.sequences.lengths.reshape(len(self.groups), -1).tolist()
         if ref is None:
@@ -292,14 +298,14 @@ class PackedRecords:
         else:
             self.ref = self.sequences.log_probs(ref).tolist()
 
-    def loss_gradient(self, model, ids, cfg: ObjectiveConfig):
-        """The LossResult of each record ``ids`` and the sum of their parameter gradients.
+    def loss_gradient(self, model, ids, alpha: float | None = None):
+        """The LossResult of each record ``ids`` and the sum of their parameter gradients,
+        at the step's fusion coefficient ``alpha`` (None: the objective's own).
 
         Each record's grad_wrt_logps scales its roles' exact log-prob
         gradients; see PackedSequences.gradient for the float order.
         """
-        if cfg.kind != self.kind:
-            raise UsageError(f"records were packed for {self.kind!r}, not {cfg.kind!r}")
+        cfg = self.objective if alpha is None else replace(self.objective, alpha=alpha)
         batch = self.sequences.forward(model, ids)
         results = []
         for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
@@ -311,21 +317,11 @@ class PackedRecords:
         return results, self.sequences.gradient(model, batch, coefficients)
 
 
-def loss_gradient_wrt_params(
-    model,
-    ref,
-    quadruple,
-    cfg: ObjectiveConfig,
-    pairing: str = "on_policy",
-):
+def loss_gradient_wrt_params(model, ref, quadruple, cfg: ObjectiveConfig):
     """Compose grad_wrt_logps with the policy's exact log-prob gradients.
 
     Returns (LossResult, gradient table of the same shape as the policy's
     logits).
     """
-    if model.frozen:
-        raise UsageError("cannot differentiate a frozen model")
-    results, grad = PackedRecords(model, ref, [quadruple], cfg.kind, pairing).loss_gradient(
-        model, [0], cfg
-    )
+    results, grad = PackedRecords(model, ref, [quadruple], cfg).loss_gradient(model, [0])
     return results[0], grad

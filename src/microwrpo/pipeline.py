@@ -111,7 +111,7 @@ def run_po(
         return _reward_accuracy(cfg, policy, snapshot, heldout), trainer.mean_score(scores)
 
     return trainer.run_preference_optimization(
-        snapshot.copy(frozen=False),
+        snapshot,
         snapshot,
         train,
         objective,
@@ -120,7 +120,6 @@ def run_po(
         epochs=stage["epochs"],
         batch_size=stage["batch_size"],
         seed=_seed(cfg, "po"),
-        pairing=cfg.pairing(),
         eval_every=stage["eval_every"],
         evaluate=in_loop,
     )

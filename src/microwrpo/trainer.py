@@ -210,7 +210,12 @@ def regenerate_target_pairs(
 
 
 def _mean(values: list[float]) -> float:
-    return float(sum(values) / len(values))
+    """The mean, its sum taken left to right: builtin sum() compensates float
+    rounding from Python 3.12 on, which would change the bytes of telemetry."""
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total / len(values))
 
 
 # OpenBLAS computes a ddot of at most this many entries on the calling thread.
@@ -244,17 +249,18 @@ def run_preference_optimization(
     epochs: int = 1,
     batch_size: int = 16,
     seed: int = 0,
-    pairing: str = "on_policy",
     eval_every: int = 0,
     evaluate: Callable[[PolicyModel], tuple[float | None, float | None]] | None = None,
 ) -> tuple[PolicyModel, TrainingTelemetry]:
     """One seeded pass (or several) over the PO split with any objective.
 
     alpha follows the fusion schedule per optimizer step for the wrpo_*
-    kinds; pair-based kinds must not be given a schedule. Every eval_every
-    steps, ``evaluate(policy)`` gives the (reward accuracy, mean oracle
-    score) of an EvalRecord. Returns the trained model as a frozen snapshot
-    plus the telemetry.
+    kinds; pair-based kinds must not be given a schedule. The records are
+    packed once (objectives.PackedRecords, which checks the reference and
+    the quadruple fields the kind reads). Every eval_every steps,
+    ``evaluate(policy)`` gives the (reward accuracy, mean oracle score) of
+    an EvalRecord. Returns the trained model as a frozen snapshot plus the
+    telemetry.
     """
     if len(quadruples) == 0:
         raise InputError("preference dataset is empty")
@@ -265,26 +271,17 @@ def run_preference_optimization(
         raise ConfigError(
             f"fusion schedule given but objective {objective.kind!r} takes no alpha"
         )
-    needs_ref = objective.kind not in obj.REFERENCE_FREE_KINDS
-    if needs_ref:
-        if ref is None:
-            raise ConfigError(f"objective {objective.kind!r} requires a reference model")
-        if not ref.frozen:
-            raise ConfigError("reference model must be frozen")
-    if objective.kind in obj.YLS_KINDS and any(q.y_ls is None for q in quadruples):
-        raise DataError(f"{objective.kind} needs y_ls on every quadruple")
 
     policy = policy_init.copy(frozen=False)
     total = n_optimizer_steps(len(quadruples), batch_size, epochs)
     optimizer = Optimizer(opt_cfg, policy.logits.shape, total)
     telemetry = TrainingTelemetry()
-    packed = obj.PackedRecords(policy, ref, quadruples, objective.kind, pairing)
+    packed = obj.PackedRecords(policy, ref, quadruples, objective)
 
     step = 0
     for batch in _batches(len(quadruples), batch_size, epochs, seed):
         alpha = alpha_at(schedule, step) if is_wrpo else None
-        cfg_t = replace(objective, alpha=alpha) if is_wrpo else objective
-        results, grad = packed.loss_gradient(policy, batch, cfg_t)
+        results, grad = packed.loss_gradient(policy, batch, alpha)
         losses: list[float] = []
         reward_sums: dict[str, float] = {}
         on_margins: list[float] = []
@@ -297,10 +294,6 @@ def run_preference_optimization(
                 on_margins.append(result.on_policy_margin)
             if result.hybrid_policy_margin is not None:
                 hy_margins.append(result.hybrid_policy_margin)
-            if not is_wrpo:
-                # Pair-based kinds expose one margin, attributed by pairing.
-                margin = result.internal_rewards["w"] - result.internal_rewards["l"]
-                (on_margins if pairing == "on_policy" else hy_margins).append(margin)
         grad /= len(batch)
         loss = _mean(losses)
         if not np.isfinite(loss):

@@ -393,9 +393,9 @@ def check_reduction_identities(rng, n) -> str | None:
                 )
                 quad = random_quadruple(rng, vocab)
                 h_cfg = replace(random_objective_config(rng, hybrid_kind), alpha=alpha)
-                p_cfg = replace(h_cfg, kind=pair_kind, alpha=None)
+                p_cfg = replace(h_cfg, kind=pair_kind, alpha=None, pairing=pairing)
                 res_h, grad_h = obj.loss_gradient_wrt_params(model, ref, quad, h_cfg)
-                res_p, grad_p = obj.loss_gradient_wrt_params(model, ref, quad, p_cfg, pairing)
+                res_p, grad_p = obj.loss_gradient_wrt_params(model, ref, quad, p_cfg)
                 if abs(res_h.loss - res_p.loss) > 1e-12:
                     return f"{hybrid_kind}(alpha={alpha}) loss differs from {pair_kind}"
                 if np.abs(grad_h - grad_p).max() > 1e-12:

@@ -32,8 +32,8 @@ def report(num: int, description: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {description}")
 
 
-def composed_loss(model, ref, quad, cfg, pairing):
-    return obj.loss_gradient_wrt_params(model, ref, quad, cfg, pairing)[0].loss
+def composed_loss(model, ref, quad, cfg):
+    return obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
 
 
 class TestCriterion1GradientSuite:
@@ -51,17 +51,19 @@ class TestCriterion1GradientSuite:
                     vocab, 1, rng.standard_normal((size, size)), frozen=True
                 )
                 quad = verify.random_quadruple(rng, vocab)
-                cfg = verify.random_objective_config(rng, kind)
-                pairing = "on_policy" if rng.random() < 0.5 else "hybrid"
-                _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg, pairing)
+                cfg = replace(
+                    verify.random_objective_config(rng, kind),
+                    pairing="on_policy" if rng.random() < 0.5 else "hybrid",
+                )
+                _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
                 flat = model.logits.ravel()
                 gflat = grad.ravel()
                 for k in range(flat.size):
                     orig = flat[k]
                     flat[k] = orig + h
-                    up = composed_loss(model, ref, quad, cfg, pairing)
+                    up = composed_loss(model, ref, quad, cfg)
                     flat[k] = orig - h
-                    down = composed_loss(model, ref, quad, cfg, pairing)
+                    down = composed_loss(model, ref, quad, cfg)
                     flat[k] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd)), (
@@ -173,7 +175,7 @@ class TestCriterion6MarginDynamics:
         dpo = obj.ObjectiveConfig(kind="dpo", beta=0.01)
         wrpo = obj.ObjectiveConfig(kind="wrpo_dpo", beta=0.01)
         _, tel_hybrid = trainer.run_preference_optimization(
-            snap.copy(frozen=False), snap, quads, dpo, opt, pairing="hybrid", **common
+            snap.copy(frozen=False), snap, quads, replace(dpo, pairing="hybrid"), opt, **common
         )
         _, tel_wrpo = trainer.run_preference_optimization(
             snap.copy(frozen=False), snap, quads, wrpo,
@@ -183,7 +185,7 @@ class TestCriterion6MarginDynamics:
         _, tel_on = trainer.run_preference_optimization(
             snap.copy(frozen=False), snap, quads, dpo,
             trainer.OptimizerConfig(kind="adam", step_size=0.02, schedule="constant"),
-            pairing="on_policy", **common,
+            **common,
         )
 
         def final_window(tel, attr):
@@ -319,8 +321,8 @@ class TestCriterion10YlsVariant:
         )
         model_d, tel_d = trainer.run_preference_optimization(
             snap.copy(frozen=False), snap, quads,
-            obj.ObjectiveConfig(kind="dpo", beta=0.01), opt(),
-            pairing="on_policy", **common,
+            obj.ObjectiveConfig(kind="dpo", beta=0.01, pairing="on_policy"), opt(),
+            **common,
         )
         assert len(tel_y.steps) == len(tel_d.steps) > 0
         for a, b in zip(tel_y.steps, tel_d.steps):

@@ -90,12 +90,13 @@ class TestGenData:
             {"task": {"n_content_tokens": 1}},
             {"objective": {"kind": "wrpo_simpo", "gamma": None}},
             {"objective": {"kind": "ipo", "tau": None}},
+            {"objective": {"pairing": "x"}},
         ],
         ids=[
             "temperature-0", "top_p-1.5", "max_length-0", "objective-kind", "beta-0",
             "schedule-kind", "target-1.5", "total_steps-0", "sft-optimizer-kind",
             "po-lr-schedule", "po-step_size-0", "sft-warmup_fraction-1", "n_content_tokens-1",
-            "simpo-gamma-null", "ipo-tau-null",
+            "simpo-gamma-null", "ipo-tau-null", "objective-pairing",
         ],
     )
     def test_invalid_value_exit_2(self, tmp_path, overrides):
@@ -555,6 +556,42 @@ class TestMalformedInput:
         assert run_cli(*command, "--config", path, "--out", str(out)) == 3
         assert f"dataset.jsonl:1: {role}.tokens must end in eos" in capsys.readouterr().err
         assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "command",
+        [("train", "--stage", "po"), ("sweep-alpha", "--targets", "0.5", "--kinds", "static")],
+        ids=["train-po", "sweep"],
+    )
+    def test_repeated_prompt_exit_3_before_any_write(self, run_dir, capsys, command):
+        path, out = run_dir
+        dataset = out / "dataset.jsonl"
+        first = dataset.read_text().splitlines(keepends=True)[0]
+        dataset.write_text(first + dataset.read_text())
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+        assert "dataset.jsonl:2: prompt " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("train", "--stage", "po"),
+            ("train", "--stage", "full"),
+            ("sweep-alpha", "--targets", "0.5", "--kinds", "static"),
+        ],
+        ids=["train-po", "train-full", "sweep"],
+    )
+    def test_dataset_without_y_ls_exit_3_before_any_write(self, tmp_path, capsys, command):
+        no_yls = {**MINI_CONFIG, "data": {"include_yls": False}}
+        out = tmp_path / "run"
+        for argv in (("gen-data",), ("train", "--stage", "sft")):
+            assert run_cli(*argv, "--config", write_config(tmp_path, no_yls), "--out", str(out)) == 0
+        yls = {**no_yls, "objective": {"kind": "wrpo_with_yls"}}
+        path = write_config(tmp_path, yls, name="yls.json")
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert run_cli(*command, "--config", path, "--out", str(out)) == 3
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+        assert "'wrpo_with_yls' reads y_ls" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit",

@@ -259,6 +259,10 @@ class TestAssembleQuadruples:
         _, attribution = datagen.assemble_quadruples(src, tgt)
         assert sum(pct for _, _, pct in attribution) == pytest.approx(100.0, abs=0.01)
 
+    def test_empty_pools_rejected(self):
+        with pytest.raises(InputError, match="empty"):
+            datagen.assemble_quadruples([], [])
+
 
 class TestSplitDataset:
     def _quads(self, n):
@@ -309,6 +313,11 @@ class TestSplitDataset:
     def test_too_few_records_rejected(self):
         with pytest.raises(InputError):
             datagen.split_dataset(self._quads(5)[:1], 0.5, seed=0)
+
+    def test_repeated_prompt_rejected(self):
+        quads = self._quads(5)
+        with pytest.raises(DataError, match="duplicate prompts"):
+            datagen.split_dataset(quads + quads[:1], 0.5, seed=0)
 
 
 class TestDeviationReport:
@@ -378,6 +387,14 @@ class TestJsonlRoundTrip:
         assert again == quads
         datagen.write_quadruples(p2, again)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_repeated_prompt_names_its_line(self, tmp_path):
+        _, _, _, _, src, tgt = small_world(n_prompts=3)
+        quads, _ = datagen.assemble_quadruples(src, tgt)
+        path = tmp_path / "d.jsonl"
+        datagen.write_quadruples(path, [*quads, quads[1]])
+        with pytest.raises(DataError, match=r"d.jsonl:4: prompt \[.*\] repeats line 2"):
+            datagen.read_quadruples(path, VOCAB)
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "bad.jsonl"

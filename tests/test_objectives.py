@@ -100,6 +100,16 @@ class TestDpoLoss:
         with pytest.raises(InputError, match="'l'"):
             obj.evaluate_loss({"w": role(-1.0)}, obj.ObjectiveConfig("dpo"))
 
+    @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
+    @pytest.mark.parametrize("kind", ["dpo", "ipo", "simpo"])
+    def test_margin_in_the_pairing_column(self, kind, pairing):
+        roles = pair(role(-1.0, -2.0), role(-3.0, -2.0))
+        cfg = obj.ObjectiveConfig(kind, beta=0.5, tau=0.01, gamma=0.0, pairing=pairing)
+        out = obj.evaluate_loss(roles, cfg)
+        margins = {"on_policy": out.on_policy_margin, "hybrid": out.hybrid_policy_margin}
+        assert margins.pop(pairing) == out.internal_rewards["w"] - out.internal_rewards["l"] == 1.0
+        assert list(margins.values()) == [None]
+
     def test_grad_signs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -467,7 +477,7 @@ class TestComposedParameterGradient:
                 alpha=0.5,
             )
             _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
-            packed = obj.PackedRecords(model, ref, [quad], kind)
+            packed = obj.PackedRecords(model, ref, [quad], cfg)
             for name, s in zip(packed.roles, packed.groups[0]):
                 direction = float(np.sum(log_prob_gradient(model, s) * -grad))
                 if name.startswith("w"):
@@ -521,7 +531,8 @@ class TestBundleFromQuadruple:
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_roles_read_their_fields(self, kind, pairing):
         model, ref, quad = self._instance()
-        packed = obj.PackedRecords(model, ref, [quad], kind, pairing)
+        cfg = obj.ObjectiveConfig(kind, tau=0.01, gamma=0.0, pairing=pairing)
+        packed = obj.PackedRecords(model, ref, [quad], cfg)
         paired = "y_wt" if pairing == "on_policy" else "y_ws"
         expected = {
             name: getattr(quad, field or paired).sequence
@@ -534,7 +545,7 @@ class TestBundleFromQuadruple:
     def test_yls_kind_without_yls_rejected(self):
         model, ref, quad = self._instance(y_ls=False)
         with pytest.raises(InputError):
-            obj.PackedRecords(model, ref, [quad], "wrpo_with_yls")
+            obj.PackedRecords(model, ref, [quad], obj.ObjectiveConfig("wrpo_with_yls"))
 
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_missing_reference(self, kind):
@@ -547,12 +558,22 @@ class TestBundleFromQuadruple:
             with pytest.raises(InputError):
                 obj.loss_gradient_wrt_params(model, None, quad, cfg)
 
-    @pytest.mark.parametrize("kind", sorted(set(obj.KINDS) - set(obj.REFERENCE_FREE_KINDS)))
+    @pytest.mark.parametrize("kind", [k for k in obj.KINDS if "simpo" not in k])
     def test_reference_of_another_context_order_rejected(self, kind):
         model, _, quad = self._instance()
         ref = PolicyModel.random_init(model.vocab, 2, 1.0, seed=2, frozen=True)
         with pytest.raises(UsageError):
-            obj.PackedRecords(model, ref, [quad], kind)
+            obj.PackedRecords(model, ref, [quad], cfg_for(kind, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_unfrozen_reference(self, kind):
+        model, ref, quad = self._instance()
+        cfg = cfg_for(kind, np.random.default_rng(0))
+        if "simpo" in kind:  # reference-free: the reference is never read
+            obj.PackedRecords(model, ref.copy(frozen=False), [quad], cfg)
+        else:
+            with pytest.raises(UsageError, match="must be frozen"):
+                obj.PackedRecords(model, ref.copy(frozen=False), [quad], cfg)
 
 
 class TestBundleValidation:

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,7 @@ class TestRunPreferenceOptimization:
             beta=10.0 if "simpo" in kind else 0.01,
             tau=0.01,
             gamma=0.0,
+            pairing=kw.pop("pairing", "on_policy"),
         )
         defaults = dict(epochs=2, batch_size=8, seed=4)
         defaults.update(kw)
@@ -273,7 +275,7 @@ class TestRunPreferenceOptimization:
             self.run(kind="wrpo_dpo", schedule=None)
 
     def test_reference_required_for_reference_kinds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="needs a reference model"):
             trainer.run_preference_optimization(
                 self.snapshot.copy(frozen=False),
                 None,
@@ -300,9 +302,7 @@ class TestRunPreferenceOptimization:
             datagen.PreferenceQuadruple(q.prompt, q.y_ws, q.y_wt, q.y_l, None)
             for q in self.quads
         ]
-        from microwrpo.errors import DataError
-
-        with pytest.raises(DataError):
+        with pytest.raises(InputError, match="reads y_ls"):
             trainer.run_preference_optimization(
                 self.snapshot.copy(frozen=False),
                 self.snapshot,
@@ -450,6 +450,12 @@ class TestEvalPolicyQuality:
         assert r1 == r2
 
 
+def test_mean_adds_left_to_right_without_compensation():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (builtin sum() from
+    # Python 3.12) would keep the 1.0.
+    assert trainer._mean([1e16, 1.0, -1e16]) == 0.0
+
+
 # The per-record loop the packed batches replaced, kept as the reference they
 # must equal bit for bit: one dense table per sequence, scaled per role and
 # added record by record.
@@ -489,16 +495,16 @@ def _loop_log_prob_gradient(model, seq):
 _LOOP_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "y_ls"}
 
 
-def _loop_po_step(policy, ref, quads, batch, cfg, pairing):
+def _loop_po_step(policy, ref, quads, batch, cfg):
     row = obj._TABLE[cfg.kind]
-    fields = {**_LOOP_FIELDS, "w": {"on_policy": "y_wt", "hybrid": "y_ws"}[pairing]}
+    fields = {**_LOOP_FIELDS, "w": {"on_policy": "y_wt", "hybrid": "y_ws"}[cfg.pairing]}
     grad = np.zeros_like(policy.logits)
     results = []
     for i in batch:
         seqs, roles = {}, {}
         for name in row.preferred + row.dispreferred:
             seq = seqs[name] = getattr(quads[i], fields[name]).sequence
-            ref_lp = 0.0 if cfg.kind in obj.REFERENCE_FREE_KINDS else _loop_log_prob(ref, seq)
+            ref_lp = 0.0 if "simpo" in cfg.kind else _loop_log_prob(ref, seq)
             roles[name] = obj.RoleLogProb(_loop_log_prob(policy, seq), ref_lp, len(seq.response))
         result = obj.evaluate_loss(roles, cfg)
         g = np.zeros_like(policy.logits)
@@ -570,12 +576,12 @@ class TestPackedBatchesEqualThePerRecordLoop:
         vocab, quads = repetitive_quadruples(rng, 37)
         policy = PolicyModel.random_init(vocab, 2, 1.5, seed=1)
         ref = PolicyModel.random_init(vocab, 2, 1.5, seed=2, frozen=True)
-        cfg = verify.random_objective_config(rng, kind)
-        packed = obj.PackedRecords(policy, ref, quads, kind, pairing)
+        cfg = replace(verify.random_objective_config(rng, kind), pairing=pairing)
+        packed = obj.PackedRecords(policy, ref, quads, replace(cfg, alpha=None))
         for batch_size in (1, 16):
             for batch in trainer._batches(len(quads), batch_size, 1, seed=batch_size):
-                results, grad = packed.loss_gradient(policy, batch, cfg)
-                want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg, pairing)
+                results, grad = packed.loss_gradient(policy, batch, cfg.alpha)
+                want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg)
                 assert results == want_results  # loss, rewards, margins, role slopes
                 assert np.array_equal(grad, want_grad)
                 assert not np.signbit(grad[grad == 0.0]).any()
