@@ -1,10 +1,10 @@
 """Command-line orchestration: gen-data, train, sweep-alpha, export-figures, verify.
 
-Every command validates its config up front, writes the resolved config
-next to its outputs once its inputs are read and checked, and keeps
-wall-clock noise (timestamps) out of data files so reruns are byte-identical.
-Exit codes: 0 ok, 1 a verify check failed, 2 config error, 3 data error,
-4 numeric failure.
+Each command checks its config and inputs, runs every stage in memory, then
+writes all its files in one block at its end, so a failed command changes no
+file in its output directory. Data files hold no timestamps: reruns are
+byte-identical. Exit codes: 0 ok, 1 a verify check failed, 2 config error,
+3 data error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from . import datagen, pipeline, trainer
 from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_config
 from .errors import ConfigError, DataError, InputError, NumericError, is_number
-from .objectives import WRPO_KINDS, check_fields
+from .objectives import WRPO_KINDS
 from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
 from .schedule import SCHEDULE_KINDS
 
@@ -61,19 +61,23 @@ def _make_dir(path, files=()) -> Path:
     return out
 
 
-def cmd_gen_data(cfg: RunConfig) -> int:
-    """Generate candidates, assemble quadruples, write the data artifacts."""
-    out = _make_dir(cfg.out_dir, GEN_FILES)
-    write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    data = pipeline.build_dataset(cfg)
+def _write_dataset(out: Path, data: pipeline.Dataset, report) -> None:
     datagen.write_quadruples(out / DATASET_FILE, data.quadruples)
     datagen.write_attribution_csv(out / ATTRIBUTION_FILE, data.attribution)
-    report = datagen.distribution_deviation_report(data.target_init, data.quadruples)
     with open(out / DEVIATION_FILE, "w") as fh:
         json.dump(report, fh, indent=2, default=vars)
         fh.write("\n")
     save_checkpoint(data.target_init, out / INIT_CKPT, label="target-init")
     print(f"wrote {len(data.quadruples)} quadruples to {out / DATASET_FILE}")
+
+
+def cmd_gen_data(cfg: RunConfig) -> int:
+    """Generate candidates, assemble quadruples, write the data artifacts."""
+    out = _make_dir(cfg.out_dir, GEN_FILES)
+    data = pipeline.build_dataset(cfg)
+    report = datagen.distribution_deviation_report(data.target_init, data.quadruples)
+    write_resolved_config(cfg, out / RESOLVED_CONFIG)
+    _write_dataset(out, data, report)
     return 0
 
 
@@ -95,14 +99,12 @@ def _load_model(cfg: RunConfig, path: Path) -> PolicyModel:
     return model.freeze()
 
 
-def _sft_stage(cfg: RunConfig, out: Path, quadruples) -> PolicyModel:
-    snapshot, losses = pipeline.sft(cfg, quadruples)
+def _write_sft(out: Path, snapshot: PolicyModel, losses: list[float]) -> None:
     save_checkpoint(snapshot, out / SFT_CKPT, label="target-sft")
     with open(out / SFT_TELEMETRY, "w") as fh:
         for i, loss in enumerate(losses):
             fh.write(json.dumps({"type": "step", "step": i, "loss": loss}) + "\n")
     print(f"sft: {len(losses)} steps, checkpoint {out / SFT_CKPT}")
-    return snapshot
 
 
 def _init_model(cfg: RunConfig, out: Path, sft: bool) -> PolicyModel | None:
@@ -115,24 +117,6 @@ def _init_model(cfg: RunConfig, out: Path, sft: bool) -> PolicyModel | None:
     return _load_model(cfg, path) if path.exists() else None
 
 
-def _po_stage(
-    cfg: RunConfig, out: Path, quadruples, snapshot: PolicyModel, baseline: PolicyModel
-) -> None:
-    pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
-    datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
-    model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
-    save_checkpoint(model, out / PO_CKPT, label=f"target-po-{cfg.raw['objective']['kind']}")
-    trainer.write_telemetry(out / PO_TELEMETRY, telemetry)
-    metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
-    with open(out / METRICS_FILE, "w") as fh:
-        json.dump(metrics, fh, indent=2)
-        fh.write("\n")
-    print(
-        f"po: {len(telemetry.steps)} steps, checkpoint hash "
-        f"{parameter_hash(model)[:12]}, win rate {metrics['win_rate']:.2f}"
-    )
-
-
 def cmd_train(cfg: RunConfig, stage: str) -> int:
     if stage not in ("sft", "po", "full"):
         raise ConfigError(f"unknown stage {stage!r}")
@@ -140,16 +124,30 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary())
-    if stage != "sft":
-        check_fields(quadruples, cfg.objective_config())
     baseline = _init_model(cfg, out, sft=stage != "po")
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
+    else:
+        snapshot, losses = pipeline.sft(cfg, quadruples)
+    if stage != "sft":
+        pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
+        model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
+        baseline = snapshot if baseline is None else baseline
+        metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if stage != "po":
-        snapshot = _sft_stage(cfg, out, quadruples)
+        _write_sft(out, snapshot, losses)
     if stage != "sft":
-        _po_stage(cfg, out, quadruples, snapshot, snapshot if baseline is None else baseline)
+        datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
+        save_checkpoint(model, out / PO_CKPT, label=f"target-po-{cfg.raw['objective']['kind']}")
+        trainer.write_telemetry(out / PO_TELEMETRY, telemetry)
+        with open(out / METRICS_FILE, "w") as fh:
+            json.dump(metrics, fh, indent=2)
+            fh.write("\n")
+        print(
+            f"po: {len(telemetry.steps)} steps, checkpoint hash "
+            f"{parameter_hash(model)[:12]}, win rate {metrics['win_rate']:.2f}"
+        )
     return 0
 
 
@@ -165,7 +163,7 @@ def _job_config(cfg: RunConfig, target: float, kind: str) -> RunConfig:
 
 def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel):
     """One sweep job, scored against the SFT snapshot: its row, whose keys are the
-    sweep.csv columns in order, and its pairs."""
+    sweep.csv columns in order, and its pairs (every job regenerates the same)."""
     pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
     model, _ = pipeline.run_po(cfg, snapshot, train, heldout)
     metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline=snapshot)
@@ -191,23 +189,25 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
     sft_files = () if (out / SFT_CKPT).exists() else SFT_FILES
     out = _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
     if gen_files:
-        cmd_gen_data(cfg)  # writes the resolved config with its first output
-    quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary())
-    check_fields(quadruples, cfg.objective_config())
-    _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
-    snapshot = None if sft_files else _load_model(cfg, out / SFT_CKPT)
-    if not gen_files:
-        write_resolved_config(cfg, out / RESOLVED_CONFIG)
-    if snapshot is None:
-        snapshot = _sft_stage(cfg, out, quadruples)
-    # Every job regenerates the same pairs; the first job's are written.
-    rows = []
-    for i, job in enumerate(jobs):
-        row, pairs = _sweep_one(job, quadruples, snapshot)
-        if i == 0:
-            datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
-        rows.append(row)
+        data = pipeline.build_dataset(cfg)
+        quadruples = data.quadruples
+        report = datagen.distribution_deviation_report(data.target_init, quadruples)
+    else:
+        quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary())
+        _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
+    if sft_files:
+        snapshot, losses = pipeline.sft(cfg, quadruples)
+    else:
+        snapshot = _load_model(cfg, out / SFT_CKPT)
+    row, pairs = _sweep_one(jobs[0], quadruples, snapshot)
+    rows = [row] + [_sweep_one(job, quadruples, snapshot)[0] for job in jobs[1:]]
     rows.sort(key=lambda r: (r["target"], r["kind"]))
+    write_resolved_config(cfg, out / RESOLVED_CONFIG)
+    if gen_files:
+        _write_dataset(out, data, report)
+    if sft_files:
+        _write_sft(out, snapshot, losses)
+    datagen.write_quadruples(out / PO_DATASET_FILE, pairs)
     with open(out / SWEEP_FILE, "w", newline="") as fh:
         writer = csv.DictWriter(fh, SWEEP_COLUMNS)
         writer.writeheader()

@@ -32,8 +32,13 @@ def report(num: int, description: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {description}")
 
 
-def composed_loss(model, ref, quad, cfg):
-    return obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
+def packed_loss(packed, model):
+    """The loss of a one-record PackedRecords under ``model``, without its gradient."""
+    (thetas,) = packed.sequences.log_probs(model).tolist()
+    roles = zip(packed.roles, thetas, packed.ref[0], packed.lengths[0])
+    return obj.evaluate_loss(
+        {name: obj.RoleLogProb(t, r, n) for name, t, r, n in roles}, packed.objective
+    ).loss
 
 
 class TestCriterion1GradientSuite:
@@ -55,15 +60,16 @@ class TestCriterion1GradientSuite:
                     verify.random_objective_config(rng, kind),
                     pairing="on_policy" if rng.random() < 0.5 else "hybrid",
                 )
-                _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
+                packed = obj.PackedRecords(model, ref, [quad], cfg)
+                _, grad = packed.loss_gradient(model, [0])
                 flat = model.logits.ravel()
                 gflat = grad.ravel()
                 for k in range(flat.size):
                     orig = flat[k]
                     flat[k] = orig + h
-                    up = composed_loss(model, ref, quad, cfg)
+                    up = packed_loss(packed, model)
                     flat[k] = orig - h
-                    down = composed_loss(model, ref, quad, cfg)
+                    down = packed_loss(packed, model)
                     flat[k] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd)), (

@@ -4,6 +4,7 @@ import base64
 import csv
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 from conftest import pipeline_env
 
 import microwrpo
-from microwrpo import cli, datagen, trainer, verify
+from microwrpo import cli, datagen, pipeline, trainer, verify
 from microwrpo.config import default_config_dict, load_config
+from microwrpo.errors import NumericError
 from microwrpo.policy import (
     PolicyModel,
     default_vocabulary,
@@ -41,6 +43,13 @@ def write_config(tmp_path, overrides, name="cfg.json"):
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def dir_state(out):
+    """{file name: (bytes, mtime)} of the directory ``out``; empty if it is absent."""
+    if not out.exists():
+        return {}
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
 
 
 class TestGenData:
@@ -328,6 +337,23 @@ class TestSweepAlpha:
         assert float(row["reward_accuracy"]) == metrics["reward_accuracy"]
         assert float(row["mean_oracle_score"]) == metrics["candidate_mean_score"]
 
+    def test_from_an_empty_dir_writes_what_the_staged_commands_write(self, tmp_path):
+        # The sweep builds the dataset and the SFT snapshot in memory when their files
+        # are absent; each file must be the one gen-data and train --stage sft write.
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "sweep"
+        sweep = ("sweep-alpha", "--targets", "0.3", "0.5", "--kinds", "linear", "static")
+        common = ("--config", path, "--out", str(out), "--seed", "6")
+        assert run_cli(*sweep, *common) == 0
+        in_one = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        for argv in (("gen-data",), ("train", "--stage", "sft"), sweep):
+            assert run_cli(*argv, *common) == 0
+        staged = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(staged) == sorted(in_one)
+        for name, data in staged.items():
+            assert in_one[name] == data, name
+
     def test_requires_wrpo_kind(self, tmp_path):
         cfg = dict(MINI_CONFIG)
         cfg["objective"] = {"kind": "dpo"}
@@ -573,24 +599,28 @@ class TestMalformedInput:
         assert "dataset.jsonl:2: prompt " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command",
+        "command, prepared",
         [
-            ("train", "--stage", "po"),
-            ("train", "--stage", "full"),
-            ("sweep-alpha", "--targets", "0.5", "--kinds", "static"),
+            (("train", "--stage", "po"), True),
+            (("train", "--stage", "full"), True),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "static"), True),
+            (("sweep-alpha", "--targets", "0.5", "--kinds", "static"), False),
         ],
-        ids=["train-po", "train-full", "sweep"],
+        ids=["train-po", "train-full", "sweep", "sweep-from-empty-dir"],
     )
-    def test_dataset_without_y_ls_exit_3_before_any_write(self, tmp_path, capsys, command):
+    def test_dataset_without_y_ls_exit_3_before_any_write(
+        self, tmp_path, capsys, command, prepared
+    ):
+        # Unprepared, the sweep makes the y_ls-less dataset itself, then fails at PO.
         no_yls = {**MINI_CONFIG, "data": {"include_yls": False}}
         out = tmp_path / "run"
-        for argv in (("gen-data",), ("train", "--stage", "sft")):
+        for argv in (("gen-data",), ("train", "--stage", "sft")) if prepared else ():
             assert run_cli(*argv, "--config", write_config(tmp_path, no_yls), "--out", str(out)) == 0
         yls = {**no_yls, "objective": {"kind": "wrpo_with_yls"}}
         path = write_config(tmp_path, yls, name="yls.json")
-        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        before = dir_state(out)
         assert run_cli(*command, "--config", path, "--out", str(out)) == 3
-        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+        assert dir_state(out) == before
         assert "'wrpo_with_yls' reads y_ls" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -826,6 +856,58 @@ class TestMalformedInput:
             "export-figures", "--telemetry", str(out / "po_telemetry.jsonl"), "--out", str(figs)
         ) == 3
         assert not figs.exists()
+
+
+GEN_STAGES = ("build_dataset", "distribution_deviation_report")
+PO_STAGES = ("prepare_po", "run_po", "evaluate")
+SWEEP = ("sweep-alpha", "--targets", "0.5", "--kinds", "static")
+PREPARATIONS = {
+    "nothing": (),
+    "dataset": (("gen-data",),),
+    "full-run": (("gen-data",), ("train", "--stage", "full")),
+}
+# (case name, the PREPARATIONS entry run before the command, the command, the stages it runs)
+FAILING_STAGE_RUNS = [
+    ("gen-data", "full-run", ("gen-data",), GEN_STAGES),
+    ("train-sft", "full-run", ("train", "--stage", "sft"), ("sft",)),
+    ("train-po", "full-run", ("train", "--stage", "po"), PO_STAGES),
+    ("train-full", "full-run", ("train", "--stage", "full"), ("sft", *PO_STAGES)),
+    ("sweep-empty-dir", "nothing", SWEEP, (*GEN_STAGES, "sft", *PO_STAGES)),
+    ("sweep-no-sft", "dataset", SWEEP, ("sft", *PO_STAGES)),
+]
+
+
+class TestFailedStage:
+    """A command writes its files only once its last stage has returned."""
+
+    @pytest.mark.parametrize(
+        "prepared, argv, stage",
+        [
+            (prepared, argv, stage)
+            for _, prepared, argv, stages in FAILING_STAGE_RUNS
+            for stage in stages
+        ],
+        ids=[f"{name}-{stage}" for name, _, _, stages in FAILING_STAGE_RUNS for stage in stages],
+    )
+    def test_stage_failure_changes_no_file(
+        self, tmp_path, monkeypatch, capsys, prepared, argv, stage
+    ):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "run"
+        for prep_argv in PREPARATIONS[prepared]:
+            assert run_cli(*prep_argv, "--config", path, "--out", str(out), "--seed", "2") == 0
+        before = dir_state(out)
+
+        def fail(*args, **kwargs):
+            raise NumericError(f"injected failure in {stage}")
+
+        owner = datagen if stage == "distribution_deviation_report" else pipeline
+        monkeypatch.setattr(owner, stage, fail)
+        capsys.readouterr()
+        # Another seed, so that any file the command rewrites gets other bytes.
+        assert run_cli(*argv, "--config", path, "--out", str(out), "--seed", "3") == 4
+        assert capsys.readouterr().err == f"numeric failure: injected failure in {stage}\n"
+        assert dir_state(out) == before
 
 
 class TestVerifyCommand:

@@ -7,6 +7,9 @@ by path, without changing it, and keep both in view.
 """
 
 import importlib.util
+import json
+import os
+import sys
 from pathlib import Path
 
 # Import every module the tracer names, as the CLI does before tracing.
@@ -61,3 +64,38 @@ def test_sample_scored_makes_one_sample_and_one_score_call_per_draw(monkeypatch)
         out = datagen.sample_scored(model, "m", prompts, 5, cfg, oracle, "salt")
         assert sum(map(len, out)) == 35
         assert calls == {"sample": 35, "score": 35}
+
+
+def test_io_bytes_written_counts_every_byte_a_command_writes(tmp_path, monkeypatch):
+    # The tracer counts io.bytes_written through the open it puts in each microwrpo
+    # module; a file written any other way would be missing from the count.
+    spans = load_spans()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "task": {"n_prompts": 24, "n_content_tokens": 6, "prompt_length": 2},
+        "ensemble": [{"name": "solo", "sharpness": 6.0, "noise": 0.3}],
+        "sampling": {"n_samples": 2, "max_length": 8},
+        "eval": {"n_prompts": 10},
+    }))
+    bypasses = []
+    for owner, name in ((os, "replace"), (Path, "write_text"), (Path, "write_bytes")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: bypasses.append(_name))
+    tracer = spans.Tracer()
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "microwrpo" and "open" not in vars(module):
+            monkeypatch.setattr(module, "open", tracer.open, raising=False)
+    runs = [
+        ("gen", ["gen-data"], cli.GEN_FILES),
+        ("gen", ["train", "--stage", "full"], (cli.RESOLVED_CONFIG, *cli.SFT_FILES, *cli.PO_FILES)),
+        (
+            "sweep",
+            ["sweep-alpha", "--targets", "0.5", "--kinds", "linear", "static"],
+            (*cli.GEN_FILES, *cli.SFT_FILES, cli.PO_DATASET_FILE, cli.SWEEP_FILE),
+        ),
+    ]
+    for out, argv, written in runs:
+        tracer.counts.clear()
+        assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        sizes = {name: (tmp_path / out / name).stat().st_size for name in written}
+        assert tracer.counts["io.bytes_written"] == sum(sizes.values()), (argv, sizes)
+    assert bypasses == []
