@@ -249,7 +249,8 @@ def _read_sweep(path: str) -> str:
     """The text of a sweep.csv; DataError unless its header is SWEEP_COLUMNS and
     every row has one cell per column, a numeric target and a schedule kind."""
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: undecodable bytes ({exc})") from exc
     except OSError as exc:
@@ -310,7 +311,8 @@ def cmd_export_figures(
         print(f"wrote {dest}")
     if sweep_path is not None:
         dest = out / ALPHA_SWEEP_FILE
-        dest.write_text(sweep_text)
+        with open(dest, "w") as fh:
+            fh.write(sweep_text)
         print(f"wrote {dest}")
     return 0
 

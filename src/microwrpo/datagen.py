@@ -62,16 +62,13 @@ _PAIRWISE_BLOCK = 128
 
 
 def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise sum of float64 values, in its order: left to right below
-    8 values; up to _PAIRWISE_BLOCK, eight strided accumulators combined as
+    """numpy's pairwise sum of n >= 8 float64 values, in its order: up to
+    _PAIRWISE_BLOCK, eight strided accumulators combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above,
-    the sum of the two halves, the first a multiple of 8 values long."""
+    the sum of the two halves, the first a multiple of 8 values long, each at
+    least 64 values. Below 8 values numpy adds left to right from 0.0, which
+    BigramRewardOracle.score does in its walk."""
     n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
     if n > _PAIRWISE_BLOCK:
         half = n // 2 - n // 2 % 8
         return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
@@ -122,7 +119,15 @@ class BigramRewardOracle:
             raise InputError("cannot score an empty response")
         first = prompt[-1] if prompt else self.bos_id
         rows = self._rows
-        row, affin = rows[first], []
+        row = rows[first]
+        if n < 8:
+            # numpy's order below 8 values: left to right from 0.0.
+            total = 0.0
+            for tok in response:
+                total += row[tok]
+                row = rows[tok]
+            return total / n - self.length_penalty * n
+        affin = []
         for tok in response:
             affin.append(row[tok])
             row = rows[tok]

@@ -669,7 +669,8 @@ def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig, ranked: np.ndarray, c
 
 
 class NucleusRows(dict):
-    """Nucleus table of one model under one sampling config: row -> (kept tokens, cdf).
+    """Nucleus table of one model under one sampling config:
+    row -> (kept tokens, cdf, base).
 
     For every row: scale logits by 1/temperature, softmax, order tokens by
     descending probability (ties by ascending token index), keep the
@@ -677,14 +678,20 @@ class NucleusRows(dict):
     to ``q``. The cdf is then what ``Generator.choice(kept, p=q)``
     searches, ``q.cumsum() / q.cumsum()[-1]``, so
     ``kept[bisect_right(cdf, rng.random())]`` is the token ``choice`` draws
-    from the same generator state.
+    from the same generator state. ``base`` is ``row * size % n_rows``, a
+    multiple of ``size`` below ``n_rows``, so the row after token ``tok``
+    is ``base + tok``.
 
     The constructor computes all rows at once, a vectorized pass per block
     of _NUCLEUS_BLOCK logits, grouping rows by kept count for the sums. A
-    row's Python entry, a tuple and an ``array("d")``, is made on its first
-    visit; a row whose logits overflow at this temperature raises
+    row's Python entry, a tuple, an ``array("d")`` and an int, is made on
+    its first visit; a row whose logits overflow at this temperature raises
     InputError then, and only if it is visited. The table is valid while
     the model's logits do not change.
+
+    ``prompts`` maps each prompt sample_response has accepted through this
+    table, as a tuple, to its tokens as Python ints and its start row, so a
+    prompt is checked once per table, not once per draw.
     """
 
     def __init__(self, model: PolicyModel, cfg: SamplingConfig):
@@ -708,8 +715,9 @@ class NucleusRows(dict):
                 model.logits[block], cfg, self._ranked[block], self._cdf[block]
             )
         self._keep, self._rejected = keep.tolist(), rejected.tolist()
+        self.prompts: dict[tuple, tuple[tuple[int, ...], int]] = {}
 
-    def __missing__(self, row: int) -> tuple[tuple[int, ...], array]:
+    def __missing__(self, row: int) -> tuple[tuple[int, ...], array, int]:
         if self._rejected[row]:
             raise InputError(
                 f"context row {row} has no nucleus distribution at temperature "
@@ -719,8 +727,22 @@ class NucleusRows(dict):
         entry = self[row] = (
             tuple(self._ranked[row, :n].tolist()),
             array("d", self._cdf[row, :n].tobytes()),
+            row * self.size % self.n_rows,
         )
         return entry
+
+    def _start(self, prompt) -> tuple[tuple[int, ...], int]:
+        """``prompt`` as a tuple of Python ints and the bos-padded context row of
+        its first response position; InputError for a token outside the vocabulary."""
+        size, n_rows = self.size, self.n_rows
+        ints = tuple(map(int, prompt))
+        if ints and (min(ints) < 0 or max(ints) >= size):
+            bad = next(tok for tok in ints if not 0 <= tok < size)
+            raise InputError(f"prompt token {bad} outside vocabulary of size {size}")
+        row = self.bos_row
+        for tok in ints[-self.order :]:
+            row = (row * size + tok) % n_rows
+        return ints, row
 
 
 def sample_response(
@@ -738,33 +760,30 @@ def sample_response(
     ``random()`` method: a Generator, or a stream of stream_uniforms.
     Stops at eos; if max_length tokens were drawn without eos, a terminal
     eos is appended. ``rows`` shares one table across calls on the same
-    model and config; without it, each call builds the whole table.
+    model and config; without it, each call builds the whole table. A
+    prompt is checked once per table (NucleusRows.prompts).
     """
     if rows is None:
         rows = NucleusRows(model, cfg)
     elif rows.model is not model or (rows.cfg is not cfg and rows.cfg != cfg):
         raise UsageError("nucleus rows were built for another model or sampling config")
-    size, n_rows, eos = rows.size, rows.n_rows, rows.eos
-    prompt = tuple(map(int, prompt))
-    if prompt and (min(prompt) < 0 or max(prompt) >= size):
-        bad = next(tok for tok in prompt if not 0 <= tok < size)
-        raise InputError(f"prompt token {bad} outside vocabulary of size {size}")
+    key = tuple(prompt)
+    known = rows.prompts.get(key)
+    if known is None:
+        known = rows.prompts[key] = rows._start(key)
+    prompt, row = known
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    draw = rng.random
+    draw, eos = rng.random, rows.eos
 
-    # The bos-padded context row of the first response position.
-    row = rows.bos_row
-    for tok in prompt[-rows.order :]:
-        row = (row * size + tok) % n_rows
     response: list[int] = []
     for _ in range(cfg.max_length):
-        kept, cdf = rows[row]
+        kept, cdf, base = rows[row]
         tok = kept[bisect_right(cdf, draw())]
         response.append(tok)
         if tok == eos:
             break
-        row = (row * size + tok) % n_rows
+        row = base + tok
     else:
         response.append(eos)
     return Sequence._of_ints(prompt, tuple(response))

@@ -213,12 +213,14 @@ def nucleus_row(logits: np.ndarray, cfg: SamplingConfig):
 
 def nucleus_table_mismatch(model: PolicyModel, cfg: SamplingConfig) -> str | None:
     """How NucleusRows differs from nucleus_row on any row of ``model``: the kept
-    tokens, the cdf bytes, or whether the row raises InputError."""
+    tokens, the cdf bytes, whether the row raises InputError, or a next row
+    ``base + tok`` that is not ``(row * size + tok) % n_rows``."""
     table = NucleusRows(model, cfg)
+    n_rows, size = model.logits.shape
     for row, logits in enumerate(model.logits):
         ref = nucleus_row(logits, cfg)
         try:
-            kept, cdf = table[row]
+            kept, cdf, base = table[row]
         except InputError:
             if ref is None:
                 continue
@@ -229,6 +231,12 @@ def nucleus_table_mismatch(model: PolicyModel, cfg: SamplingConfig) -> str | Non
             return f"row {row} keeps {kept}, its own pass {ref[0]}, under {cfg}"
         if cdf.tobytes().hex() != ref[1].tobytes().hex():
             return f"row {row}'s cdf differs from its own pass under {cfg}"
+        if base != row * size % n_rows:
+            return f"row {row}'s base is {base}, not {row * size % n_rows}"
+        for tok in kept:
+            step = (row * size + tok) % n_rows
+            if base + tok != step:
+                return f"row {row} steps to {base + tok} after token {tok}, not {step}"
     return None
 
 

@@ -345,6 +345,57 @@ class TestSampling:
             with pytest.raises(InputError, match=re.escape(message)):
                 sample_response(model, (2, np.int64(3), bad, -5), cfg, rows=rows)
 
+    def test_prompt_forms_through_a_shared_table_equal_fresh_tables(self):
+        model, cfg = random_model(5, order=3), SamplingConfig(1.2, 0.95, 8, 1)
+        shared = NucleusRows(model, cfg)
+        # The numpy form comes first, so it is the key the map stores.
+        forms = [tuple(map(np.int64, (3, 2, 3, 3))), (3, 2, 3, 3), [3, 2, 3, 3], (), (2,), [2]]
+        for _ in range(2):  # the second round finds every prompt in the table's prompt map
+            for seed, prompt in enumerate(forms):
+                seq = sample_response(
+                    model, prompt, cfg, rng=np.random.default_rng(seed), rows=shared
+                )
+                fresh = sample_response(
+                    model, tuple(prompt), cfg, rng=np.random.default_rng(seed), rows=None
+                )
+                assert seq == fresh
+                assert seq.prompt == tuple(int(tok) for tok in prompt)
+                assert all(type(tok) is int for tok in seq.prompt)
+        assert set(shared.prompts) == {(3, 2, 3, 3), (), (2,)}
+
+    def test_out_of_range_prompt_raises_on_every_call_through_a_shared_table(self):
+        model, cfg = random_model(5), SamplingConfig(0.8, 0.9, 6, 1)
+        rows = NucleusRows(model, cfg)
+        for prompt in [(2, 4)] * 3 + [(np.int64(-1),)] * 3:
+            with pytest.raises(InputError, match="outside vocabulary of size 4"):
+                sample_response(model, prompt, cfg, rows=rows)
+        assert rows.prompts == {}
+
+    def test_shared_table_draw_for_draw_equal_to_generator_choice(self):
+        # One table per model, many draws of a few prompts through it, so later
+        # draws find their prompt and their rows already in the table.
+        rng = np.random.default_rng(10)
+        for trial in range(300):
+            vocab = default_vocabulary(int(rng.integers(2, 9)))
+            model = random_model(trial, vocab, int(rng.integers(1, 4)), float(rng.uniform(0.1, 4)))
+            if trial % 3 == 0:
+                model.logits = np.round(model.logits)
+            cfg = SamplingConfig(
+                temperature=float(rng.uniform(0.05, 3)),
+                top_p=float(np.exp(rng.uniform(np.log(1e-6), 0))),
+                max_length=int(rng.integers(1, 20)),
+            )
+            prompts = [
+                tuple(rng.choice(vocab.content_ids, size=int(rng.integers(0, 4))).tolist())
+                for _ in range(3)
+            ]
+            rows = NucleusRows(model, cfg)
+            for draw in range(6):
+                prompt, seed = prompts[draw % 3], trial * 6 + draw
+                seq = sample_response(model, prompt, cfg, rng=np.random.default_rng(seed), rows=rows)
+                ref = choice_sample(model, prompt, cfg, np.random.default_rng(seed))
+                assert seq.response == ref, (trial, draw)
+
     def test_markers_anywhere_draw_for_draw_equal_to_generator_choice(self):
         # bos and eos at any index, so the bos padding of short prompts is not row 0.
         rng = np.random.default_rng(9)

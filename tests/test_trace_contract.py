@@ -84,18 +84,36 @@ def test_io_bytes_written_counts_every_byte_a_command_writes(tmp_path, monkeypat
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] == "microwrpo" and "open" not in vars(module):
             monkeypatch.setattr(module, "open", tracer.open, raising=False)
+    common = ["--config", str(config)]
+    figure_inputs = [
+        tmp_path / "gen" / cli.PO_TELEMETRY,
+        tmp_path / "gen" / cli.DEVIATION_FILE,
+        tmp_path / "sweep" / cli.SWEEP_FILE,
+    ]
     runs = [
-        ("gen", ["gen-data"], cli.GEN_FILES),
-        ("gen", ["train", "--stage", "full"], (cli.RESOLVED_CONFIG, *cli.SFT_FILES, *cli.PO_FILES)),
+        ("gen", ["gen-data", *common], cli.GEN_FILES),
+        (
+            "gen",
+            ["train", "--stage", "full", *common],
+            (cli.RESOLVED_CONFIG, *cli.SFT_FILES, *cli.PO_FILES),
+        ),
         (
             "sweep",
-            ["sweep-alpha", "--targets", "0.5", "--kinds", "linear", "static"],
+            ["sweep-alpha", "--targets", "0.5", "--kinds", "linear", "static", *common],
             (*cli.GEN_FILES, *cli.SFT_FILES, cli.PO_DATASET_FILE, cli.SWEEP_FILE),
+        ),
+        (
+            "figures",
+            ["export-figures", "--telemetry", str(figure_inputs[0]),
+             "--deviation", str(figure_inputs[1]), "--sweep", str(figure_inputs[2])],
+            ("margin_dynamics__po_telemetry.csv", cli.HISTOGRAM_FILE, cli.ALPHA_SWEEP_FILE),
         ),
     ]
     for out, argv, written in runs:
         tracer.counts.clear()
-        assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        assert cli.main([*argv, "--out", str(tmp_path / out)]) == 0
         sizes = {name: (tmp_path / out / name).stat().st_size for name in written}
         assert tracer.counts["io.bytes_written"] == sum(sizes.values()), (argv, sizes)
+    # export-figures, the last run, reads each of its inputs through open once.
+    assert tracer.counts["io.bytes_read"] == sum(path.stat().st_size for path in figure_inputs)
     assert bypasses == []
