@@ -26,10 +26,8 @@ cancels in every pairwise comparison and is never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
-
-import numpy as np
 
 from . import policy as policy_mod
 from .errors import InputError, UsageError, is_number
@@ -75,19 +73,17 @@ class RoleLogProb:
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Which loss of the family to use and its hyperparameters.
-
-    alpha is only meaningful for the wrpo_* kinds and is normally filled
-    in per optimizer step by the fusion schedule. pairing names the single
-    preferred response of the pair-based kinds: the target's best
-    ("on_policy") or the source's best ("hybrid").
+    """Which loss of the family to use and its hyperparameters: the keys of the
+    config's objective section. The fusion coefficient alpha, which the
+    schedule moves per optimizer step, is an argument of each evaluation.
+    pairing names the single preferred response of the pair-based kinds: the
+    target's best ("on_policy") or the source's best ("hybrid").
     """
 
     kind: str
     beta: float = 0.01
     tau: float | None = None
     gamma: float | None = None
-    alpha: float | None = None
     pairing: str = "on_policy"
 
     def __post_init__(self):
@@ -99,18 +95,11 @@ class ObjectiveConfig:
             raise InputError(f"tau must be a positive number or None (got {self.tau!r})")
         if self.gamma is not None and (not is_number(self.gamma) or self.gamma < 0):
             raise InputError(f"gamma must be a number >= 0 or None (got {self.gamma!r})")
-        if self.alpha is not None and (not is_number(self.alpha) or not 0 <= self.alpha <= 1):
-            raise InputError(f"alpha must be a number in [0, 1] or None (got {self.alpha!r})")
         if self.pairing not in _PAIRED_FIELDS:
             raise InputError(f"unknown pairing {self.pairing!r}")
         offset = _TABLE[self.kind].offset
         if offset is not None and getattr(self, offset.field) is None:
             raise InputError(f"kind {self.kind!r} requires {offset.field}")
-
-    def require_alpha(self) -> float:
-        if self.alpha is None:
-            raise InputError(f"kind {self.kind!r} requires alpha")
-        return self.alpha
 
 
 @dataclass(frozen=True)
@@ -124,17 +113,17 @@ class LossResult:
 
 def internal_reward(theta_logp: float, ref_logp: float, beta: float) -> float:
     """beta * log(pi_theta / pi_ref); the cancelling partition term is omitted."""
-    if not (np.isfinite(theta_logp) and np.isfinite(ref_logp)):
-        raise InputError("log-probs must be finite")
-    if not beta > 0:
-        raise InputError("beta must be positive")
+    if not (is_number(theta_logp) and is_number(ref_logp)):
+        raise InputError(f"log-probs must be finite numbers (got {theta_logp!r}, {ref_logp!r})")
+    if not is_number(beta) or beta <= 0:
+        raise InputError(f"beta must be a positive number (got {beta!r})")
     return beta * (theta_logp - ref_logp)
 
 
 def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
     """Fusion-weighted preferred reward: alpha * r_ws + (1 - alpha) * r_wt."""
-    if not 0 <= alpha <= 1:
-        raise InputError("alpha must be in [0, 1]")
+    if not is_number(alpha) or not 0 <= alpha <= 1:
+        raise InputError(f"alpha must be a number in [0, 1] (got {alpha!r})")
     return alpha * r_ws + (1 - alpha) * r_wt
 
 
@@ -211,14 +200,19 @@ def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
     return compound_reward(terms[names[0]], terms[names[1]], alpha), (alpha, 1 - alpha)
 
 
-def evaluate_loss(roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig) -> LossResult:
+def evaluate_loss(
+    roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig, alpha: float | None = None
+) -> LossResult:
     """The loss of kind ``cfg.kind`` on ``roles`` (role name -> RoleLogProb), with its
     derivative w.r.t. each role's policy log-prob; the one scalar entry point of the family.
-    InputError names a role the kind needs that ``roles`` lacks."""
+    A wrpo_* kind fuses its pairs at ``alpha``, which must be a number in [0, 1]
+    (InputError otherwise, None included); a pair kind ignores it. InputError names a
+    role the kind needs that ``roles`` lacks."""
     row = _TABLE[cfg.kind]
+    if len(row.preferred) == 2 and alpha is None:
+        raise InputError(f"kind {cfg.kind!r} requires alpha")
     # Pinned artifacts depend on this float order: a pair fused by compound_reward,
     # the offset subtracted last, and each coefficient formed as (weight * scale) * dz.
-    alpha = cfg.require_alpha() if len(row.preferred) == 2 else None
     margin_beta = cfg.beta if row.link.beta_scaled else 1.0
     terms, scales = {}, {}
     for name in row.preferred + row.dispreferred:
@@ -237,7 +231,7 @@ def evaluate_loss(roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig) -> Los
     grads = {n: (w * scales[n]) * dz for n, w in zip(row.preferred, weights_w)}
     grads.update({n: -((w * scales[n]) * dz) for n, w in zip(row.dispreferred, weights_l)})
     loss = row.link.loss(z)
-    if alpha is None:  # a pair kind's one margin goes in the column its pairing names
+    if len(row.preferred) == 1:  # a pair kind's one margin goes in the column its pairing names
         margin = rewards["w"] - rewards["l"]
         on_policy, hybrid = (margin, None) if cfg.pairing == "on_policy" else (None, margin)
     else:  # each preferred response against the dispreferred one of its origin
@@ -300,28 +294,26 @@ class PackedRecords:
 
     def loss_gradient(self, model, ids, alpha: float | None = None):
         """The LossResult of each record ``ids`` and the sum of their parameter gradients,
-        at the step's fusion coefficient ``alpha`` (None: the objective's own).
+        at the step's fusion coefficient ``alpha``, which a pair kind ignores.
 
         Each record's grad_wrt_logps scales its roles' exact log-prob
         gradients; see PackedSequences.gradient for the float order.
         """
-        cfg = self.objective if alpha is None else replace(self.objective, alpha=alpha)
         batch = self.sequences.forward(model, ids)
         results = []
         for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
             roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
-            results.append(
-                evaluate_loss({n: RoleLogProb(t, r, length) for n, t, r, length in roles}, cfg)
-            )
+            roles = {n: RoleLogProb(t, r, length) for n, t, r, length in roles}
+            results.append(evaluate_loss(roles, self.objective, alpha))
         coefficients = [[r.grad_wrt_logps[name] for name in self.roles] for r in results]
         return results, self.sequences.gradient(model, batch, coefficients)
 
 
-def loss_gradient_wrt_params(model, ref, quadruple, cfg: ObjectiveConfig):
-    """Compose grad_wrt_logps with the policy's exact log-prob gradients.
+def loss_gradient_wrt_params(model, ref, quadruple, cfg: ObjectiveConfig, alpha=None):
+    """Compose grad_wrt_logps with the policy's exact log-prob gradients at ``alpha``.
 
     Returns (LossResult, gradient table of the same shape as the policy's
     logits).
     """
-    results, grad = PackedRecords(model, ref, [quadruple], cfg).loss_gradient(model, [0])
+    results, grad = PackedRecords(model, ref, [quadruple], cfg).loss_gradient(model, [0], alpha)
     return results[0], grad

@@ -175,11 +175,8 @@ def run_sft(
     losses: list[float] = []
     for batch in _batches(len(sequences), batch_size, epochs, seed):
         forward = packed.forward(policy, batch)
-        nll = 0.0
-        for (log_prob,) in forward.log_probs.tolist():
-            nll -= log_prob
+        nll = _mean([-log_prob for (log_prob,) in forward.log_probs.tolist()])
         grad = packed.gradient(policy, forward, np.full((len(batch), 1), -1.0))
-        nll /= len(batch)
         grad /= len(batch)
         if not np.isfinite(nll):
             raise NumericError(f"non-finite SFT loss at step {len(losses)}")
@@ -218,6 +215,14 @@ def _mean(values: list[float]) -> float:
     return float(total / len(values))
 
 
+def _column_mean(results: list[obj.LossResult], column: str) -> float | None:
+    """The mean of a LossResult margin column; None when the kind leaves it unset,
+    which it does for every record or for none."""
+    if getattr(results[0], column) is None:
+        return None
+    return _mean([getattr(r, column) for r in results])
+
+
 # OpenBLAS computes a ddot of at most this many entries on the calling thread.
 _DOT_CHUNK = 10_000
 
@@ -254,10 +259,12 @@ def run_preference_optimization(
 ) -> tuple[PolicyModel, TrainingTelemetry]:
     """One seeded pass (or several) over the PO split with any objective.
 
-    alpha follows the fusion schedule per optimizer step for the wrpo_*
-    kinds; pair-based kinds must not be given a schedule. The records are
-    packed once (objectives.PackedRecords, which checks the reference and
-    the quadruple fields the kind reads). Every eval_every steps,
+    For the wrpo_* kinds each optimizer step evaluates the loss at the
+    schedule's alpha for that step; pair-based kinds must not be given a
+    schedule. The records are packed once (objectives.PackedRecords, which
+    checks the reference and the quadruple fields the kind reads). A
+    StepRecord's loss, internal rewards and margins are each the _mean of
+    the batch's LossResult values. Every eval_every steps,
     ``evaluate(policy)`` gives the (reward accuracy, mean oracle score) of
     an EvalRecord. Returns the trained model as a frozen snapshot plus the
     telemetry.
@@ -282,35 +289,21 @@ def run_preference_optimization(
     for batch in _batches(len(quadruples), batch_size, epochs, seed):
         alpha = alpha_at(schedule, step) if is_wrpo else None
         results, grad = packed.loss_gradient(policy, batch, alpha)
-        losses: list[float] = []
-        reward_sums: dict[str, float] = {}
-        on_margins: list[float] = []
-        hy_margins: list[float] = []
-        for result in results:
-            losses.append(result.loss)
-            for name, r in result.internal_rewards.items():
-                reward_sums[name] = reward_sums.get(name, 0.0) + r
-            if result.on_policy_margin is not None:
-                on_margins.append(result.on_policy_margin)
-            if result.hybrid_policy_margin is not None:
-                hy_margins.append(result.hybrid_policy_margin)
         grad /= len(batch)
-        loss = _mean(losses)
+        loss = _mean([r.loss for r in results])
         if not np.isfinite(loss):
             raise NumericError(f"non-finite preference loss at step {step}")
-        on_m = _mean(on_margins) if on_margins else None
-        hy_m = _mean(hy_margins) if hy_margins else None
-
         telemetry.steps.append(
             StepRecord(
                 step=step,
                 alpha=alpha,
                 loss=loss,
                 internal_rewards={
-                    k: v / len(batch) for k, v in reward_sums.items()
+                    name: _mean([r.internal_rewards[name] for r in results])
+                    for name in results[0].internal_rewards
                 },
-                on_policy_margin=on_m,
-                hybrid_policy_margin=hy_m,
+                on_policy_margin=_column_mean(results, "on_policy_margin"),
+                hybrid_policy_margin=_column_mean(results, "hybrid_policy_margin"),
                 grad_norm=_grad_norm(grad),
             )
         )

@@ -60,15 +60,15 @@ def random_quadruple(rng, vocab) -> datagen.PreferenceQuadruple:
     )
 
 
-def random_objective_config(rng, kind) -> obj.ObjectiveConfig:
-    """The kind at its operating point (gamma 0 for the wrpo kinds), with a random alpha."""
-    return obj.ObjectiveConfig(
+def random_objective_config(rng, kind) -> tuple[obj.ObjectiveConfig, float]:
+    """The kind at its operating point (gamma 0 for the wrpo kinds) and a random alpha."""
+    cfg = obj.ObjectiveConfig(
         kind=kind,
         beta=10.0 if "simpo" in kind else 0.01,
         tau=0.01,
         gamma=0.0 if "wrpo" in kind else 1.0,
-        alpha=float(rng.uniform(0, 1)),
     )
+    return cfg, float(rng.uniform(0, 1))
 
 
 def _random_model(rng, scale) -> PolicyModel:
@@ -400,9 +400,9 @@ def check_reduction_identities(rng, n) -> str | None:
                     vocab, 2, 1.0, int(rng.integers(1 << 31)), frozen=True
                 )
                 quad = random_quadruple(rng, vocab)
-                h_cfg = replace(random_objective_config(rng, hybrid_kind), alpha=alpha)
-                p_cfg = replace(h_cfg, kind=pair_kind, alpha=None, pairing=pairing)
-                res_h, grad_h = obj.loss_gradient_wrt_params(model, ref, quad, h_cfg)
+                h_cfg, _ = random_objective_config(rng, hybrid_kind)
+                p_cfg = replace(h_cfg, kind=pair_kind, pairing=pairing)
+                res_h, grad_h = obj.loss_gradient_wrt_params(model, ref, quad, h_cfg, alpha)
                 res_p, grad_p = obj.loss_gradient_wrt_params(model, ref, quad, p_cfg)
                 if abs(res_h.loss - res_p.loss) > 1e-12:
                     return f"{hybrid_kind}(alpha={alpha}) loss differs from {pair_kind}"
@@ -422,12 +422,12 @@ def check_initialization_constants(rng, n) -> str | None:
         beta, alpha = float(rng.uniform(0.01, 10)), float(rng.uniform(0, 1))
         for kind in obj.KINDS:
             for tau in (0.01, 0.1, 1.0):
-                cfg = obj.ObjectiveConfig(kind, beta=beta, tau=tau, gamma=0.0, alpha=alpha)
+                cfg = obj.ObjectiveConfig(kind, beta=beta, tau=tau, gamma=0.0)
                 if kind in obj.SIGMOID_KINDS:
                     expected, tol = log2, 1e-12
                 else:
                     expected, tol = (1.0 / (2.0 * tau)) ** 2, 1e-9
-                loss = obj.evaluate_loss(roles, cfg).loss
+                loss = obj.evaluate_loss(roles, cfg, alpha).loss
                 if abs(loss - expected) > tol:
                     return f"zero-margin {kind} loss {loss} != {expected} (tau={tau})"
     return None

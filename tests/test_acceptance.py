@@ -32,12 +32,12 @@ def report(num: int, description: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {description}")
 
 
-def packed_loss(packed, model):
+def packed_loss(packed, model, alpha):
     """The loss of a one-record PackedRecords under ``model``, without its gradient."""
     (thetas,) = packed.sequences.log_probs(model).tolist()
     roles = zip(packed.roles, thetas, packed.ref[0], packed.lengths[0])
     return obj.evaluate_loss(
-        {name: obj.RoleLogProb(t, r, n) for name, t, r, n in roles}, packed.objective
+        {name: obj.RoleLogProb(t, r, n) for name, t, r, n in roles}, packed.objective, alpha
     ).loss
 
 
@@ -56,20 +56,18 @@ class TestCriterion1GradientSuite:
                     vocab, 1, rng.standard_normal((size, size)), frozen=True
                 )
                 quad = verify.random_quadruple(rng, vocab)
-                cfg = replace(
-                    verify.random_objective_config(rng, kind),
-                    pairing="on_policy" if rng.random() < 0.5 else "hybrid",
-                )
+                cfg, alpha = verify.random_objective_config(rng, kind)
+                cfg = replace(cfg, pairing="on_policy" if rng.random() < 0.5 else "hybrid")
                 packed = obj.PackedRecords(model, ref, [quad], cfg)
-                _, grad = packed.loss_gradient(model, [0])
+                _, grad = packed.loss_gradient(model, [0], alpha)
                 flat = model.logits.ravel()
                 gflat = grad.ravel()
                 for k in range(flat.size):
                     orig = flat[k]
                     flat[k] = orig + h
-                    up = packed_loss(packed, model)
+                    up = packed_loss(packed, model, alpha)
                     flat[k] = orig - h
-                    down = packed_loss(packed, model)
+                    down = packed_loss(packed, model, alpha)
                     flat[k] = orig
                     fd = (up - down) / (2 * h)
                     assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd)), (
@@ -93,7 +91,7 @@ class TestCriterion2ReductionIdentities:
                 tau=0.01,
                 gamma=0.0,
             )
-            p_cfg = replace(h_cfg, kind=pair_kind, alpha=None)
+            p_cfg = replace(h_cfg, kind=pair_kind)
             common = dict(epochs=1, batch_size=8, seed=17)
             model_h, tel_h = trainer.run_preference_optimization(
                 snap.copy(frozen=False), snap, quads, h_cfg, opt,

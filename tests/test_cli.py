@@ -2,6 +2,7 @@
 
 import base64
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -15,7 +16,7 @@ import pytest
 from conftest import pipeline_env
 
 import microwrpo
-from microwrpo import cli, datagen, pipeline, trainer, verify
+from microwrpo import cli, datagen, objectives, pipeline, trainer, verify
 from microwrpo.config import default_config_dict, load_config
 from microwrpo.errors import NumericError
 from microwrpo.policy import (
@@ -195,6 +196,16 @@ class TestGenData:
         assert d["data"]["split_fraction"] == pytest.approx(1 / 3)
         assert d["po"]["optimizer"]["warmup_fraction"] == 0.1
         assert d["po"]["epochs"] == 1 and d["sft"]["epochs"] == 1
+
+    def test_typed_config_fields_are_the_section_keys(self):
+        # objective_config() and optimizer_config() pass a section's keys as fields.
+        def names(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
+        d = default_config_dict()
+        assert names(objectives.ObjectiveConfig) == set(d["objective"])
+        for stage in ("sft", "po"):
+            assert names(trainer.OptimizerConfig) == set(d[stage]["optimizer"])
 
 
 class TestTrain:

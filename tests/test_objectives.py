@@ -77,10 +77,43 @@ class TestCompoundReward:
         assert obj.compound_reward(2.0, 1.0, 0.3) == pytest.approx(1.3, rel=1e-12)
 
     def test_alpha_out_of_range(self):
+        roles = triple(role(-1.0), role(-1.0), role(-1.0))
+        cfg = obj.ObjectiveConfig("wrpo_dpo")
+        for alpha in (1.5, -0.1):
+            with pytest.raises(InputError, match="alpha must be a number in"):
+                obj.compound_reward(1.0, 1.0, alpha)
+            with pytest.raises(InputError, match="alpha must be a number in"):
+                obj.evaluate_loss(roles, cfg, alpha)
+
+
+class TestScalarHelperArguments:
+    @pytest.mark.parametrize(
+        "helper, args",
+        [
+            (obj.internal_reward, (-1.0, -2.0, True)),
+            (obj.internal_reward, (False, -2.0, 0.1)),
+            (obj.internal_reward, ("a", -1.0, 0.1)),
+            (obj.internal_reward, (-1.0, -2.0, "0.1")),
+            (obj.internal_reward, (-1.0, -2.0, math.inf)),
+            (obj.compound_reward, (1.0, 2.0, True)),
+            (obj.compound_reward, (1.0, 2.0, False)),
+            (obj.compound_reward, (1.0, 2.0, "0.5")),
+            (obj.compound_reward, (1.0, 2.0, math.nan)),
+        ],
+        ids=[
+            "internal-beta-True", "internal-theta-False", "internal-theta-str",
+            "internal-beta-str", "internal-beta-inf", "compound-alpha-True",
+            "compound-alpha-False", "compound-alpha-str", "compound-alpha-nan",
+        ],
+    )
+    def test_non_numbers_rejected(self, helper, args):
         with pytest.raises(InputError):
-            obj.compound_reward(1.0, 1.0, 1.5)
-        with pytest.raises(InputError):
-            obj.compound_reward(1.0, 1.0, -0.1)
+            helper(*args)
+
+    def test_numpy_floats_accepted(self):
+        f = np.float64
+        assert obj.internal_reward(f(-1.0), f(-2.0), f(0.5)) == 0.5
+        assert obj.compound_reward(f(2.0), f(1.0), f(0.5)) == 1.5
 
 
 class TestDpoLoss:
@@ -109,6 +142,14 @@ class TestDpoLoss:
         margins = {"on_policy": out.on_policy_margin, "hybrid": out.hybrid_policy_margin}
         assert margins.pop(pairing) == out.internal_rewards["w"] - out.internal_rewards["l"] == 1.0
         assert list(margins.values()) == [None]
+
+    @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
+    @pytest.mark.parametrize("kind", ["dpo", "ipo", "simpo"])
+    def test_pair_kind_ignores_alpha(self, kind, pairing):
+        roles = pair(role(-1.0, -2.0, 2), role(-3.0, -2.0, 3))
+        cfg = obj.ObjectiveConfig(kind, beta=0.5, tau=0.01, gamma=0.1, pairing=pairing)
+        assert obj.evaluate_loss(roles, cfg, 0.3) == obj.evaluate_loss(roles, cfg, None)
+        assert obj.evaluate_loss(roles, cfg, 0.3) == obj.evaluate_loss(roles, cfg)
 
     def test_grad_signs(self):
         rng = np.random.default_rng(3)
@@ -143,13 +184,17 @@ class TestObjectiveConfig:
         "field, value",
         [
             ("beta", True), ("beta", math.inf), ("beta", "x"), ("tau", math.inf),
-            ("tau", True), ("gamma", math.inf), ("gamma", "0"), ("alpha", False),
-            ("alpha", math.nan),
+            ("tau", True), ("gamma", math.inf), ("gamma", "0"),
         ],
     )
     def test_non_numbers_rejected(self, field, value):
         with pytest.raises(InputError):
             obj.ObjectiveConfig("wrpo_ipo", **{"tau": 0.01, field: value})
+
+    def test_alpha_is_not_a_field(self):
+        # alpha is the argument of each evaluation, not part of the objective.
+        with pytest.raises(TypeError):
+            obj.ObjectiveConfig("wrpo_dpo", alpha=0.3)
 
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_offset_of_the_kind_required(self, kind):
@@ -189,8 +234,8 @@ class TestWrpoLoss:
         rng = np.random.default_rng(4)
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
-            cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.0)
-            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg)
+            cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01)
+            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg, 0.0)
             ref = obj.evaluate_loss(pair(w_t, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_t"] - ref.grad_wrt_logps["w"]) <= 1e-12
@@ -201,8 +246,8 @@ class TestWrpoLoss:
         rng = np.random.default_rng(5)
         for _ in range(50):
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
-            cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=1.0)
-            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg)
+            cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01)
+            out = obj.evaluate_loss(triple(w_s, w_t, l), cfg, 1.0)
             ref = obj.evaluate_loss(pair(w_s, l), obj.ObjectiveConfig("dpo", beta=0.01))
             assert abs(out.loss - ref.loss) <= 1e-12
             assert abs(out.grad_wrt_logps["w_s"] - ref.grad_wrt_logps["w"]) <= 1e-12
@@ -213,7 +258,7 @@ class TestWrpoLoss:
         roles = triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01), 0.5)
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.015)), rel=1e-12)
         assert out.loss == pytest.approx(0.685669, abs=1e-5)
 
@@ -221,14 +266,25 @@ class TestWrpoLoss:
         roles = triple(
             role(-1.0, -3.0), role(-2.0, -3.0), role(-3.0, -3.0)
         )
-        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.5))
+        out = obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01), 0.5)
         assert out.hybrid_policy_margin == pytest.approx(0.02, rel=1e-12)
         assert out.on_policy_margin == pytest.approx(0.01, rel=1e-12)
 
     def test_alpha_required(self):
         roles = triple(role(-1.0), role(-1.0), role(-1.0))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="'wrpo_dpo' requires alpha"):
             obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01))
+        with pytest.raises(InputError, match="requires alpha"):
+            obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01), None)
+
+    @pytest.mark.parametrize(
+        "alpha", [False, True, math.nan, math.inf, "0.5"],
+        ids=["False", "True", "nan", "inf", "str"],
+    )
+    def test_alpha_not_a_number_in_range_rejected(self, alpha):
+        roles = triple(role(-1.0), role(-1.0), role(-1.0))
+        with pytest.raises(InputError, match="alpha must be a number in"):
+            obj.evaluate_loss(roles, obj.ObjectiveConfig("wrpo_dpo", beta=0.01), alpha)
 
 
 class TestWrpoSimpoLoss:
@@ -238,7 +294,8 @@ class TestWrpoSimpoLoss:
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             out = obj.evaluate_loss(
                 triple(w_s, w_t, l),
-                obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.0),
+                obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0),
+                0.0,
             )
             ref = obj.evaluate_loss(
                 pair(w_t, l),
@@ -252,7 +309,7 @@ class TestWrpoSimpoLoss:
             role(-1.0, length=1), role(-2.0, length=2), role(-3.0, length=3)
         )
         out = obj.evaluate_loss(
-            roles, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0, alpha=0.4)
+            roles, obj.ObjectiveConfig("wrpo_simpo", beta=10.0, gamma=0.0), 0.4
         )
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
@@ -264,7 +321,8 @@ class TestWrpoIpoLoss:
             w_s, w_t, l = rand_role(rng), rand_role(rng), rand_role(rng)
             out = obj.evaluate_loss(
                 triple(w_s, w_t, l),
-                obj.ObjectiveConfig("wrpo_ipo", tau=0.01, alpha=0.0),
+                obj.ObjectiveConfig("wrpo_ipo", tau=0.01),
+                0.0,
             )
             ref = obj.evaluate_loss(
                 pair(w_t, l), obj.ObjectiveConfig("ipo", tau=0.01)
@@ -279,7 +337,8 @@ class TestWrpoIpoLoss:
         l = role(-3.0, -3.0)
         out = obj.evaluate_loss(
             triple(w_s, w_t, l),
-            obj.ObjectiveConfig("wrpo_ipo", tau=tau, alpha=alpha),
+            obj.ObjectiveConfig("wrpo_ipo", tau=tau),
+            alpha,
         )
         assert out.loss == pytest.approx(0.0, abs=1e-18)
 
@@ -291,7 +350,8 @@ class TestWrpoWithYlsLoss:
             roles = [rand_role(rng) for _ in range(4)]
             out = obj.evaluate_loss(
                 quad_roles(*roles),
-                obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.0),
+                obj.ObjectiveConfig("wrpo_with_yls", beta=0.01),
+                0.0,
             )
             ref = obj.evaluate_loss(
                 pair(roles[1], roles[3]),
@@ -303,7 +363,8 @@ class TestWrpoWithYlsLoss:
         r = role(-5.0, -5.0)
         out = obj.evaluate_loss(
             quad_roles(r, r, r, r),
-            obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5),
+            obj.ObjectiveConfig("wrpo_with_yls", beta=0.01),
+            0.5,
         )
         assert out.loss == pytest.approx(LOG2, abs=1e-12)
 
@@ -313,7 +374,7 @@ class TestWrpoWithYlsLoss:
             role(-1.0, -3.0), role(-2.0, -3.0), role(-2.5, -3.0), role(-3.0, -3.0)
         )
         out = obj.evaluate_loss(
-            roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
+            roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01), 0.5
         )
         assert out.loss == pytest.approx(math.log1p(math.exp(-0.0125)), rel=1e-12)
         assert out.loss == pytest.approx(0.686913, abs=5e-6)
@@ -322,7 +383,7 @@ class TestWrpoWithYlsLoss:
         roles = triple(role(-1.0), role(-1.0), role(-1.0))
         with pytest.raises(InputError, match="'l_s'"):
             obj.evaluate_loss(
-                roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01, alpha=0.5)
+                roles, obj.ObjectiveConfig("wrpo_with_yls", beta=0.01), 0.5
             )
 
 
@@ -335,13 +396,14 @@ def make_roles(rng, kind):
 
 
 def cfg_for(kind, rng):
-    return obj.ObjectiveConfig(
+    """The kind's config and a random alpha to evaluate it at."""
+    cfg = obj.ObjectiveConfig(
         kind=kind,
         beta=10.0 if "simpo" in kind else 0.01,
         tau=0.01,
         gamma=0.0 if kind == "wrpo_simpo" else 1.0,
-        alpha=float(rng.uniform(0, 1)),
     )
+    return cfg, float(rng.uniform(0, 1))
 
 
 class TestGradientConsistency:
@@ -354,11 +416,11 @@ class TestGradientConsistency:
         h = 1e-3 if kind in ("ipo", "wrpo_ipo") else 1e-6
         for _ in range(30):
             roles = make_roles(rng, kind)
-            cfg = cfg_for(kind, rng)
-            out = obj.evaluate_loss(roles, cfg)
+            cfg, alpha = cfg_for(kind, rng)
+            out = obj.evaluate_loss(roles, cfg, alpha)
             for name, r in roles.items():
-                up = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta + h)}, cfg)
-                dn = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta - h)}, cfg)
+                up = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta + h)}, cfg, alpha)
+                dn = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta - h)}, cfg, alpha)
                 fd = (up.loss - dn.loss) / (2 * h)
                 assert out.grad_wrt_logps[name] == pytest.approx(
                     fd, rel=1e-6, abs=1e-9
@@ -369,13 +431,14 @@ class TestGradientConsistency:
         rng = np.random.default_rng(1)
         for _ in range(20):
             roles = make_roles(rng, kind)
-            cfg = cfg_for(kind, rng)
-            base = obj.evaluate_loss(roles, cfg)
+            cfg, alpha = cfg_for(kind, rng)
+            base = obj.evaluate_loss(roles, cfg, alpha)
             assert base.loss > 0
             # raising any preferred theta lowers the loss, raising a
             # dispreferred one raises it (strict monotonicity in z)
             for name, r in roles.items():
-                bumped = obj.evaluate_loss({**roles, name: replace(r, theta=r.theta - 0.5)}, cfg)
+                probe = {**roles, name: replace(r, theta=r.theta - 0.5)}
+                bumped = obj.evaluate_loss(probe, cfg, alpha)
                 coeff = base.grad_wrt_logps[name]
                 if coeff < 0:
                     assert bumped.loss > base.loss
@@ -385,7 +448,7 @@ class TestGradientConsistency:
     def test_weighted_margin_linear_in_deltas(self):
         # unit probes on each delta recover the (alpha*beta, (1-alpha)*beta, -beta) weights
         beta, alpha = 0.01, 0.3
-        cfg = obj.ObjectiveConfig("wrpo_dpo", beta=beta, alpha=alpha)
+        cfg = obj.ObjectiveConfig("wrpo_dpo", beta=beta)
         base_roles = {
             "w_s": role(-4.0, -4.0),
             "w_t": role(-5.0, -5.0),
@@ -393,7 +456,7 @@ class TestGradientConsistency:
         }
 
         def margin(roles):
-            out = obj.evaluate_loss(roles, cfg)
+            out = obj.evaluate_loss(roles, cfg, alpha)
             r = out.internal_rewards
             return obj.compound_reward(r["w_s"], r["w_t"], alpha) - r["l"]
 
@@ -421,8 +484,8 @@ class TestComposedParameterGradient:
         rng = np.random.default_rng(9)
         vocab = default_vocabulary(3)
         model, ref, quad = self._random_instance(rng, vocab)
-        cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01, alpha=0.0)
-        _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
+        cfg = obj.ObjectiveConfig("wrpo_dpo", beta=0.01)
+        _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg, 0.0)
         dpo_cfg = obj.ObjectiveConfig("dpo", beta=0.01)
         _, grad_dpo = obj.loss_gradient_wrt_params(model, ref, quad, dpo_cfg)
         assert np.abs(grad - grad_dpo).max() <= 1e-12
@@ -433,16 +496,16 @@ class TestComposedParameterGradient:
         h = 1e-5
         for kind in obj.KINDS:
             model, ref, quad = self._random_instance(rng, vocab)
-            cfg = cfg_for(kind, rng)
-            res, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
+            cfg, alpha = cfg_for(kind, rng)
+            res, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg, alpha)
             flat = model.logits.ravel()
             gflat = grad.ravel()
             for k in rng.choice(flat.size, size=15, replace=False):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
+                up = obj.loss_gradient_wrt_params(model, ref, quad, cfg, alpha)[0].loss
                 flat[k] = orig - h
-                dn = obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0].loss
+                dn = obj.loss_gradient_wrt_params(model, ref, quad, cfg, alpha)[0].loss
                 flat[k] = orig
                 fd = (up - dn) / (2 * h)
                 assert abs(gflat[k] - fd) <= max(1e-7, 1e-4 * abs(fd))
@@ -474,9 +537,8 @@ class TestComposedParameterGradient:
                 beta=10.0 if "simpo" in kind else 0.01,
                 tau=0.01,
                 gamma=0.0,
-                alpha=0.5,
             )
-            _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg)
+            _, grad = obj.loss_gradient_wrt_params(model, ref, quad, cfg, 0.5)
             packed = obj.PackedRecords(model, ref, [quad], cfg)
             for name, s in zip(packed.roles, packed.groups[0]):
                 direction = float(np.sum(log_prob_gradient(model, s) * -grad))
@@ -550,25 +612,25 @@ class TestBundleFromQuadruple:
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_missing_reference(self, kind):
         model, ref, quad = self._instance()
-        cfg = cfg_for(kind, np.random.default_rng(0))
+        cfg, alpha = cfg_for(kind, np.random.default_rng(0))
         if kind in ("simpo", "wrpo_simpo"):
-            res, _ = obj.loss_gradient_wrt_params(model, None, quad, cfg)
-            assert res == obj.loss_gradient_wrt_params(model, ref, quad, cfg)[0]
+            res, _ = obj.loss_gradient_wrt_params(model, None, quad, cfg, alpha)
+            assert res == obj.loss_gradient_wrt_params(model, ref, quad, cfg, alpha)[0]
         else:
             with pytest.raises(InputError):
-                obj.loss_gradient_wrt_params(model, None, quad, cfg)
+                obj.loss_gradient_wrt_params(model, None, quad, cfg, alpha)
 
     @pytest.mark.parametrize("kind", [k for k in obj.KINDS if "simpo" not in k])
     def test_reference_of_another_context_order_rejected(self, kind):
         model, _, quad = self._instance()
         ref = PolicyModel.random_init(model.vocab, 2, 1.0, seed=2, frozen=True)
         with pytest.raises(UsageError):
-            obj.PackedRecords(model, ref, [quad], cfg_for(kind, np.random.default_rng(0)))
+            obj.PackedRecords(model, ref, [quad], cfg_for(kind, np.random.default_rng(0))[0])
 
     @pytest.mark.parametrize("kind", obj.KINDS)
     def test_unfrozen_reference(self, kind):
         model, ref, quad = self._instance()
-        cfg = cfg_for(kind, np.random.default_rng(0))
+        cfg, _ = cfg_for(kind, np.random.default_rng(0))
         if "simpo" in kind:  # reference-free: the reference is never read
             obj.PackedRecords(model, ref.copy(frozen=False), [quad], cfg)
         else:

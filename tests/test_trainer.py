@@ -495,7 +495,7 @@ def _loop_log_prob_gradient(model, seq):
 _LOOP_FIELDS = {"w_s": "y_ws", "w_t": "y_wt", "l": "y_l", "l_t": "y_l", "l_s": "y_ls"}
 
 
-def _loop_po_step(policy, ref, quads, batch, cfg):
+def _loop_po_step(policy, ref, quads, batch, cfg, alpha):
     row = obj._TABLE[cfg.kind]
     fields = {**_LOOP_FIELDS, "w": {"on_policy": "y_wt", "hybrid": "y_ws"}[cfg.pairing]}
     grad = np.zeros_like(policy.logits)
@@ -506,7 +506,7 @@ def _loop_po_step(policy, ref, quads, batch, cfg):
             seq = seqs[name] = getattr(quads[i], fields[name]).sequence
             ref_lp = 0.0 if "simpo" in cfg.kind else _loop_log_prob(ref, seq)
             roles[name] = obj.RoleLogProb(_loop_log_prob(policy, seq), ref_lp, len(seq.response))
-        result = obj.evaluate_loss(roles, cfg)
+        result = obj.evaluate_loss(roles, cfg, alpha)
         g = np.zeros_like(policy.logits)
         for name, seq in seqs.items():
             g += result.grad_wrt_logps[name] * _loop_log_prob_gradient(policy, seq)
@@ -576,12 +576,13 @@ class TestPackedBatchesEqualThePerRecordLoop:
         vocab, quads = repetitive_quadruples(rng, 37)
         policy = PolicyModel.random_init(vocab, 2, 1.5, seed=1)
         ref = PolicyModel.random_init(vocab, 2, 1.5, seed=2, frozen=True)
-        cfg = replace(verify.random_objective_config(rng, kind), pairing=pairing)
-        packed = obj.PackedRecords(policy, ref, quads, replace(cfg, alpha=None))
+        cfg, alpha = verify.random_objective_config(rng, kind)
+        cfg = replace(cfg, pairing=pairing)
+        packed = obj.PackedRecords(policy, ref, quads, cfg)
         for batch_size in (1, 16):
             for batch in trainer._batches(len(quads), batch_size, 1, seed=batch_size):
-                results, grad = packed.loss_gradient(policy, batch, cfg.alpha)
-                want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg)
+                results, grad = packed.loss_gradient(policy, batch, alpha)
+                want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg, alpha)
                 assert results == want_results  # loss, rewards, margins, role slopes
                 assert np.array_equal(grad, want_grad)
                 assert not np.signbit(grad[grad == 0.0]).any()
