@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 
 from .datagen import BigramRewardOracle, make_oracle, make_prompts, make_source_ensemble
@@ -208,6 +209,12 @@ class RunConfig:
         _require(d["po"]["eval_every"] >= 0, "po.eval_every must be >= 0")
         _require(d["eval"]["n_prompts"] >= 1, "eval.n_prompts must be >= 1")
         _require(d["eval"]["samples_per_prompt"] >= 1, "eval.samples_per_prompt must be >= 1")
+        # A score is in [-length_penalty * (max_length + 1), 1]; a mean spans at most n scores.
+        n = max(2 * task["n_prompts"], d["eval"]["n_prompts"] * d["eval"]["samples_per_prompt"])
+        _require(
+            task["length_penalty"] * (samp["max_length"] + 1) * n <= sys.float_info.max / 2,
+            "task.length_penalty is so large that a mean of oracle scores would overflow",
+        )
         # The typed configs own the range rules of their sections.
         for section, build in (
             ("task", self.vocabulary),

@@ -15,6 +15,7 @@ import logging
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -55,38 +56,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
-
-
-# Longest run numpy's pairwise float64 sum adds in one block (PW_BLOCKSIZE).
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise sum of n >= 8 float64 values, in its order: up to
-    _PAIRWISE_BLOCK, eight strided accumulators combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above,
-    the sum of the two halves, the first a multiple of 8 values long, each at
-    least 64 values. Below 8 values numpy adds left to right from 0.0, which
-    BigramRewardOracle.score does in its walk."""
-    n = len(values)
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        r0 += values[i]
-        r1 += values[i + 1]
-        r2 += values[i + 2]
-        r3 += values[i + 3]
-        r4 += values[i + 4]
-        r5 += values[i + 5]
-        r6 += values[i + 6]
-        r7 += values[i + 7]
-    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for v in values[whole:]:
-        total += v
-    return total
+# The response fields of a PreferenceQuadruple, in record order; only y_ls may be None.
+ROLES = ("y_ws", "y_wt", "y_l", "y_ls")
+_score = attrgetter("score")
 
 
 @dataclass(frozen=True)
@@ -112,8 +84,10 @@ class BigramRewardOracle:
         object.__setattr__(self, "_rows", w.tolist())
 
     def score(self, prompt: tuple[int, ...], response: tuple[int, ...]) -> float:
-        """``float(weights[prev, response].mean() - length_penalty * n)``, bit for bit:
-        the mean is taken in Python floats, in numpy's summation order."""
+        """``float(weights[prev, response].mean() - length_penalty * n)``, bit for bit.
+        Below 8 tokens the mean is taken in Python floats, left to right from 0.0,
+        which is numpy's order there; from 8 tokens on the sum is numpy's own
+        np.add.reduce, the one the mean takes."""
         n = len(response)
         if n == 0:
             raise InputError("cannot score an empty response")
@@ -121,7 +95,6 @@ class BigramRewardOracle:
         rows = self._rows
         row = rows[first]
         if n < 8:
-            # numpy's order below 8 values: left to right from 0.0.
             total = 0.0
             for tok in response:
                 total += row[tok]
@@ -131,9 +104,7 @@ class BigramRewardOracle:
         for tok in response:
             affin.append(row[tok])
             row = rows[tok]
-        # np.add.reduce adds the pairwise sum to its identity 0.0, so a sum of
-        # -0.0 values is 0.0.
-        return (0.0 + _pairwise_sum(affin)) / n - self.length_penalty * n
+        return float(np.add.reduce(affin)) / n - self.length_penalty * n
 
 
 def make_oracle(
@@ -203,9 +174,12 @@ class PreferenceQuadruple:
 def make_prompts(
     vocab: Vocabulary, n_prompts: int, prompt_length: int = 3, seed: int = 2
 ) -> list[tuple[int, ...]]:
-    """Distinct prompts over the content tokens, deterministic under seed."""
+    """Distinct prompts over the content tokens, deterministic under seed: seeded
+    permutation codes of the prompt space read as base-k digits, most significant first."""
     content = vocab.content_ids
     total = len(content) ** prompt_length
+    if prompt_length < 1:
+        raise InputError("prompt_length must be >= 1")
     if n_prompts < 1:
         raise InputError("n_prompts must be >= 1")
     if n_prompts > total:
@@ -213,18 +187,9 @@ def make_prompts(
             f"cannot draw {n_prompts} distinct prompts of length {prompt_length} "
             f"from {len(content)} content tokens ({total} available)"
         )
-    rng = np.random.default_rng(seed)
-    chosen = rng.permutation(total)[:n_prompts]
-    base = len(content)
-    prompts = []
-    for code in chosen:
-        toks = []
-        c = int(code)
-        for _ in range(prompt_length):
-            toks.append(content[c % base])
-            c //= base
-        prompts.append(tuple(reversed(toks)))
-    return prompts
+    codes = np.random.default_rng(seed).permutation(total)[:n_prompts]
+    digits = np.unravel_index(codes, (len(content),) * prompt_length)
+    return [tuple(p) for p in np.array(content)[np.transpose(digits)].tolist()]
 
 
 def sample_scored(
@@ -281,22 +246,13 @@ def generate_candidates(
     return [list(chain.from_iterable(per_prompt)) for per_prompt in zip(*per_member)]
 
 
-def _argbest(candidates: list[ScoredResponse], want_max: bool) -> ScoredResponse:
-    # Strict comparison keeps the earliest (model order, then sample index) on ties.
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if (cand.score > best.score) if want_max else (cand.score < best.score):
-            best = cand
-    return best
-
-
 def target_pairs(
     pools: list[list[ScoredResponse]],
 ) -> list[tuple[ScoredResponse, ScoredResponse]]:
     """(y_wt, y_l) of each prompt's pool of target draws: its max-score and its
-    min-score draw, the earliest winning a tie. Equal-score pairs are counted
-    and logged."""
-    pairs = [(_argbest(pool, want_max=True), _argbest(pool, want_max=False)) for pool in pools]
+    min-score draw by the builtins max and min, which keep the earliest of equal
+    scores. Equal-score pairs are counted and logged."""
+    pairs = [(max(pool, key=_score), min(pool, key=_score)) for pool in pools]
     degenerate = sum(y_wt.score == y_l.score for y_wt, y_l in pairs)
     if degenerate:
         log.warning(
@@ -332,11 +288,10 @@ def assemble_quadruples(
     quadruples = []
     pairs = target_pairs(target_pools)
     for prompt, source_pool, (y_wt, y_l) in zip(prompts, source_pools, pairs):
-        y_ws = _argbest(source_pool, want_max=True)
+        y_ws = max(source_pool, key=_score)
         y_ls = None
         if include_yls:
-            same_model = [c for c in source_pool if c.model == y_ws.model]
-            y_ls = _argbest(same_model, want_max=False)
+            y_ls = min((c for c in source_pool if c.model == y_ws.model), key=_score)
         wins[y_ws.model] += 1
         quadruples.append(
             PreferenceQuadruple(
@@ -397,15 +352,11 @@ def distribution_deviation_report(
     """
     if len(quadruples) == 0:
         raise InputError("quadruple list is empty")
-    groups: dict[str, list[ScoredResponse]] = {"y_ws": [], "y_wt": [], "y_l": []}
-    if any(q.y_ls is not None for q in quadruples):
-        groups["y_ls"] = []
-    for q in quadruples:
-        groups["y_ws"].append(q.y_ws)
-        groups["y_wt"].append(q.y_wt)
-        groups["y_l"].append(q.y_l)
-        if "y_ls" in groups and q.y_ls is not None:
-            groups["y_ls"].append(q.y_ls)
+    groups: dict[str, list[ScoredResponse]] = {}
+    for role in ROLES:
+        members = [r for q in quadruples if (r := getattr(q, role)) is not None]
+        if members:
+            groups[role] = members
     logps = {}
     for name, members in groups.items():
         sums = PackedSequences(model, [(s.sequence,) for s in members]).log_probs(model)
@@ -485,28 +436,20 @@ def _quadruple_from_dict(d: dict, vocab: Vocabulary) -> PreferenceQuadruple:
     prompt = tuple(d["prompt"])
     roles = {
         role: _role_from_dict(prompt, d.get(role), role, vocab)
-        for role in ("y_ws", "y_wt", "y_l")
+        for role in ROLES
+        if role != "y_ls" or d.get(role) is not None
     }
-    y_ls = d.get("y_ls")
-    return PreferenceQuadruple(
-        prompt=prompt,
-        **roles,
-        y_ls=None if y_ls is None else _role_from_dict(prompt, y_ls, "y_ls", vocab),
-    )
+    return PreferenceQuadruple(prompt=prompt, **roles)
 
 
 def write_quadruples(path, quadruples: list[PreferenceQuadruple]) -> None:
     """JSONL, one quadruple per line; byte-stable given identical inputs."""
     with open(path, "w") as fh:
         for q in quadruples:
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "prompt": list(q.prompt),
-                "y_ws": _role_dict(q.y_ws),
-                "y_wt": _role_dict(q.y_wt),
-                "y_l": _role_dict(q.y_l),
-                "y_ls": _role_dict(q.y_ls) if q.y_ls is not None else None,
-            }
+            record = {"schema_version": SCHEMA_VERSION, "prompt": list(q.prompt)}
+            for role in ROLES:
+                response = getattr(q, role)
+                record[role] = None if response is None else _role_dict(response)
             fh.write(json.dumps(record) + "\n")
 
 

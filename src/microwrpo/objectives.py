@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from . import policy as policy_mod
-from .errors import InputError, UsageError, is_number
+from .errors import InputError, NumericError, UsageError, is_number
 
 __all__ = [
     "KINDS",
@@ -122,6 +122,8 @@ def internal_reward(theta_logp: float, ref_logp: float, beta: float) -> float:
 
 def compound_reward(r_ws: float, r_wt: float, alpha: float) -> float:
     """Fusion-weighted preferred reward: alpha * r_ws + (1 - alpha) * r_wt."""
+    if not (is_number(r_ws) and is_number(r_wt)):
+        raise InputError(f"rewards must be finite numbers (got {r_ws!r}, {r_wt!r})")
     if not is_number(alpha) or not 0 <= alpha <= 1:
         raise InputError(f"alpha must be a number in [0, 1] (got {alpha!r})")
     return alpha * r_ws + (1 - alpha) * r_wt
@@ -194,10 +196,11 @@ WRPO_KINDS = tuple(k for k, row in _TABLE.items() if len(row.preferred) == 2)
 
 
 def _side(names: tuple[str, ...], terms: dict, alpha: float | None):
-    """Reward of one side of the margin and the weight of each of its roles."""
+    """Reward of one side of the margin and the weight of each of its roles; a pair is
+    fused as compound_reward fuses it, at the alpha evaluate_loss checked."""
     if len(names) == 1:
         return terms[names[0]], (1.0,)
-    return compound_reward(terms[names[0]], terms[names[1]], alpha), (alpha, 1 - alpha)
+    return alpha * terms[names[0]] + (1 - alpha) * terms[names[1]], (alpha, 1 - alpha)
 
 
 def evaluate_loss(
@@ -209,9 +212,11 @@ def evaluate_loss(
     (InputError otherwise, None included); a pair kind ignores it. InputError names a
     role the kind needs that ``roles`` lacks."""
     row = _TABLE[cfg.kind]
-    if len(row.preferred) == 2 and alpha is None:
-        raise InputError(f"kind {cfg.kind!r} requires alpha")
-    # Pinned artifacts depend on this float order: a pair fused by compound_reward,
+    if len(row.preferred) == 2 and (not is_number(alpha) or not 0 <= alpha <= 1):
+        raise InputError(
+            f"kind {cfg.kind!r} requires alpha: alpha must be a number in [0, 1] (got {alpha!r})"
+        )
+    # Pinned artifacts depend on this float order: a pair fused as compound_reward fuses it,
     # the offset subtracted last, and each coefficient formed as (weight * scale) * dz.
     margin_beta = cfg.beta if row.link.beta_scaled else 1.0
     terms, scales = {}, {}
@@ -297,11 +302,15 @@ class PackedRecords:
         at the step's fusion coefficient ``alpha``, which a pair kind ignores.
 
         Each record's grad_wrt_logps scales its roles' exact log-prob
-        gradients; see PackedSequences.gradient for the float order.
+        gradients; see PackedSequences.gradient for the float order. A record
+        whose policy log-probs do not sum to a finite number (a diverged
+        policy) raises NumericError.
         """
         batch = self.sequences.forward(model, ids)
         results = []
         for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
+            if not math.isfinite(sum(thetas)):
+                raise NumericError(f"record {i} has a non-finite policy log-prob")
             roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
             roles = {n: RoleLogProb(t, r, length) for n, t, r, length in roles}
             results.append(evaluate_loss(roles, self.objective, alpha))

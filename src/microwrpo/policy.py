@@ -334,7 +334,8 @@ class PackedSequences:
 
         Each sum runs over one sequence's positions in order, as a row of
         a (sequences of that length, length) array; such a row sum equals
-        the 1-D sum bit for bit, which zero padding would not.
+        the 1-D sum bit for bit, which zero padding would not. Logits whose
+        softmax overflows give non-finite sums, not warnings.
         """
         self._check(model)
         ids = np.asarray(ids, dtype=np.int64)
@@ -343,12 +344,13 @@ class PackedSequences:
         offsets = np.cumsum(lengths) - lengths
         total = int(offsets[-1] + lengths[-1])
         positions = np.repeat(self.starts[seqs] - offsets, lengths) + np.arange(total)
-        log_softmax = model.log_softmax_rows(self.rows[positions])
-        picked = log_softmax[np.arange(total), self.targets[positions]]
         sums = np.empty(len(seqs))
-        for n in set(lengths.tolist()):
-            sel = np.flatnonzero(lengths == n)
-            sums[sel] = picked[offsets[sel, None] + np.arange(n)].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_softmax = model.log_softmax_rows(self.rows[positions])
+            picked = log_softmax[np.arange(total), self.targets[positions]]
+            for n in set(lengths.tolist()):
+                sel = np.flatnonzero(lengths == n)
+                sums[sel] = picked[offsets[sel, None] + np.arange(n)].sum(axis=1)
         return PackedBatch(ids, lengths, positions, log_softmax, sums.reshape(len(ids), -1))
 
     def log_probs(self, model: PolicyModel) -> np.ndarray:

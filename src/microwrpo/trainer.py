@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -418,47 +418,33 @@ def write_telemetry(path, telemetry: TrainingTelemetry) -> None:
             fh.write(json.dumps({"type": kind, **vars(record)}) + "\n")
 
 
-def _number(value, nullable: bool = False, integer: bool = False):
-    if (value is None and nullable) or is_number(value, integer=integer):
-        return value
-    raise TypeError(f"expected {'an int' if integer else 'a number'}, got {value!r}")
-
-
-def _step_record(rec: dict) -> StepRecord:
-    rewards = rec["internal_rewards"]
-    if not isinstance(rewards, dict):
-        raise TypeError("internal_rewards must be an object")
-    return StepRecord(
-        step=_number(rec["step"], integer=True),
-        alpha=_number(rec["alpha"], nullable=True),
-        loss=float(_number(rec["loss"])),
-        internal_rewards={k: float(_number(v)) for k, v in rewards.items()},
-        on_policy_margin=_number(rec["on_policy_margin"], nullable=True),
-        hybrid_policy_margin=_number(rec["hybrid_policy_margin"], nullable=True),
-        grad_norm=float(_number(rec["grad_norm"])),
-    )
-
-
-def _eval_record(rec: dict) -> EvalRecord:
-    return EvalRecord(
-        step=_number(rec["step"], integer=True),
-        reward_accuracy=_number(rec["reward_accuracy"], nullable=True),
-        mean_oracle_score=_number(rec["mean_oracle_score"], nullable=True),
-    )
+# A telemetry field's annotation -> (the test of its JSON value, what that value must be).
+_FIELD_TYPES = {
+    "int": (lambda v: is_number(v, integer=True), "an int"),
+    "float": (is_number, "a number"),
+    "float | None": (lambda v: v is None or is_number(v), "a number or null"),
+    "dict[str, float]": (
+        lambda v: isinstance(v, dict) and all(map(is_number, v.values())),
+        "an object of numbers",
+    ),
+}
 
 
 def read_telemetry(path) -> TrainingTelemetry:
-    """Read write_telemetry's JSONL; a malformed record raises DataError."""
+    """Read write_telemetry's JSONL. Each field of a record's dataclass must be
+    present and pass the test of its annotation (_FIELD_TYPES); a record of an
+    unknown type or with a missing or ill-typed field raises DataError, which
+    names the field."""
     telemetry = TrainingTelemetry()
+    kinds = {"step": (StepRecord, telemetry.steps), "eval": (EvalRecord, telemetry.evals)}
     for line_no, rec in jsonl_records(path):
         kind = rec.get("type") if isinstance(rec, dict) else None
-        if kind not in ("step", "eval"):
+        if not isinstance(kind, str) or kind not in kinds:
             raise DataError(f"{path}:{line_no}: unknown record type")
-        try:
-            if kind == "step":
-                telemetry.steps.append(_step_record(rec))
-            else:
-                telemetry.evals.append(_eval_record(rec))
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}:{line_no}: malformed {kind} record ({exc!r})") from exc
+        cls, records = kinds[kind]
+        for f in fields(cls):
+            ok, what = _FIELD_TYPES[f.type]
+            if f.name not in rec or not ok(rec[f.name]):
+                raise DataError(f"{path}:{line_no}: {kind} record field {f.name!r} must be {what}")
+        records.append(cls(**{f.name: rec[f.name] for f in fields(cls)}))
     return telemetry

@@ -168,8 +168,9 @@ def check_stream_derivation(rng, n) -> str | None:
 def check_oracle_mean(rng, n) -> str | None:
     """BigramRewardOracle.score equals ``float(weights[prev, response].mean() -
     length_penalty * n)`` bit for bit on every response length 1 to 300, after
-    a prompt and after none (bos): one pairwise block up to 128 tokens, then
-    halves of one and of two levels. Weights span 17 decades, so a change of summation order shows;
+    a prompt and after none (bos): the in-place walk below 8 tokens, then
+    numpy's own sum over one pairwise block up to 128 tokens and halves of one
+    and of two levels. Weights span 17 decades, so a change of summation order shows;
     one more instance has weights of -0.0 and no penalty, so the sign of a
     zero sum shows."""
     for i in range(n + 1):

@@ -139,6 +139,15 @@ class TestGenData:
         assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("penalty", [1e308, 1e306])
+    def test_length_penalty_whose_score_means_overflow_exit_2(self, tmp_path, capsys, penalty):
+        # At 1e308 every score is -inf; at 1e306 the scores are finite, but the sum of
+        # deviation.json's mean_score over 20 prompts is not.
+        path = write_config(tmp_path, {"task": {"n_prompts": 20, "length_penalty": penalty}})
+        assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        assert "task.length_penalty is so large" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_integer_literal_too_long_to_convert_exit_2(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"seed": ' + "9" * 5000 + "}")
@@ -207,11 +216,36 @@ class TestGenData:
         for stage in ("sft", "po"):
             assert names(trainer.OptimizerConfig) == set(d[stage]["optimizer"])
 
+    def test_example_config_validates(self):
+        # README's example; load_config runs every config rule.
+        path = Path(__file__).resolve().parents[1] / "configs" / "example.json"
+        assert load_config(str(path)).raw["task"]["n_prompts"] == 300
+
 
 class TestTrain:
     def test_po_without_dataset_exit_3(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
         assert run_cli("train", "--config", path, "--stage", "po", "--out", str(tmp_path / "x")) == 3
+
+    def test_diverging_po_exit_4_before_any_write(self, tmp_path, capsys):
+        # The logits stay finite but grow so far apart that the packed forward pass
+        # overflows: a numeric failure, not bad data.
+        sgd = {"kind": "sgd", "step_size": 1e307, "schedule": "constant", "warmup_fraction": 0.0}
+        overrides = {
+            "task": {"n_prompts": 40, "prompt_length": 2},
+            "eval": {"n_prompts": 10},
+            "objective": {"kind": "wrpo_ipo"},
+            "po": {"epochs": 3, "optimizer": sgd},
+        }
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "run"
+        assert run_cli("gen-data", "--config", path, "--out", str(out)) == 0
+        before = dir_state(out)
+        capsys.readouterr()
+        assert run_cli("train", "--config", path, "--out", str(out)) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert [line for line in lines if line.startswith("numeric failure:")] == lines[-1:]
+        assert dir_state(out) == before
 
     def test_stage_composition_matches_full(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)

@@ -1,9 +1,13 @@
 """Data construction: oracle, candidates, quadruple assembly, splits, reports."""
 
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,46 @@ from microwrpo.policy import (
 
 VOCAB = default_vocabulary(6)
 SAMPLING = SamplingConfig(temperature=0.8, top_p=0.95, max_length=10, seed=3)
+SRC = str(Path(datagen.__file__).resolve().parents[1])
+
+# Sets HEXES to the float.hex of oracle scores of 1- to 300-token responses, under
+# weights that span 17 decades, and X86_V4 to whether numpy dispatches to that group.
+ORACLE_SCORES = """
+import numpy as np
+from microwrpo import datagen
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+X86_V4 = __cpu_features__.get("X86_V4", False)
+rng = np.random.default_rng(30)
+HEXES = []
+for _ in range(4):
+    size = int(rng.integers(4, 12))
+    weights = rng.uniform(0, 1, (size, size)) * 10.0 ** rng.integers(-8, 9, (size, size))
+    oracle = datagen.BigramRewardOracle(weights, float(rng.uniform(0, 0.05)))
+    for length in range(1, 301):
+        HEXES.append(oracle.score((1,), tuple(rng.integers(size, size=length).tolist())).hex())
+"""
+
+
+def _oracle_scores(disabled: str | None = None) -> dict:
+    """ORACLE_SCORES' names, run in this process, or in a fresh interpreter with
+    NPY_DISABLE_CPU_FEATURES set to ``disabled``."""
+    if disabled is None:
+        names: dict = {}
+        exec(ORACLE_SCORES, names)
+        return names
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    code = ORACLE_SCORES + "import json; print(json.dumps([X86_V4, HEXES]))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    x86_v4, hexes = json.loads(out.stdout)
+    return {"X86_V4": x86_v4, "HEXES": hexes}
+
+
+IN_PROCESS = _oracle_scores()
 
 
 def small_world(seed=0, n_prompts=20, n_samples=3, specs=None):
@@ -59,6 +103,15 @@ class TestOracle:
     def test_score_equals_numpy_mean_at_every_length_to_300(self):
         assert verify.check_oracle_mean(np.random.default_rng(8), 3) is None
 
+    @pytest.mark.skipif(
+        not IN_PROCESS["X86_V4"], reason="numpy reports no X86_V4 feature group found"
+    )
+    @pytest.mark.parametrize("disabled", ["X86_V4", "X86_V4 X86_V3"])
+    def test_scores_independent_of_numpy_simd_dispatch(self, disabled):
+        child = _oracle_scores(disabled)
+        assert child["X86_V4"] is False
+        assert child["HEXES"] == IN_PROCESS["HEXES"]
+
     def test_weights_are_a_read_only_copy(self):
         weights = np.full((VOCAB.size, VOCAB.size), 0.5)
         oracle = datagen.BigramRewardOracle(weights)
@@ -80,6 +133,24 @@ class TestMakePrompts:
     def test_too_many_prompts_rejected(self):
         with pytest.raises(InputError):
             datagen.make_prompts(VOCAB, 37, prompt_length=2, seed=0)  # 6^2 = 36
+
+    def test_empty_prompts_rejected(self):
+        with pytest.raises(InputError, match="prompt_length"):
+            datagen.make_prompts(VOCAB, 1, prompt_length=0, seed=0)
+
+    @pytest.mark.parametrize("prompt_length", [1, 2, 3, 4])
+    def test_codes_read_as_base_k_digits(self, prompt_length):
+        # The whole prompt space, each permutation code decoded digit by digit.
+        content = VOCAB.content_ids
+        total = len(content) ** prompt_length
+        expected = []
+        for code in np.random.default_rng(5).permutation(total).tolist():
+            digits = []
+            for _ in range(prompt_length):
+                code, digit = divmod(code, len(content))
+                digits.append(content[digit])
+            expected.append(tuple(reversed(digits)))
+        assert datagen.make_prompts(VOCAB, total, prompt_length, seed=5) == expected
 
 
 class TestScoredResponseRecord:
@@ -235,11 +306,17 @@ class TestAssembleQuadruples:
 
         src = [[cand("a", 0, 1.0), cand("a", 1, 1.0), cand("b", 0, 1.0)]]
         tgt = [[cand("t", 0, 0.5), cand("t", 1, 0.5)]]
-        quads, attribution = datagen.assemble_quadruples(src, tgt)
-        assert quads[0].y_ws.model == "a" and quads[0].y_ws.sample_index == 0
-        assert quads[0].y_wt.sample_index == 0
-        assert quads[0].y_l.sample_index == 0
-        assert attribution == [("a", 1, 100.0), ("b", 0, 0.0)]
+        for include_yls in (False, True):
+            quads, attribution = datagen.assemble_quadruples(src, tgt, include_yls)
+            assert quads[0].y_ws.model == "a" and quads[0].y_ws.sample_index == 0
+            assert quads[0].y_wt.sample_index == 0
+            assert quads[0].y_l.sample_index == 0
+            assert attribution == [("a", 1, 100.0), ("b", 0, 0.0)]
+        assert quads[0].y_ls is quads[0].y_ws
+        # y_ls is the earliest of the lowest scores of y_ws's model, not b's lower one.
+        src = [[cand("a", 0, 1.0), cand("a", 1, 0.2), cand("a", 2, 0.2), cand("b", 0, 0.1)]]
+        quads, _ = datagen.assemble_quadruples(src, tgt, include_yls=True)
+        assert (quads[0].y_ls.model, quads[0].y_ls.sample_index) == ("a", 1)
 
     def test_identical_target_samples_keep_degenerate_pair(self):
         seq = Sequence(prompt=(2,), response=(3, VOCAB.eos_id))

@@ -99,11 +99,15 @@ class TestScalarHelperArguments:
             (obj.compound_reward, (1.0, 2.0, False)),
             (obj.compound_reward, (1.0, 2.0, "0.5")),
             (obj.compound_reward, (1.0, 2.0, math.nan)),
+            (obj.compound_reward, (True, 2.0, 0.5)),
+            (obj.compound_reward, (1.0, "a", 0.5)),
+            (obj.compound_reward, (math.inf, 2.0, 0.5)),
         ],
         ids=[
             "internal-beta-True", "internal-theta-False", "internal-theta-str",
             "internal-beta-str", "internal-beta-inf", "compound-alpha-True",
             "compound-alpha-False", "compound-alpha-str", "compound-alpha-nan",
+            "compound-r_ws-True", "compound-r_wt-str", "compound-r_ws-inf",
         ],
     )
     def test_non_numbers_rejected(self, helper, args):

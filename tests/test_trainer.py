@@ -1,5 +1,6 @@
 """Training pipeline: SFT, pair regeneration, preference optimization, evals."""
 
+import json
 import math
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from microwrpo import datagen, pipeline, trainer, verify
 from microwrpo import objectives as obj
 from microwrpo.config import load_config
-from microwrpo.errors import ConfigError, InputError, UsageError
+from microwrpo.errors import ConfigError, DataError, InputError, UsageError
 from microwrpo.policy import (
     PackedSequences,
     PolicyModel,
@@ -326,6 +327,21 @@ class TestRunPreferenceOptimization:
         again = trainer.read_telemetry(path)
         assert again.steps == tel.steps
         assert again.evals == tel.evals
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"type": "step", "step": 0}, "alpha"),
+            ({"step": True, "reward_accuracy": 0.5, "mean_oracle_score": None}, "step"),
+            ({"step": 0, "reward_accuracy": "0.5", "mean_oracle_score": None}, "reward_accuracy"),
+        ],
+        ids=["missing-alpha", "bool-step", "str-accuracy"],
+    )
+    def test_malformed_telemetry_names_the_field(self, tmp_path, record, field):
+        path = tmp_path / "tel.jsonl"
+        path.write_text(json.dumps({"type": "eval", **record}) + "\n")
+        with pytest.raises(DataError, match=f"tel.jsonl:1: .* record field '{field}' must be"):
+            trainer.read_telemetry(path)
 
     def test_in_loop_eval_records(self):
         heldout, prompts = self.quads[:6], [q.prompt for q in self.quads[:4]]
