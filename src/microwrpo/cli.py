@@ -44,6 +44,8 @@ SWEEP_COLUMNS = ("target", "kind", "reward_accuracy", "mean_oracle_score", "win_
 GEN_FILES = (RESOLVED_CONFIG, DATASET_FILE, ATTRIBUTION_FILE, DEVIATION_FILE, INIT_CKPT)
 SFT_FILES = (SFT_CKPT, SFT_TELEMETRY)
 PO_FILES = (PO_DATASET_FILE, PO_CKPT, PO_TELEMETRY, METRICS_FILE)
+# The stages `train --stage` runs, each with the files it writes beside the resolved config.
+TRAIN_STAGES = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
 
 
 def _make_dir(path, files=()) -> Path:
@@ -118,10 +120,9 @@ def _init_model(cfg: RunConfig, out: Path, sft: bool) -> PolicyModel | None:
 
 
 def cmd_train(cfg: RunConfig, stage: str) -> int:
-    if stage not in ("sft", "po", "full"):
+    if stage not in TRAIN_STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    stages = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
-    out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *stages[stage]))
+    out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *TRAIN_STAGES[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary())
     baseline = _init_model(cfg, out, sft=stage != "po")
@@ -151,16 +152,6 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     return 0
 
 
-def _job_config(cfg: RunConfig, target: float, kind: str) -> RunConfig:
-    """cfg with the fusion schedule set to (kind, target) and in-loop evaluation off."""
-    raw = {
-        **cfg.raw,
-        "schedule": {**cfg.raw["schedule"], "kind": kind, "target": target},
-        "po": {**cfg.raw["po"], "eval_every": 0},
-    }
-    return RunConfig(raw=raw).validate()
-
-
 def _sweep_one(cfg: RunConfig, quadruples, snapshot: PolicyModel):
     """One sweep job, scored against the SFT snapshot: its row, whose keys are the
     sweep.csv columns in order, and its pairs (every job regenerates the same)."""
@@ -183,7 +174,11 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         raise ConfigError("sweep-alpha requires a wrpo_* objective kind")
     if len(set(targets)) < len(targets) or len(set(kinds)) < len(kinds):
         raise ConfigError(f"a sweep job is listed twice: targets {targets}, kinds {kinds}")
-    jobs = [_job_config(cfg, t, k) for t in targets for k in kinds]
+    jobs = [
+        cfg.with_overrides({"schedule": {"kind": k, "target": t}, "po": {"eval_every": 0}})
+        for t in targets
+        for k in kinds
+    ]
     out = Path(cfg.out_dir)
     gen_files = () if (out / DATASET_FILE).exists() else GEN_FILES
     sft_files = () if (out / SFT_CKPT).exists() else SFT_FILES
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training stage")
     add_common(p_train)
-    p_train.add_argument("--stage", choices=("sft", "po", "full"), default="full")
+    p_train.add_argument("--stage", choices=TRAIN_STAGES, default="full")
 
     p_sweep = sub.add_parser("sweep-alpha", help="sweep fusion-coefficient targets")
     add_common(p_sweep)
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--targets", type=float, nargs="+", default=ALPHA_SWEEP_TARGETS
     )
     p_sweep.add_argument(
-        "--kinds", nargs="+", choices=("linear", "static"), default=["linear", "static"]
+        "--kinds", nargs="+", choices=SCHEDULE_KINDS, default=list(SCHEDULE_KINDS)
     )
 
     p_fig = sub.add_parser("export-figures", help="export plot-ready CSV bundles")
@@ -360,24 +355,18 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen-data":
-            return cmd_gen_data(load_config(args.config, seed=args.seed, out_dir=args.out))
-        if args.command == "train":
-            return cmd_train(
-                load_config(args.config, seed=args.seed, out_dir=args.out), args.stage
-            )
-        if args.command == "sweep-alpha":
-            return cmd_sweep_alpha(
-                load_config(args.config, seed=args.seed, out_dir=args.out),
-                args.targets,
-                args.kinds,
-            )
         if args.command == "export-figures":
             return cmd_export_figures(args.telemetry, args.deviation, args.sweep, args.out)
         if args.command == "verify":
             from .verify import run_battery
 
             return run_battery(fast=args.fast)
+        cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
+        if args.command == "gen-data":
+            return cmd_gen_data(cfg)
+        if args.command == "train":
+            return cmd_train(cfg, args.stage)
+        return cmd_sweep_alpha(cfg, args.targets, args.kinds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -387,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

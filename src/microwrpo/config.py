@@ -126,10 +126,10 @@ _TYPE_NAMES = {
 
 
 def _require_space(base: int, exponent: int, what: str) -> None:
-    # base >= 2, so an exponent of MAX_SPACE's bit length or more is over the cap;
-    # it is rejected before the power is formed, which could take forever.
+    # Only base >= 2 and exponent >= 1 are capped (default_vocabulary and make_prompts refuse
+    # the rest); an exponent too large is rejected before the power, which could take forever.
     _require(
-        exponent < MAX_SPACE.bit_length() and base**exponent <= MAX_SPACE,
+        base < 2 or exponent < 1 or (exponent < MAX_SPACE.bit_length() and base**exponent <= MAX_SPACE),
         f"{what} must be at most {MAX_SPACE} entries",
     )
 
@@ -161,11 +161,7 @@ class RunConfig:
         task = d["task"]
         _require(d["seed"] >= 0, "seed must be a non-negative int")
         _require(task["oracle_seed"] >= 0, "task.oracle_seed must be >= 0")
-        _require(d["eval"]["prompt_seed"] >= 0, "eval.prompt_seed must be >= 0")
-        _require(task["n_content_tokens"] >= 2, "task.n_content_tokens must be >= 2")
         _require(task["context_order"] >= 1, "task.context_order must be >= 1")
-        _require(task["n_prompts"] >= 1, "task.n_prompts must be >= 1")
-        _require(task["prompt_length"] >= 1, "task.prompt_length must be >= 1")
         _require(task["length_penalty"] >= 0, "task.length_penalty must be >= 0")
         _require_space(
             task["n_content_tokens"] + 2,
@@ -177,13 +173,6 @@ class RunConfig:
             task["prompt_length"],
             "the prompt space, task.n_content_tokens ** task.prompt_length,",
         )
-        n_space = task["n_content_tokens"] ** task["prompt_length"]
-        for where, n in (("task", task["n_prompts"]), ("eval", d["eval"]["n_prompts"])):
-            _require(
-                n <= n_space,
-                f"{where}.n_prompts is {n}, more than the {n_space} distinct prompts of "
-                f"length {task['prompt_length']} over {task['n_content_tokens']} content tokens",
-            )
         _require(len(d["ensemble"]) >= 1, "ensemble must be a non-empty list")
         for i, member in enumerate(d["ensemble"]):
             if not isinstance(member, dict):
@@ -207,17 +196,11 @@ class RunConfig:
             _require(d[stage]["batch_size"] >= 1, f"{stage}.batch_size must be >= 1")
         _require(0 <= d["po"]["eval_holdout_fraction"] < 1, "po.eval_holdout_fraction must be in [0, 1)")
         _require(d["po"]["eval_every"] >= 0, "po.eval_every must be >= 0")
-        _require(d["eval"]["n_prompts"] >= 1, "eval.n_prompts must be >= 1")
         _require(d["eval"]["samples_per_prompt"] >= 1, "eval.samples_per_prompt must be >= 1")
-        # A score is in [-length_penalty * (max_length + 1), 1]; a mean spans at most n scores.
-        n = max(2 * task["n_prompts"], d["eval"]["n_prompts"] * d["eval"]["samples_per_prompt"])
-        _require(
-            task["length_penalty"] * (samp["max_length"] + 1) * n <= sys.float_info.max / 2,
-            "task.length_penalty is so large that a mean of oracle scores would overflow",
-        )
-        # The typed configs own the range rules of their sections.
+        # The typed configs and make_prompts own the range rules of their sections.
         for section, build in (
-            ("task", self.vocabulary),
+            ("task", self.prompts),
+            ("eval", self.eval_prompts),
             ("sampling", self.sampling_config),
             ("objective", self.objective_config),
             ("schedule", lambda: self.fusion_schedule(1)),
@@ -228,7 +211,20 @@ class RunConfig:
                 build()
             except (InputError, ConfigError) as exc:
                 raise ConfigError(f"{section}: {exc}") from None
+        # A score is in [-length_penalty * (max_length + 1), 1]; a mean spans at most n scores.
+        # make_prompts capped both n_prompts, so only samples_per_prompt can put n past a float.
+        n = max(2 * task["n_prompts"], d["eval"]["n_prompts"] * d["eval"]["samples_per_prompt"])
+        try:
+            fits = task["length_penalty"] * (samp["max_length"] + 1) * n <= sys.float_info.max / 2
+        except OverflowError:
+            raise ConfigError("eval.samples_per_prompt is too large for a float") from None
+        _require(fits, "task.length_penalty is so large that a mean of oracle scores would overflow")
         return self
+
+    def with_overrides(self, overrides: dict) -> "RunConfig":
+        """A validated copy of this config with ``overrides`` merged over it; an
+        unknown key or a non-object section is a ConfigError under ``overrides``."""
+        return RunConfig(raw=_merge(self.raw, overrides, "overrides")).validate()
 
     # -- builders ------------------------------------------------------------
     @property
@@ -312,10 +308,7 @@ class RunConfig:
 
 
 def load_config(
-    path: str | None = None,
-    overrides: dict | None = None,
-    seed: int | None = None,
-    out_dir: str | None = None,
+    path: str | None = None, seed: int | None = None, out_dir: str | None = None
 ) -> RunConfig:
     """Merge a config file over the defaults and validate the result.
 
@@ -334,14 +327,9 @@ def load_config(
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top level must be an object")
-    merged = _merge(default_config_dict(), data, "config")
-    if overrides:
-        merged = _merge(merged, overrides, "overrides")
-    if seed is not None:
-        merged["seed"] = seed
-    if out_dir is not None:
-        merged["out_dir"] = out_dir
-    return RunConfig(raw=merged).validate()
+    from_file = RunConfig(raw=_merge(default_config_dict(), data, "config"))
+    flags = {"seed": seed, "out_dir": out_dir}
+    return from_file.with_overrides({key: v for key, v in flags.items() if v is not None})
 
 
 def write_resolved_config(cfg: RunConfig, path) -> None:

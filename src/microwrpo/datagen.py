@@ -177,9 +177,9 @@ def make_prompts(
     """Distinct prompts over the content tokens, deterministic under seed: seeded
     permutation codes of the prompt space read as base-k digits, most significant first."""
     content = vocab.content_ids
-    total = len(content) ** prompt_length
     if prompt_length < 1:
         raise InputError("prompt_length must be >= 1")
+    total = len(content) ** prompt_length
     if n_prompts < 1:
         raise InputError("n_prompts must be >= 1")
     if n_prompts > total:

@@ -28,7 +28,13 @@ class NumericError(ArithmeticError):
 
 
 def is_number(value, integer: bool = False) -> bool:
-    """JSON numbers only: bool is an int subclass in Python but not a number here."""
+    """JSON numbers only: bool is an int subclass in Python but not a number here,
+    and where a float is wanted, neither is an int with no finite float value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) if integer else math.isfinite(value)
+    if integer:
+        return isinstance(value, int)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int such as 10**400
+        return False

@@ -267,7 +267,8 @@ def run_preference_optimization(
     the batch's LossResult values. Every eval_every steps,
     ``evaluate(policy)`` gives the (reward accuracy, mean oracle score) of
     an EvalRecord. Returns the trained model as a frozen snapshot plus the
-    telemetry.
+    telemetry; NumericError if a step's loss, or the log-softmax table of the
+    model evaluated or returned, is not finite.
     """
     if len(quadruples) == 0:
         raise InputError("preference dataset is empty")
@@ -311,8 +312,18 @@ def run_preference_optimization(
         step += 1
 
         if evaluate is not None and eval_every > 0 and step % eval_every == 0:
+            _require_finite(policy, step)
             telemetry.evals.append(EvalRecord(step - 1, *evaluate(policy)))
+    _require_finite(policy, step)
     return policy.freeze(), telemetry
+
+
+def _require_finite(policy: PolicyModel, step: int) -> None:
+    """NumericError unless the policy's whole log-softmax table is finite: an update
+    can leave finite logits whose softmax overflows, which no step's loss shows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(policy.log_softmax_rows(slice(None))).all():
+            raise NumericError(f"non-finite policy log-probs after {step} optimizer steps")
 
 
 def eval_reward_accuracy(

@@ -463,7 +463,7 @@ _TOY_TASK = {
 
 
 def _toy_config(rng):
-    return load_config(overrides=_TOY_TASK, seed=int(rng.integers(1000)))
+    return load_config(seed=int(rng.integers(1000))).with_overrides(_TOY_TASK)
 
 
 def check_selection_optimality(rng, n) -> str | None:

@@ -14,7 +14,7 @@ from microwrpo.config import load_config
 def pipeline_env(seed: int):
     """The CLI's stages for one root seed on the default config, with 50 of the
     200 regenerated PO pairs held out, so tests exercise the trajectories users get."""
-    cfg = load_config(overrides={"po": {"eval_holdout_fraction": 0.25}}, seed=seed)
+    cfg = load_config(seed=seed).with_overrides({"po": {"eval_holdout_fraction": 0.25}})
     data = pipeline.build_dataset(cfg)
     snapshot, _ = pipeline.sft(cfg, data.quadruples)
     _, train, heldout = pipeline.prepare_po(cfg, snapshot, data.quadruples)

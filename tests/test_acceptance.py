@@ -120,7 +120,7 @@ class TestCriterion3InitializationConstants:
 
 class TestCriterion4DataConstruction:
     def test_brute_force_rescoring_confirms_selections(self):
-        cfg = load_config(None, overrides={"task": {"n_prompts": 200}}, seed=1)
+        cfg = load_config(seed=1).with_overrides({"task": {"n_prompts": 200}})
         oracle = cfg.oracle()
         prompts = cfg.prompts()
         ensemble = cfg.ensemble()

@@ -1,6 +1,7 @@
 """CLI commands: artifacts, determinism, stage composition, exit codes."""
 
 import base64
+import copy
 import csv
 import dataclasses
 import json
@@ -18,7 +19,7 @@ from conftest import pipeline_env
 import microwrpo
 from microwrpo import cli, datagen, objectives, pipeline, trainer, verify
 from microwrpo.config import default_config_dict, load_config
-from microwrpo.errors import NumericError
+from microwrpo.errors import ConfigError, NumericError
 from microwrpo.policy import (
     PolicyModel,
     default_vocabulary,
@@ -101,17 +102,37 @@ class TestGenData:
             {"objective": {"kind": "wrpo_simpo", "gamma": None}},
             {"objective": {"kind": "ipo", "tau": None}},
             {"objective": {"pairing": "x"}},
+            {"task": {"n_prompts": 0}},
+            {"task": {"prompt_length": 0}},
+            {"eval": {"n_prompts": 0}},
+            {"eval": {"prompt_seed": -1}},
+            {"seed": -1},
+            # No size cap may form 0 ** -1 before the vocabulary refuses 0 content tokens.
+            {"task": {"n_content_tokens": 0, "prompt_length": -1}},
+            {"task": {"length_penalty": 10**400}},
+            # Each size rule must run before an int with no float value reaches a float.
+            {"task": {"n_prompts": 10**400}},
+            {"eval": {"n_prompts": 10**400}},
+            {"eval": {"samples_per_prompt": 10**400}},
+            # No size cap may form 8 ** -(10**400) before make_prompts refuses it.
+            {"task": {"prompt_length": -(10**400)}},
         ],
         ids=[
             "temperature-0", "top_p-1.5", "max_length-0", "objective-kind", "beta-0",
             "schedule-kind", "target-1.5", "total_steps-0", "sft-optimizer-kind",
             "po-lr-schedule", "po-step_size-0", "sft-warmup_fraction-1", "n_content_tokens-1",
-            "simpo-gamma-null", "ipo-tau-null", "objective-pairing",
+            "simpo-gamma-null", "ipo-tau-null", "objective-pairing", "n_prompts-0",
+            "prompt_length-0", "eval-n_prompts-0", "eval-prompt_seed--1", "seed--1",
+            "n_content_tokens-0-prompt_length--1", "length_penalty-int-over-float",
+            "n_prompts-10**400", "eval-n_prompts-10**400", "eval-samples_per_prompt-10**400",
+            "prompt_length--10**400",
         ],
     )
-    def test_invalid_value_exit_2(self, tmp_path, overrides):
+    def test_invalid_value_exit_2(self, tmp_path, capsys, overrides):
         path = write_config(tmp_path, overrides)
         assert run_cli("gen-data", "--config", path, "--out", str(tmp_path / "run")) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("value", [64, 2**64], ids=["64", "2**64"])
@@ -222,20 +243,81 @@ class TestGenData:
         assert load_config(str(path)).raw["task"]["n_prompts"] == 300
 
 
+class TestWithOverrides:
+    def test_result_is_a_deep_copy(self):
+        parent = load_config()
+        child = parent.with_overrides({"po": {"epochs": 8}})
+        assert child.raw["po"]["epochs"] == 8
+        child.raw["po"]["optimizer"]["step_size"] = 1.0
+        child.raw["ensemble"][0]["name"] = "changed"
+        assert parent.raw == default_config_dict()
+
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"nope": 1}, "unknown config keys in overrides: ['nope']"),
+            ({"po": {"optimizer": {"lr": 1}}}, "unknown config keys in overrides.po.optimizer:"),
+            ({"task": 5}, "overrides.task must be an object"),
+        ],
+        ids=["top-level", "nested", "non-object"],
+    )
+    def test_bad_key_names_its_overrides_path(self, overrides, where):
+        with pytest.raises(ConfigError) as info:
+            load_config().with_overrides(overrides)
+        assert str(info.value).startswith(where)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"sampling": {"top_p": 1.5}}, "sampling: "),
+            ({"task": {"n_prompts": 0}}, "task: n_prompts must be >= 1"),
+            ({"eval": {"n_prompts": 513}}, "eval: cannot draw 513 distinct prompts"),
+        ],
+        ids=["top_p", "n_prompts", "eval-n_prompts"],
+    )
+    def test_out_of_range_value_names_its_section(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            load_config().with_overrides(overrides)
+        assert str(info.value).startswith(message)
+
+    def test_sweep_jobs_change_only_the_schedule_and_in_loop_eval(self, tmp_path, monkeypatch):
+        config = {
+            **MINI_CONFIG,
+            "schedule": {"total_steps": 5},
+            "po": {**MINI_CONFIG["po"], "eval_every": 2},
+        }
+        parent = load_config(write_config(tmp_path, config), out_dir=str(tmp_path / "run"))
+        jobs = []
+
+        def record(cfg, quadruples, snapshot):
+            jobs.append(cfg)
+            sched = cfg.raw["schedule"]
+            return {"target": sched["target"], "kind": sched["kind"]}, []
+
+        monkeypatch.setattr(cli, "_sweep_one", record)
+        assert cli.cmd_sweep_alpha(parent, [0.3, 0.7], ["static", "linear"]) == 0
+        pairs = [(t, k) for t in (0.3, 0.7) for k in ("static", "linear")]
+        assert len(jobs) == len(pairs)
+        for job, (target, kind) in zip(jobs, pairs):
+            expected = copy.deepcopy(parent.raw)
+            expected["schedule"].update(kind=kind, target=target)
+            expected["po"]["eval_every"] = 0
+            assert job.raw == expected
+
+
 class TestTrain:
     def test_po_without_dataset_exit_3(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
         assert run_cli("train", "--config", path, "--stage", "po", "--out", str(tmp_path / "x")) == 3
 
-    def test_diverging_po_exit_4_before_any_write(self, tmp_path, capsys):
-        # The logits stay finite but grow so far apart that the packed forward pass
-        # overflows: a numeric failure, not bad data.
+    @staticmethod
+    def _check_diverging_run_exit_4(tmp_path, capsys, po):
         sgd = {"kind": "sgd", "step_size": 1e307, "schedule": "constant", "warmup_fraction": 0.0}
         overrides = {
             "task": {"n_prompts": 40, "prompt_length": 2},
             "eval": {"n_prompts": 10},
             "objective": {"kind": "wrpo_ipo"},
-            "po": {"epochs": 3, "optimizer": sgd},
+            "po": {**po, "optimizer": sgd},
         }
         path = write_config(tmp_path, overrides)
         out = tmp_path / "run"
@@ -246,6 +328,19 @@ class TestTrain:
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if line.startswith("numeric failure:")] == lines[-1:]
         assert dir_state(out) == before
+
+    def test_diverging_po_exit_4_before_any_write(self, tmp_path, capsys):
+        # The logits stay finite but grow so far apart that the packed forward pass
+        # overflows: a numeric failure, not bad data.
+        self._check_diverging_run_exit_4(tmp_path, capsys, {"epochs": 3})
+
+    @pytest.mark.parametrize("eval_every", [0, 1])
+    def test_last_step_divergence_exit_4_before_any_write(self, tmp_path, capsys, eval_every):
+        # One step over the 40 pairs: its loss is finite, but the update it makes
+        # leaves 2 of the 100 log-softmax rows non-finite, which the in-loop or
+        # final evaluation would read as bad data.
+        po = {"epochs": 1, "batch_size": 64, "eval_every": eval_every}
+        self._check_diverging_run_exit_4(tmp_path, capsys, po)
 
     def test_stage_composition_matches_full(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
@@ -352,8 +447,11 @@ class TestSweepAlpha:
         assert {r["kind"] for r in rows} == {"linear", "static"}
         # cross-check one row against a direct sweep-runner invocation
         cfg = load_config(path, seed=6, out_dir=str(out))
+        job = cfg.with_overrides(
+            {"schedule": {"kind": "linear", "target": 0.3}, "po": {"eval_every": 0}}
+        )
         direct, _ = cli._sweep_one(
-            cli._job_config(cfg, 0.3, "linear"),
+            job,
             datagen.read_quadruples(out / "dataset.jsonl", cfg.vocabulary()),
             load_checkpoint(out / "target_sft.json"),
         )
@@ -433,8 +531,9 @@ class TestExportFigures:
             {"bin_edges": [0.0, 1.0], "roles": {"y_ws": {"histogram": [1, 2]}}},
             {"bin_edges": [0.0, 1.0], "roles": ["y_ws"]},
             {"bin_edges": 5, "roles": {"y_ws": {"histogram": [1]}}},
+            {"bin_edges": [0.0, 10**400], "roles": {"y_ws": {"histogram": [1]}}},
         ],
-        ids=["histogram-longer-than-bins", "roles-list", "edges-int"],
+        ids=["histogram-longer-than-bins", "roles-list", "edges-int", "edge-int-over-float"],
     )
     def test_malformed_deviation_exit_3_and_no_output_dir(self, tmp_path, report):
         deviation = tmp_path / "deviation.json"
@@ -585,8 +684,12 @@ class TestMalformedInput:
             lambda r: r["y_l"].update(tokens="abc"),
             lambda r: r["y_ws"].update(sample_index=True),
             lambda r: r.update(prompt=None),
+            lambda r: r["y_l"].update(score=10**400),
         ],
-        ids=["missing-y_ws", "str-score", "str-tokens", "bool-index", "null-prompt"],
+        ids=[
+            "missing-y_ws", "str-score", "str-tokens", "bool-index", "null-prompt",
+            "score-int-over-float",
+        ],
     )
     def test_bad_dataset_line(self, run_dir, edit):
         path, out = run_dir
@@ -890,8 +993,9 @@ class TestMalformedInput:
             lambda r: r.update(loss="low"),
             lambda r: r.update(internal_rewards=[1.0]),
             lambda r: r.update(step=1.5),
+            lambda r: r.update(loss=10**400),
         ],
-        ids=["missing-loss", "str-loss", "list-rewards", "float-step"],
+        ids=["missing-loss", "str-loss", "list-rewards", "float-step", "loss-int-over-float"],
     )
     def test_bad_telemetry(self, run_dir, tmp_path, edit):
         _, out = run_dir

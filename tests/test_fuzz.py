@@ -78,7 +78,7 @@ def run_quietly(*argv) -> int:
     return code
 
 
-TINY_RAW = load_config(overrides=TINY).raw
+TINY_RAW = load_config().with_overrides(TINY).raw
 CONFIG_LEAVES = [p for p in leaves(TINY_RAW) if p != ("out_dir",)]
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from microwrpo import datagen, pipeline, trainer, verify
 from microwrpo import objectives as obj
-from microwrpo.config import load_config
 from microwrpo.errors import ConfigError, DataError, InputError, UsageError
 from microwrpo.policy import (
     PackedSequences,
@@ -366,9 +365,7 @@ class TestRunPreferenceOptimization:
         train, heldout = env_seed0["po_train"], env_seed0["po_heldout"]
         stage = cfg.raw["po"]
         steps = trainer.n_optimizer_steps(len(train), stage["batch_size"], stage["epochs"])
-        cfg = load_config(
-            overrides={"po": {"eval_holdout_fraction": 0.25, "eval_every": steps}}, seed=cfg.seed
-        )
+        cfg = cfg.with_overrides({"po": {"eval_every": steps}})
         model, tel = pipeline.run_po(cfg, snapshot, train, heldout)
         (rec,) = tel.evals
         assert rec.step == steps - 1
