@@ -99,15 +99,15 @@ def run_po(
     heldout: list[PreferenceQuadruple],
 ) -> tuple[PolicyModel, trainer.TrainingTelemetry]:
     """Preference optimization from the snapshot, which is also the reference; every
-    po.eval_every steps, held-out reward accuracy and the mean eval-prompt oracle score."""
+    po.eval_every steps, held-out reward accuracy and the mean eval-prompt oracle
+    score as ``evaluate`` measures them."""
     objective = cfg.objective_config()
     stage = cfg.raw["po"]
     total = trainer.n_optimizer_steps(len(train), stage["batch_size"], stage["epochs"])
-    prompts, sampling, oracle = cfg.eval_prompts(), cfg.sampling_config(), cfg.oracle()
-    n = cfg.raw["eval"]["samples_per_prompt"]
+    inputs = _eval_inputs(cfg)
 
     def in_loop(policy: PolicyModel) -> tuple[float | None, float]:
-        scores = trainer.oracle_scores(policy, prompts, sampling, oracle, n, "eval-quality")
+        scores = trainer.oracle_scores(policy, *inputs)
         return _reward_accuracy(cfg, policy, snapshot, heldout), trainer.mean_score(scores)
 
     return trainer.run_preference_optimization(
@@ -125,6 +125,12 @@ def run_po(
     )
 
 
+def _eval_inputs(cfg: RunConfig) -> tuple:
+    """What every evaluation samples with, in oracle_scores' argument order."""
+    n = cfg.raw["eval"]["samples_per_prompt"]
+    return cfg.eval_prompts(), cfg.sampling_config(), cfg.oracle(), n
+
+
 def _reward_accuracy(cfg: RunConfig, model, snapshot, heldout) -> float | None:
     if not heldout:
         return None
@@ -139,14 +145,7 @@ def evaluate(
     baseline: PolicyModel,
 ) -> dict:
     """Held-out reward accuracy against the snapshot; fresh-sample quality against ``baseline``."""
-    quality = trainer.eval_policy_quality(
-        model,
-        baseline,
-        cfg.eval_prompts(),
-        cfg.sampling_config(),
-        cfg.oracle(),
-        samples_per_prompt=cfg.raw["eval"]["samples_per_prompt"],
-    )
+    quality = trainer.eval_policy_quality(model, baseline, *_eval_inputs(cfg))
     return {
         "objective": cfg.objective_config().kind,
         "reward_accuracy": _reward_accuracy(cfg, model, snapshot, heldout),

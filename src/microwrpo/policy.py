@@ -633,15 +633,12 @@ def stream_salt(name: str) -> int:
 
 # Generator.choice rejects a p whose sum is further than this from 1.
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
-# Logits per vectorized pass of NucleusRows: bounds the pass's temporaries
-# (a few arrays of this many elements) on the largest, 2**17-logit, tables.
-_NUCLEUS_BLOCK = 1 << 15
 
 
-def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig, ranked: np.ndarray, cdf: np.ndarray):
-    """Fill ``ranked`` (tokens by descending probability) and the kept prefix of
-    ``cdf`` for a block of rows; return each row's kept count and whether
-    Generator.choice would reject its nucleus.
+def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig):
+    """The nucleus table of every row of ``logits``: (tokens by descending
+    probability, the cdf of each row's kept prefix, each row's kept count,
+    whether Generator.choice would reject its nucleus).
 
     Every step is the per-row computation applied along axis 1, so each row's
     values are bit for bit those of its own 1-D pass: the sums are row sums
@@ -653,11 +650,12 @@ def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig, ranked: np.ndarray, c
         scaled = logits / cfg.temperature
         probs = np.exp(scaled - scaled.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        ranked[:] = np.argsort(-probs, axis=1, kind="stable")
+        ranked = np.argsort(-probs, axis=1, kind="stable")
         ordered = np.take_along_axis(probs, ranked, axis=1)
         # cumsum never decreases, so this count is searchsorted(cum, top_p, "left").
         below = (ordered.cumsum(axis=1) < cfg.top_p).sum(axis=1)
         keep = np.minimum(below + 1, logits.shape[1])
+        cdf = np.empty(logits.shape)
         rejected = np.empty(len(keep), dtype=bool)
         for n in set(keep.tolist()):
             sel = np.flatnonzero(keep == n)
@@ -667,7 +665,7 @@ def _nucleus_pass(logits: np.ndarray, cfg: SamplingConfig, ranked: np.ndarray, c
             rejected[sel] = ~np.all(q >= 0, axis=1) | (np.abs(q.sum(axis=1) - 1.0) > _CHOICE_ATOL)
             cum = q.cumsum(axis=1)
             cdf[sel, :n] = cum / cum[:, -1:]
-    return keep, rejected
+    return ranked, cdf, keep, rejected
 
 
 class NucleusRows(dict):
@@ -684,12 +682,11 @@ class NucleusRows(dict):
     multiple of ``size`` below ``n_rows``, so the row after token ``tok``
     is ``base + tok``.
 
-    The constructor computes all rows at once, a vectorized pass per block
-    of _NUCLEUS_BLOCK logits, grouping rows by kept count for the sums. A
-    row's Python entry, a tuple, an ``array("d")`` and an int, is made on
-    its first visit; a row whose logits overflow at this temperature raises
-    InputError then, and only if it is visited. The table is valid while
-    the model's logits do not change.
+    The constructor computes all rows in one vectorized pass, grouping rows
+    by kept count for the sums. A row's Python entry, a tuple, an
+    ``array("d")`` and an int, is made on its first visit; a row whose
+    logits overflow at this temperature raises InputError then, and only if
+    it is visited. The table is valid while the model's logits do not change.
 
     ``prompts`` maps each prompt sample_response has accepted through this
     table, as a tuple, to its tokens as Python ints and its start row, so a
@@ -706,16 +703,7 @@ class NucleusRows(dict):
         self.n_rows, self.size, self.order = n_rows, size, model.order
         self.eos = model.vocab.eos_id
         self.bos_row = sum(model.vocab.bos_id * size**k for k in range(model.order))
-        self._ranked = np.empty((n_rows, size), dtype=np.int64)
-        self._cdf = np.empty((n_rows, size))
-        keep = np.empty(n_rows, dtype=np.int64)
-        rejected = np.empty(n_rows, dtype=bool)
-        step = max(1, _NUCLEUS_BLOCK // size)
-        for start in range(0, n_rows, step):
-            block = slice(start, start + step)
-            keep[block], rejected[block] = _nucleus_pass(
-                model.logits[block], cfg, self._ranked[block], self._cdf[block]
-            )
+        self._ranked, self._cdf, keep, rejected = _nucleus_pass(model.logits, cfg)
         self._keep, self._rejected = keep.tolist(), rejected.tolist()
         self.prompts: dict[tuple, tuple[tuple[int, ...], int]] = {}
 

@@ -162,7 +162,8 @@ def run_sft(
     """Minimize mean NLL of each response given its prompt; returns a frozen snapshot.
 
     The input model is left untouched. With epochs == 0 the snapshot is a
-    frozen copy of the input.
+    frozen copy of the input. NumericError if a step's loss, or the log-softmax
+    table of the model returned, is not finite.
     """
     if len(sequences) == 0:
         raise InputError("sft sequence list is empty")
@@ -182,6 +183,7 @@ def run_sft(
             raise NumericError(f"non-finite SFT loss at step {len(losses)}")
         optimizer.step(policy.logits, grad)
         losses.append(nll)
+    _require_finite(policy, len(losses))
     return policy.freeze(), losses
 
 
@@ -355,10 +357,9 @@ def oracle_scores(
     cfg: SamplingConfig,
     oracle: BigramRewardOracle,
     samples_per_prompt: int,
-    salt: str,
 ) -> list[list[float]]:
     """Oracle scores of fresh samples, as [prompt][sample]: what every evaluation samples."""
-    draws = sample_scored(model, "eval", prompts, samples_per_prompt, cfg, oracle, salt)
+    draws = sample_scored(model, "eval", prompts, samples_per_prompt, cfg, oracle, "quality-eval")
     return [[r.score for r in row] for row in draws]
 
 
@@ -396,8 +397,7 @@ def eval_policy_quality(
     if len(prompts) == 0:
         raise InputError("prompt list is empty")
     cand, base = (
-        oracle_scores(m, prompts, cfg, oracle, samples_per_prompt, "quality-eval")
-        for m in (candidate, baseline)
+        oracle_scores(m, prompts, cfg, oracle, samples_per_prompt) for m in (candidate, baseline)
     )
     wins = ties = losses = 0
     for cand_scores, base_scores in zip(cand, base):

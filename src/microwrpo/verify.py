@@ -248,9 +248,9 @@ def check_nucleus_table(rng, n) -> str | None:
     uniform in turn. A third of the instances have integer logits, so exact
     ties meet the cut-off. The first has rows that overflow at its
     temperature, which must raise when looked up and only then. The last
-    has 200 content tokens, integer logits and top_p of at least 0.5: two
-    passes, ties among many tokens, and nuclei of many lengths past 8, where
-    a zero-padded sum would differ."""
+    has 200 content tokens, integer logits and top_p of at least 0.5: ties
+    among many tokens, and nuclei of many lengths past 8, where a zero-padded
+    sum would differ."""
     for i in range(n):
         if i < n - 1:
             vocab = default_vocabulary(int(rng.integers(2, 10)))

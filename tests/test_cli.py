@@ -306,25 +306,27 @@ class TestWithOverrides:
 
 
 class TestTrain:
+    # A PO step size at which the diverging-run tests below overflow within a few steps.
+    SGD = {"kind": "sgd", "step_size": 1e307, "schedule": "constant", "warmup_fraction": 0.0}
+
     def test_po_without_dataset_exit_3(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
         assert run_cli("train", "--config", path, "--stage", "po", "--out", str(tmp_path / "x")) == 3
 
     @staticmethod
-    def _check_diverging_run_exit_4(tmp_path, capsys, po):
-        sgd = {"kind": "sgd", "step_size": 1e307, "schedule": "constant", "warmup_fraction": 0.0}
+    def _check_diverging_run_exit_4(tmp_path, capsys, overrides, stage="full"):
         overrides = {
             "task": {"n_prompts": 40, "prompt_length": 2},
             "eval": {"n_prompts": 10},
             "objective": {"kind": "wrpo_ipo"},
-            "po": {**po, "optimizer": sgd},
+            **overrides,
         }
         path = write_config(tmp_path, overrides)
         out = tmp_path / "run"
         assert run_cli("gen-data", "--config", path, "--out", str(out)) == 0
         before = dir_state(out)
         capsys.readouterr()
-        assert run_cli("train", "--config", path, "--out", str(out)) == 4
+        assert run_cli("train", "--config", path, "--stage", stage, "--out", str(out)) == 4
         lines = capsys.readouterr().err.splitlines()
         assert [line for line in lines if line.startswith("numeric failure:")] == lines[-1:]
         assert dir_state(out) == before
@@ -332,15 +334,24 @@ class TestTrain:
     def test_diverging_po_exit_4_before_any_write(self, tmp_path, capsys):
         # The logits stay finite but grow so far apart that the packed forward pass
         # overflows: a numeric failure, not bad data.
-        self._check_diverging_run_exit_4(tmp_path, capsys, {"epochs": 3})
+        po = {"epochs": 3, "optimizer": self.SGD}
+        self._check_diverging_run_exit_4(tmp_path, capsys, {"po": po})
 
     @pytest.mark.parametrize("eval_every", [0, 1])
     def test_last_step_divergence_exit_4_before_any_write(self, tmp_path, capsys, eval_every):
         # One step over the 40 pairs: its loss is finite, but the update it makes
         # leaves 2 of the 100 log-softmax rows non-finite, which the in-loop or
         # final evaluation would read as bad data.
-        po = {"epochs": 1, "batch_size": 64, "eval_every": eval_every}
-        self._check_diverging_run_exit_4(tmp_path, capsys, po)
+        po = {"epochs": 1, "batch_size": 64, "eval_every": eval_every, "optimizer": self.SGD}
+        self._check_diverging_run_exit_4(tmp_path, capsys, {"po": po})
+
+    def test_diverging_sft_exit_4_before_any_write(self, tmp_path, capsys):
+        # One Adam step of size 1e308 over the SFT split: its loss is finite, but the
+        # update leaves log-softmax rows non-finite, which --stage po would read as
+        # bad data.
+        adam = {"step_size": 1e308, "schedule": "constant"}
+        sft = {"epochs": 1, "batch_size": 512, "optimizer": adam}
+        self._check_diverging_run_exit_4(tmp_path, capsys, {"sft": sft}, stage="sft")
 
     def test_stage_composition_matches_full(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)

@@ -10,7 +10,7 @@ import pytest
 
 from microwrpo import datagen, pipeline, trainer, verify
 from microwrpo import objectives as obj
-from microwrpo.errors import ConfigError, DataError, InputError, UsageError
+from microwrpo.errors import ConfigError, DataError, InputError, NumericError, UsageError
 from microwrpo.policy import (
     PackedSequences,
     PolicyModel,
@@ -105,6 +105,16 @@ class TestRunSft:
         assert snap.frozen
         assert np.array_equal(snap.logits, model.logits)
         assert not model.frozen  # input untouched
+
+    def test_last_step_divergence_raises(self):
+        # One Adam step of size 1e308: the loss it is taken on is finite, the table
+        # it leaves is not.
+        _, _, quads = toy_quadruples()
+        sequences = [q.y_ws.sequence for q in quads]
+        model = PolicyModel.random_init(VOCAB, 2, 0.5, seed=1)
+        opt = trainer.OptimizerConfig(step_size=1e308)
+        with pytest.raises(NumericError, match="after 1 optimizer steps"):
+            trainer.run_sft(model, sequences, opt, epochs=1, batch_size=len(sequences))
 
     def test_loss_decreases_on_same_data(self):
         _, _, quads = toy_quadruples()
@@ -346,7 +356,7 @@ class TestRunPreferenceOptimization:
         heldout, prompts = self.quads[:6], [q.prompt for q in self.quads[:4]]
 
         def evaluate(policy):
-            scores = trainer.oracle_scores(policy, prompts, SAMPLING, self.oracle, 2, "eval-quality")
+            scores = trainer.oracle_scores(policy, prompts, SAMPLING, self.oracle, 2)
             return (
                 trainer.eval_reward_accuracy(policy, self.snapshot, heldout, 0.01),
                 trainer.mean_score(scores),
@@ -371,15 +381,7 @@ class TestRunPreferenceOptimization:
         assert rec.step == steps - 1
         metrics = pipeline.evaluate(cfg, model, snapshot, heldout, env_seed0["target_init"])
         assert rec.reward_accuracy == metrics["reward_accuracy"]
-        scores = trainer.oracle_scores(
-            model,
-            cfg.eval_prompts(),
-            cfg.sampling_config(),
-            cfg.oracle(),
-            cfg.raw["eval"]["samples_per_prompt"],
-            "eval-quality",
-        )
-        assert rec.mean_oracle_score == trainer.mean_score(scores)
+        assert rec.mean_oracle_score == metrics["candidate_mean_score"]
 
 
 class TestEvalRewardAccuracy:
