@@ -49,14 +49,16 @@ TRAIN_STAGES = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
 
 
 def _make_dir(path, files=()) -> Path:
-    """The directory ``path``, created if missing; ConfigError if a file is in the
-    way, or a directory where one of the output ``files`` goes. Checked before
-    any work, so a bad output path costs no run and leaves no partial output."""
+    """The directory ``path``, created if missing; ConfigError if the OS refuses
+    it (a file in the way, a name too long, a null byte), or a directory is where
+    one of the output ``files`` goes. Checked before any work, so a bad output
+    path costs no run and leaves no partial output."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"output directory {path} is not a directory ({exc.strerror})") from exc
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot make output directory {path!r} ({reason})") from exc
     for name in files:
         if (out / name).is_dir():
             raise ConfigError(f"output file {out / name} is a directory")
@@ -109,14 +111,15 @@ def _write_sft(out: Path, snapshot: PolicyModel, losses: list[float]) -> None:
     print(f"sft: {len(losses)} steps, checkpoint {out / SFT_CKPT}")
 
 
-def _init_model(cfg: RunConfig, out: Path, sft: bool) -> PolicyModel | None:
-    """The initial target beside the dataset, checked against the config. A dataset
+def _check_init(cfg: RunConfig, out: Path, sft: bool) -> None:
+    """Check the initial target beside the dataset against the config. A dataset
     records no vocabulary, so a command that runs SFT on it needs this file; for
-    any other command it may be absent (None)."""
+    any other command it is checked if present. No command reads its parameters:
+    the config builds the same model (cfg.target_init)."""
     path = out / INIT_CKPT
-    if sft:
-        _existing(path, "run gen-data first: SFT checks the dataset's vocabulary against it")
-    return _load_model(cfg, path) if path.exists() else None
+    if sft or path.exists():
+        hint = "run gen-data first: SFT checks the dataset's vocabulary against it"
+        _load_model(cfg, _existing(path, hint))
 
 
 def cmd_train(cfg: RunConfig, stage: str) -> int:
@@ -125,7 +128,7 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     out = _make_dir(cfg.out_dir, (RESOLVED_CONFIG, *TRAIN_STAGES[stage]))
     dataset = _existing(out / DATASET_FILE, "run gen-data first")
     quadruples = datagen.read_quadruples(dataset, cfg.vocabulary())
-    baseline = _init_model(cfg, out, sft=stage != "po")
+    _check_init(cfg, out, sft=stage != "po")
     if stage == "po":
         snapshot = _load_model(cfg, _existing(out / SFT_CKPT, "run the sft stage first"))
     else:
@@ -133,8 +136,7 @@ def cmd_train(cfg: RunConfig, stage: str) -> int:
     if stage != "sft":
         pairs, train, heldout = pipeline.prepare_po(cfg, snapshot, quadruples)
         model, telemetry = pipeline.run_po(cfg, snapshot, train, heldout)
-        baseline = snapshot if baseline is None else baseline
-        metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline)
+        metrics = pipeline.evaluate(cfg, model, snapshot, heldout, baseline=cfg.target_init())
     write_resolved_config(cfg, out / RESOLVED_CONFIG)
     if stage != "po":
         _write_sft(out, snapshot, losses)
@@ -179,17 +181,17 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
         for t in targets
         for k in kinds
     ]
-    out = Path(cfg.out_dir)
+    out = _make_dir(cfg.out_dir)
     gen_files = () if (out / DATASET_FILE).exists() else GEN_FILES
     sft_files = () if (out / SFT_CKPT).exists() else SFT_FILES
-    out = _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
+    _make_dir(out, (RESOLVED_CONFIG, PO_DATASET_FILE, SWEEP_FILE, *gen_files, *sft_files))
     if gen_files:
         data = pipeline.build_dataset(cfg)
         quadruples = data.quadruples
         report = datagen.distribution_deviation_report(data.target_init, quadruples)
     else:
         quadruples = datagen.read_quadruples(out / DATASET_FILE, cfg.vocabulary())
-        _init_model(cfg, out, sft=bool(sft_files))  # only checked: jobs score against the snapshot
+        _check_init(cfg, out, sft=bool(sft_files))
     if sft_files:
         snapshot, losses = pipeline.sft(cfg, quadruples)
     else:
@@ -240,20 +242,22 @@ def _read_deviation(path: str) -> tuple[list, dict]:
     return edges, roles
 
 
-def _read_sweep(path: str) -> str:
-    """The text of a sweep.csv; DataError unless its header is SWEEP_COLUMNS and
-    every row has one cell per column, a numeric target and a schedule kind."""
+def _read_sweep(path: str) -> list[list[str]]:
+    """The rows of a sweep.csv, header first; DataError unless its header is
+    SWEEP_COLUMNS and every row has one cell per column, a numeric target and a
+    schedule kind."""
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: undecodable bytes ({exc})") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
-    rows = csv.reader(text.splitlines())
-    if next(rows, None) != list(SWEEP_COLUMNS):
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV ({exc})") from exc
+    if rows[:1] != [list(SWEEP_COLUMNS)]:
         raise DataError(f"{path}: header must be {','.join(SWEEP_COLUMNS)}")
-    for line, row in enumerate(rows, 2):
+    for line, row in enumerate(rows[1:], 2):
         if len(row) != len(SWEEP_COLUMNS):
             raise DataError(f"{path}: line {line} has {len(row)} cells, not {len(SWEEP_COLUMNS)}")
         try:
@@ -262,7 +266,7 @@ def _read_sweep(path: str) -> str:
             raise DataError(f"{path}: line {line}: target {row[0]!r} is not a number") from exc
         if row[1] not in SCHEDULE_KINDS:
             raise DataError(f"{path}: line {line}: kind must be one of {SCHEDULE_KINDS}")
-    return text
+    return rows
 
 
 def cmd_export_figures(
@@ -275,40 +279,28 @@ def cmd_export_figures(
     margins = [f"margin_dynamics__{Path(tpath).stem}.csv" for tpath in telemetry_paths]
     if len(set(margins)) < len(margins):
         raise ConfigError(f"two telemetry inputs share a file name: {telemetry_paths}")
-    for path in (*telemetry_paths, deviation_path, sweep_path):
-        if path is not None and not Path(path).exists():
-            raise DataError(f"input file not found: {path}")
-    telemetries = [(path, trainer.read_telemetry(path)) for path in telemetry_paths]
+    tables = {}  # {file name: rows, header first}
+    for name, tpath in zip(margins, telemetry_paths):
+        steps = trainer.read_telemetry(tpath).steps
+        if not steps:
+            log.warning("telemetry %s has no step records; its table has headers only", tpath)
+        tables[name] = [["step", "alpha", "on_policy_margin", "hybrid_policy_margin"]] + [
+            [s.step, s.alpha, s.on_policy_margin, s.hybrid_policy_margin] for s in steps
+        ]
     if deviation_path is not None:
         edges, roles = _read_deviation(deviation_path)
+        tables[HISTOGRAM_FILE] = [["role", "bin_left", "bin_right", "count"]] + [
+            [role, edges[i], edges[i + 1], count]
+            for role, stats in roles.items()
+            for i, count in enumerate(stats["histogram"])
+        ]
     if sweep_path is not None:
-        sweep_text = _read_sweep(sweep_path)
-    inputs = ((HISTOGRAM_FILE, deviation_path), (ALPHA_SWEEP_FILE, sweep_path))
-    out = _make_dir(out_dir, margins + [name for name, path in inputs if path is not None])
-    for name, (tpath, telemetry) in zip(margins, telemetries):
-        dest = out / name
-        with open(dest, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "alpha", "on_policy_margin", "hybrid_policy_margin"])
-            for s in telemetry.steps:
-                writer.writerow([s.step, s.alpha, s.on_policy_margin, s.hybrid_policy_margin])
-        if not telemetry.steps:
-            log.warning("telemetry %s has no step records; wrote headers only", tpath)
-        print(f"wrote {dest}")
-    if deviation_path is not None:
-        dest = out / HISTOGRAM_FILE
-        with open(dest, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["role", "bin_left", "bin_right", "count"])
-            for role, stats in roles.items():
-                for i, count in enumerate(stats["histogram"]):
-                    writer.writerow([role, edges[i], edges[i + 1], count])
-        print(f"wrote {dest}")
-    if sweep_path is not None:
-        dest = out / ALPHA_SWEEP_FILE
-        with open(dest, "w") as fh:
-            fh.write(sweep_text)
-        print(f"wrote {dest}")
+        tables[ALPHA_SWEEP_FILE] = _read_sweep(sweep_path)
+    out = _make_dir(out_dir, tables)
+    for name, rows in tables.items():
+        with open(out / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        print(f"wrote {out / name}")
     return 0
 
 

@@ -205,6 +205,30 @@ class TestGenData:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize(
+        "ensemble",
+        [
+            ["solo"],
+            [{"name": "solo", "sharpness": 6.0, "noise": 0.3, "weight": 1.0}],
+            [{"name": "solo", "sharpness": 6.0}],
+            [{"name": 7, "sharpness": 6.0, "noise": 0.3}],
+            [{"name": "solo", "sharpness": 6.0, "noise": True}],
+            [],
+            [{"name": "solo", "sharpness": 6.0, "noise": 0.3}] * 2,
+        ],
+        ids=[
+            "member-not-an-object", "unknown-key", "missing-key", "int-name", "bool-noise",
+            "empty", "duplicate-names",
+        ],
+    )
+    def test_invalid_ensemble_exit_2(self, tmp_path, capsys, ensemble):
+        path = write_config(tmp_path, {"ensemble": ensemble})
+        out = tmp_path / "run"
+        assert run_cli("gen-data", "--config", path, "--out", str(out)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ") and "ensemble" in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("objective", "tau", None), ("schedule", "total_steps", 7)],
         ids=["null-tau", "int-total_steps"],
@@ -352,6 +376,20 @@ class TestTrain:
         adam = {"step_size": 1e308, "schedule": "constant"}
         sft = {"epochs": 1, "batch_size": 512, "optimizer": adam}
         self._check_diverging_run_exit_4(tmp_path, capsys, {"sft": sft}, stage="sft")
+
+    def test_po_metrics_do_not_depend_on_the_init_checkpoint(self, tmp_path):
+        # metrics.json scores against the config's initial target, which target_init.json
+        # beside the dataset only mirrors; --stage po runs without that file.
+        path = write_config(tmp_path, MINI_CONFIG)
+        out = tmp_path / "run"
+        common = ("--config", path, "--out", str(out), "--seed", "3")
+        for argv in (("gen-data",), ("train", "--stage", "sft")):
+            assert run_cli(*argv, *common) == 0
+        assert run_cli("train", "--stage", "po", *common) == 0
+        with_init = (out / "metrics.json").read_bytes()
+        (out / "target_init.json").unlink()
+        assert run_cli("train", "--stage", "po", *common) == 0
+        assert (out / "metrics.json").read_bytes() == with_init
 
     def test_stage_composition_matches_full(self, tmp_path):
         path = write_config(tmp_path, MINI_CONFIG)
@@ -625,8 +663,12 @@ class TestExportFigures:
             SWEEP_HEADER + "0.5,linear,0.6,0.4\n",
             SWEEP_HEADER + "half,linear,0.6,0.4,0.5\n",
             SWEEP_HEADER + "0.5,cosine,0.6,0.4,0.5\n",
+            SWEEP_HEADER + "x" * 200_000 + "\n",
         ],
-        ids=["hello", "wrong-header", "short-row", "non-numeric-target", "unknown-kind"],
+        ids=[
+            "hello", "wrong-header", "short-row", "non-numeric-target", "unknown-kind",
+            "cell-over-the-csv-field-limit",
+        ],
     )
     def test_malformed_sweep_exit_3_and_no_output_dir(self, tmp_path, capsys, text):
         sweep = tmp_path / "sweep.csv"
@@ -640,6 +682,14 @@ class TestExportFigures:
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert run_cli("export-figures", "--telemetry", str(tmp_path / "nope.jsonl")) == 3
+
+    def test_alpha_sweep_csv_is_the_sweep_csv(self, tmp_path):
+        path = write_config(tmp_path, MINI_CONFIG)
+        out, figs = tmp_path / "run", tmp_path / "figs"
+        sweep = ("sweep-alpha", "--targets", "0.3", "0.5", "--kinds", "linear", "static")
+        assert run_cli(*sweep, "--config", path, "--out", str(out)) == 0
+        assert run_cli("export-figures", "--sweep", str(out / "sweep.csv"), "--out", str(figs)) == 0
+        assert (figs / "alpha_sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
 
     def test_failed_run_creates_no_output_dir(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -920,6 +970,41 @@ class TestMalformedInput:
         figs = tmp_path / "figs"
         assert run_cli("export-figures", flag, str(tmp_path), "--out", str(figs)) == 3
         assert not figs.exists()
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--deviation", "--sweep"])
+    def test_figure_input_name_too_long_exit_3(self, tmp_path, capsys, flag):
+        figs = tmp_path / "figs"
+        assert run_cli("export-figures", flag, str(tmp_path / ("x" * 300)), "--out", str(figs)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("data error:") and line.endswith("cannot read (File name too long)")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen-data",), ("train", "--stage", "sft"), ("sweep-alpha",)],
+        ids=["gen-data", "train", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "overrides, out",
+        [({}, "x" * 300), ({"out_dir": "a\u0000b"}, None)],
+        ids=["name-too-long", "null-byte"],
+    )
+    def test_out_the_os_refuses_exit_2(self, tmp_path, monkeypatch, capsys, argv, overrides, out):
+        # Relative paths land in tmp_path, which must hold only the config afterwards.
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, overrides)
+        assert run_cli(*argv, "--config", path, *(("--out", out) if out else ())) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: cannot make output directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_figure_out_name_too_long_exit_2(self, tmp_path, capsys):
+        assert run_cli("export-figures", "--out", str(tmp_path / ("x" * 300))) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: cannot make output directory")
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_is_a_directory(self, tmp_path):
         assert run_cli("gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "run")) == 2
