@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import sys
@@ -46,6 +47,10 @@ SFT_FILES = (SFT_CKPT, SFT_TELEMETRY)
 PO_FILES = (PO_DATASET_FILE, PO_CKPT, PO_TELEMETRY, METRICS_FILE)
 # The stages `train --stage` runs, each with the files it writes beside the resolved config.
 TRAIN_STAGES = {"sft": SFT_FILES, "po": PO_FILES, "full": SFT_FILES + PO_FILES}
+# The collector's generation-0 threshold while a command runs. At the default (700)
+# gen-data collects about a hundred times, walking pools of sampled responses and
+# sequences that hold no cycles; mypy raises it to the same value.
+GC_THRESHOLD = 200_000
 
 
 def _make_dir(path, files=()) -> Path:
@@ -275,7 +280,10 @@ def cmd_export_figures(
     sweep_path: str | None,
     out_dir: str,
 ) -> int:
-    """Plot-ready CSV bundles; tolerant of empty inputs, and writes nothing on a bad one."""
+    """Plot-ready CSV bundles; tolerant of empty inputs, and writes nothing on a bad one.
+    ConfigError when no input is given: there would be nothing to export."""
+    if not telemetry_paths and deviation_path is None and sweep_path is None:
+        raise ConfigError("nothing to export: give --telemetry, --deviation or --sweep")
     margins = [f"margin_dynamics__{Path(tpath).stem}.csv" for tpath in telemetry_paths]
     if len(set(margins)) < len(margins):
         raise ConfigError(f"two telemetry inputs share a file name: {telemetry_paths}")
@@ -346,6 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(GC_THRESHOLD, *thresholds[1:])
     try:
         if args.command == "export-figures":
             return cmd_export_figures(args.telemetry, args.deviation, args.sweep, args.out)
@@ -368,6 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 if __name__ == "__main__":

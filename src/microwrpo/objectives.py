@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
+import numpy as np
+
 from . import policy as policy_mod
 from .errors import InputError, NumericError, UsageError, is_number
 
@@ -50,23 +52,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RoleLogProb:
-    """Log-probs of one response under the policy and the reference."""
+    """Log-probs of one response under the policy and the reference; or of one
+    role of many records, each field then a number or a 1-D column with one entry
+    per record."""
 
-    theta: float
-    ref: float = 0.0
-    length: int = 1
+    theta: float | np.ndarray
+    ref: float | np.ndarray = 0.0
+    length: int | np.ndarray = 1
 
     def __post_init__(self):
-        for name, value in (("theta", self.theta), ("ref", self.ref)):
-            if not math.isfinite(value):
-                raise InputError(f"{name} log-prob must be finite")
-            if value > 0:
-                raise InputError(f"{name} log-prob must be <= 0 (got {value})")
-        if self.length < 1:
+        theta, ref, length = map(np.asarray, (self.theta, self.ref, self.length))
+        if theta.ndim > 1 or {ref.shape, length.shape} - {(), theta.shape}:
+            raise InputError("a role's fields must be numbers or 1-D columns of one length")
+        for name, value in (("theta", theta), ("ref", ref)):
+            # NaN fails both comparisons.
+            if not (value.min(initial=0.0) > -math.inf and value.max(initial=0.0) <= 0):
+                if not np.isfinite(value).all():
+                    raise InputError(f"{name} log-prob must be finite")
+                raise InputError(f"{name} log-prob must be <= 0 (got {value.max()})")
+        if length.min(initial=1) < 1:
             raise InputError("response length must be >= 1")
 
     @property
-    def delta(self) -> float:
+    def delta(self) -> float | np.ndarray:
         """Policy-to-reference log ratio for this response."""
         return self.theta - self.ref
 
@@ -104,11 +112,24 @@ class ObjectiveConfig:
 
 @dataclass(frozen=True)
 class LossResult:
-    loss: float
-    internal_rewards: dict[str, float]
-    grad_wrt_logps: dict[str, float]
-    on_policy_margin: float | None = None
-    hybrid_policy_margin: float | None = None
+    """What evaluate_loss returns: floats, or per-record lists for column roles."""
+
+    loss: float | list[float]
+    internal_rewards: dict[str, float | list[float]]
+    grad_wrt_logps: dict[str, float | list[float]]
+    on_policy_margin: float | list[float] | None = None
+    hybrid_policy_margin: float | list[float] | None = None
+
+    def record(self, i: int) -> LossResult:
+        """Record ``i`` of a column result: the scalar call's result on that record's roles."""
+        on_policy, hybrid = self.on_policy_margin, self.hybrid_policy_margin
+        return LossResult(
+            self.loss[i],
+            {name: values[i] for name, values in self.internal_rewards.items()},
+            {name: values[i] for name, values in self.grad_wrt_logps.items()},
+            None if on_policy is None else on_policy[i],
+            None if hybrid is None else hybrid[i],
+        )
 
 
 def internal_reward(theta_logp: float, ref_logp: float, beta: float) -> float:
@@ -142,13 +163,19 @@ def log_expit(x: float) -> float:
     return x - math.log1p(math.exp(x)) if x < 0 else -math.log1p(math.exp(-x))
 
 
+def _per_record(f: Callable[[float], float]) -> Callable:
+    """``f`` on a float, or on each entry of a column in Python floats: the link keeps
+    libm's exp and log1p, whose last bit numpy's SIMD forms do not always match."""
+    return lambda z: f(z) if np.ndim(z) == 0 else np.array([f(x) for x in z.tolist()])
+
+
 class _Link(NamedTuple):
     loss: Callable[[float], float]
     slope: Callable[[float], float]  # dlink/dz
     beta_scaled: bool  # False: the margin is in unscaled log-ratios
 
 
-_SIGMOID = _Link(lambda z: float(-log_expit(z)), lambda z: -expit(-z), True)
+_SIGMOID = _Link(_per_record(lambda z: -log_expit(z)), _per_record(lambda z: -expit(-z)), True)
 _SQUARE = _Link(lambda z: z * z, lambda z: 2.0 * z, False)
 
 
@@ -207,10 +234,12 @@ def evaluate_loss(
     roles: Mapping[str, RoleLogProb], cfg: ObjectiveConfig, alpha: float | None = None
 ) -> LossResult:
     """The loss of kind ``cfg.kind`` on ``roles`` (role name -> RoleLogProb), with its
-    derivative w.r.t. each role's policy log-prob; the one scalar entry point of the family.
-    A wrpo_* kind fuses its pairs at ``alpha``, which must be a number in [0, 1]
-    (InputError otherwise, None included); a pair kind ignores it. InputError names a
-    role the kind needs that ``roles`` lacks."""
+    derivative w.r.t. each role's policy log-prob; the one entry point of the family.
+    Roles of column fields give the LossResult of every record at once, each entry
+    the float the call on that record's roles gives. A wrpo_* kind fuses its pairs
+    at ``alpha``, which must be a number in [0, 1] (InputError otherwise, None
+    included); a pair kind ignores it. InputError names a role the kind needs that
+    ``roles`` lacks, and refuses roles of different record counts."""
     row = _TABLE[cfg.kind]
     if len(row.preferred) == 2 and (not is_number(alpha) or not 0 <= alpha <= 1):
         raise InputError(
@@ -224,6 +253,8 @@ def evaluate_loss(
         if name not in roles:
             raise InputError(f"kind {cfg.kind!r} needs role {name!r}")
         terms[name], scales[name] = row.base(roles[name], margin_beta)
+    if len({np.shape(roles[name].theta) for name in terms}) > 1:
+        raise InputError(f"kind {cfg.kind!r}: its roles hold different numbers of records")
     rewards = terms
     if not row.link.beta_scaled:
         rewards = {name: row.base(roles[name], cfg.beta)[0] for name in terms}
@@ -242,7 +273,18 @@ def evaluate_loss(
     else:  # each preferred response against the dispreferred one of its origin
         l_s, l_t = row.dispreferred[0], row.dispreferred[-1]
         on_policy, hybrid = rewards["w_t"] - rewards[l_t], rewards["w_s"] - rewards[l_s]
-    return LossResult(loss, rewards, grads, on_policy, hybrid)
+    return LossResult(
+        _floats(loss),
+        {name: _floats(value) for name, value in rewards.items()},
+        {name: _floats(value) for name, value in grads.items()},
+        _floats(on_policy),
+        _floats(hybrid),
+    )
+
+
+def _floats(value):
+    """A float, or a column's list of floats; None stays None."""
+    return None if value is None else np.asarray(value).tolist()
 
 
 # Quadruple field of each role; "w" is taken by pairing.
@@ -291,31 +333,31 @@ class PackedRecords:
         self.objective, self.roles = objective, row.preferred + row.dispreferred
         self.groups = [tuple(getattr(q, name).sequence for name in fields) for q in quadruples]
         self.sequences = policy_mod.PackedSequences(model, self.groups)
-        self.lengths = self.sequences.lengths.reshape(len(self.groups), -1).tolist()
-        if ref is None:
-            self.ref = [[0.0] * len(self.roles) for _ in self.groups]
-        else:
-            self.ref = self.sequences.log_probs(ref).tolist()
+        self.lengths = self.sequences.lengths.reshape(len(self.groups), -1)
+        self.ref = np.zeros(self.lengths.shape) if ref is None else self.sequences.log_probs(ref)
 
     def loss_gradient(self, model, ids, alpha: float | None = None):
-        """The LossResult of each record ``ids`` and the sum of their parameter gradients,
-        at the step's fusion coefficient ``alpha``, which a pair kind ignores.
+        """The column LossResult of the records ``ids`` (one entry per record, in
+        batch order) and the sum of their parameter gradients, at the step's fusion
+        coefficient ``alpha``, which a pair kind ignores.
 
         Each record's grad_wrt_logps scales its roles' exact log-prob
         gradients; see PackedSequences.gradient for the float order. A record
         whose policy log-probs do not sum to a finite number (a diverged
-        policy) raises NumericError.
+        policy) raises NumericError, naming the first such record.
         """
         batch = self.sequences.forward(model, ids)
-        results = []
-        for i, thetas in zip(batch.ids.tolist(), batch.log_probs.tolist()):
-            if not math.isfinite(sum(thetas)):
-                raise NumericError(f"record {i} has a non-finite policy log-prob")
-            roles = zip(self.roles, thetas, self.ref[i], self.lengths[i])
-            roles = {n: RoleLogProb(t, r, length) for n, t, r, length in roles}
-            results.append(evaluate_loss(roles, self.objective, alpha))
-        coefficients = [[r.grad_wrt_logps[name] for name in self.roles] for r in results]
-        return results, self.sequences.gradient(model, batch, coefficients)
+        bad = np.flatnonzero(~np.isfinite(batch.log_probs.sum(axis=1)))
+        if bad.size:
+            raise NumericError(f"record {batch.ids[bad[0]]} has a non-finite policy log-prob")
+        ref, lengths = self.ref[batch.ids], self.lengths[batch.ids]
+        roles = {
+            name: RoleLogProb(batch.log_probs[:, j], ref[:, j], lengths[:, j])
+            for j, name in enumerate(self.roles)
+        }
+        result = evaluate_loss(roles, self.objective, alpha)
+        coefficients = np.array([result.grad_wrt_logps[name] for name in self.roles]).T
+        return result, self.sequences.gradient(model, batch, coefficients)
 
 
 def loss_gradient_wrt_params(model, ref, quadruple, cfg: ObjectiveConfig, alpha=None):
@@ -324,5 +366,5 @@ def loss_gradient_wrt_params(model, ref, quadruple, cfg: ObjectiveConfig, alpha=
     Returns (LossResult, gradient table of the same shape as the policy's
     logits).
     """
-    results, grad = PackedRecords(model, ref, [quadruple], cfg).loss_gradient(model, [0], alpha)
-    return results[0], grad
+    result, grad = PackedRecords(model, ref, [quadruple], cfg).loss_gradient(model, [0], alpha)
+    return result.record(0), grad

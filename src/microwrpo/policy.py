@@ -200,9 +200,12 @@ class PolicyModel:
         return self
 
     def log_softmax_rows(self, rows: np.ndarray) -> np.ndarray:
-        x = self.logits[rows]
+        x = self.logits[rows]  # a view of the logits when rows is a slice
         shifted = x - x.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        # In place: the float operations of `shifted - ...`, without one more
+        # (rows x vocabulary) array per call.
+        shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return shifted
 
 
 def _validate_tokens(vocab: Vocabulary, seq: Sequence) -> None:
@@ -241,9 +244,10 @@ class PackedSequences:
     rows of its group (that index and the distinct rows are made on the
     first gradient, which alone reads them). All of it comes from numpy
     passes over one flat token stream, no per-token Python. A batch of groups is then one gather of
-    ``logits[rows]``, one ``log_softmax_rows`` and one sum per sequence,
-    and its gradient is ordered scatter-adds into a compact (member,
-    distinct row) block per few groups. The packing depends on the
+    ``logits[rows]``, one ``log_softmax_rows`` and one row sum per block
+    of same-length sequences, and its gradient is ordered scatter-adds into
+    a compact (member, distinct row) block per few groups, reduced over the
+    members in one pass. The packing depends on the
     vocabulary and the context order only, so it serves every model that
     shares them.
     """
@@ -332,10 +336,13 @@ class PackedSequences:
     def forward(self, model: PolicyModel, ids) -> PackedBatch:
         """Log-prob of every sequence of the groups ``ids`` under ``model``.
 
-        Each sum runs over one sequence's positions in order, as a row of
-        a (sequences of that length, length) array; such a row sum equals
-        the 1-D sum bit for bit, which zero padding would not. Logits whose
-        softmax overflows give non-finite sums, not warnings.
+        The sequences are sorted by length (stably) and their picked
+        log-probs gathered in that order, so the sequences of one length
+        are one C-contiguous (sequences, length) block, and each sum is a
+        row sum of that block: it runs over one sequence's positions in
+        order and equals the 1-D sum bit for bit, which zero padding would
+        not. Logits whose softmax overflows give non-finite sums, not
+        warnings.
         """
         self._check(model)
         ids = np.asarray(ids, dtype=np.int64)
@@ -344,13 +351,21 @@ class PackedSequences:
         offsets = np.cumsum(lengths) - lengths
         total = int(offsets[-1] + lengths[-1])
         positions = np.repeat(self.starts[seqs] - offsets, lengths) + np.arange(total)
+        by_length = np.argsort(lengths, kind="stable")
+        sorted_lengths = lengths[by_length]
+        sorted_offsets = np.cumsum(sorted_lengths) - sorted_lengths
+        gather = np.repeat(offsets[by_length] - sorted_offsets, sorted_lengths) + np.arange(total)
+        counts = np.bincount(lengths)
+        sizes = np.flatnonzero(counts)  # the lengths in sorted order
+        counts = counts[sizes]
+        classes = zip(sizes.tolist(), counts.tolist(), np.cumsum(sizes * counts).tolist())
         sums = np.empty(len(seqs))
         with np.errstate(over="ignore", invalid="ignore"):
             log_softmax = model.log_softmax_rows(self.rows[positions])
-            picked = log_softmax[np.arange(total), self.targets[positions]]
-            for n in set(lengths.tolist()):
-                sel = np.flatnonzero(lengths == n)
-                sums[sel] = picked[offsets[sel, None] + np.arange(n)].sum(axis=1)
+            picked = log_softmax[gather, self.targets[positions[gather]]]
+            sums[by_length] = np.concatenate(
+                [picked[end - n * k : end].reshape(k, n).sum(axis=1) for n, k, end in classes]
+            )
         return PackedBatch(ids, lengths, positions, log_softmax, sums.reshape(len(ids), -1))
 
     def log_probs(self, model: PolicyModel) -> np.ndarray:
@@ -398,10 +413,9 @@ class PackedSequences:
             probs = np.exp(batch.log_softmax[lo:hi])
             np.subtract.at(block.reshape(-1), (cells[lo:hi, None] + tokens).ravel(), probs.ravel())
             np.add.at(block.reshape(-1), targets[lo:hi], 1.0)
-            per_group = np.zeros((n_rows, size))
-            for m in range(width):
-                block[m] *= scale[r_lo:r_hi, m, None]
-                per_group += block[m]
+            block *= scale[r_lo:r_hi].T[:, :, None]
+            # Over the outer axis numpy adds the members one by one, in order, from +0.0.
+            per_group = np.add.reduce(block, axis=0, initial=0.0)
             flat_rows = (rows[r_lo:r_hi, None] * size + tokens).ravel()
             np.add.at(grad.reshape(-1), flat_rows, per_group.ravel())
         return grad

@@ -217,12 +217,9 @@ def _mean(values: list[float]) -> float:
     return float(total / len(values))
 
 
-def _column_mean(results: list[obj.LossResult], column: str) -> float | None:
-    """The mean of a LossResult margin column; None when the kind leaves it unset,
-    which it does for every record or for none."""
-    if getattr(results[0], column) is None:
-        return None
-    return _mean([getattr(r, column) for r in results])
+def _column_mean(column: list[float] | None) -> float | None:
+    """The mean of a LossResult margin column; None when the kind leaves it unset."""
+    return None if column is None else _mean(column)
 
 
 # OpenBLAS computes a ddot of at most this many entries on the calling thread.
@@ -266,7 +263,7 @@ def run_preference_optimization(
     schedule. The records are packed once (objectives.PackedRecords, which
     checks the reference and the quadruple fields the kind reads). A
     StepRecord's loss, internal rewards and margins are each the _mean of
-    the batch's LossResult values. Every eval_every steps,
+    a column of the batch's LossResult. Every eval_every steps,
     ``evaluate(policy)`` gives the (reward accuracy, mean oracle score) of
     an EvalRecord. Returns the trained model as a frozen snapshot plus the
     telemetry; NumericError if a step's loss, or the log-softmax table of the
@@ -291,9 +288,9 @@ def run_preference_optimization(
     step = 0
     for batch in _batches(len(quadruples), batch_size, epochs, seed):
         alpha = alpha_at(schedule, step) if is_wrpo else None
-        results, grad = packed.loss_gradient(policy, batch, alpha)
+        result, grad = packed.loss_gradient(policy, batch, alpha)
         grad /= len(batch)
-        loss = _mean([r.loss for r in results])
+        loss = _mean(result.loss)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite preference loss at step {step}")
         telemetry.steps.append(
@@ -302,11 +299,10 @@ def run_preference_optimization(
                 alpha=alpha,
                 loss=loss,
                 internal_rewards={
-                    name: _mean([r.internal_rewards[name] for r in results])
-                    for name in results[0].internal_rewards
+                    name: _mean(column) for name, column in result.internal_rewards.items()
                 },
-                on_policy_margin=_column_mean(results, "on_policy_margin"),
-                hybrid_policy_margin=_column_mean(results, "hybrid_policy_margin"),
+                on_policy_margin=_column_mean(result.on_policy_margin),
+                hybrid_policy_margin=_column_mean(result.hybrid_policy_margin),
                 grad_norm=_grad_norm(grad),
             )
         )

@@ -4,6 +4,7 @@ import base64
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -573,6 +574,24 @@ class TestSweepAlpha:
 SWEEP_HEADER = "target,kind,reward_accuracy,mean_oracle_score,win_rate\n"
 
 
+class TestCollectorThreshold:
+    def test_raised_while_a_command_runs_and_restored_after(self, tmp_path, monkeypatch):
+        seen, export = [], cli.cmd_export_figures
+
+        def spy(*args):
+            seen.append(gc.get_threshold())
+            return export(*args)
+
+        monkeypatch.setattr(cli, "cmd_export_figures", spy)
+        before = gc.get_threshold()
+        figs = str(tmp_path / "figs")
+        assert run_cli("export-figures", "--telemetry", os.devnull, "--out", figs) == 0
+        assert gc.get_threshold() == before
+        assert run_cli("export-figures", "--out", figs) == 2  # nothing to export
+        assert gc.get_threshold() == before
+        assert seen == [(cli.GC_THRESHOLD, *before[1:])] * 2
+
+
 class TestExportFigures:
     @pytest.mark.parametrize(
         "report",
@@ -679,6 +698,15 @@ class TestExportFigures:
         assert captured.out == ""
         assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
         assert not figs.exists()
+
+    @pytest.mark.parametrize("argv", [(), ("--telemetry",)], ids=["no-flag", "empty-telemetry"])
+    def test_nothing_to_export_exit_2_and_no_output_dir(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # the default --out, figures/, would land here
+        assert run_cli("export-figures", *argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: nothing to export")
+        assert all(flag in line for flag in ("--telemetry", "--deviation", "--sweep"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert run_cli("export-figures", "--telemetry", str(tmp_path / "nope.jsonl")) == 3
@@ -1001,7 +1029,8 @@ class TestMalformedInput:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_figure_out_name_too_long_exit_2(self, tmp_path, capsys):
-        assert run_cli("export-figures", "--out", str(tmp_path / ("x" * 300))) == 2
+        argv = ("--telemetry", os.devnull, "--out", str(tmp_path / ("x" * 300)))
+        assert run_cli("export-figures", *argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: cannot make output directory")
         assert list(tmp_path.iterdir()) == []
@@ -1011,7 +1040,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [("gen-data",), ("train", "--stage", "sft"), ("export-figures",)],
+        [("gen-data",), ("train", "--stage", "sft"), ("export-figures", "--telemetry", os.devnull)],
         ids=["gen-data", "train", "export-figures"],
     )
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])

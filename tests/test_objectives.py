@@ -606,7 +606,7 @@ class TestBundleFromQuadruple:
         }
         assert packed.roles == tuple(expected)
         assert packed.groups[0] == tuple(expected.values())
-        assert packed.lengths == [[len(seq.response) for seq in expected.values()]]
+        assert packed.lengths.tolist() == [[len(seq.response) for seq in expected.values()]]
 
     def test_yls_kind_without_yls_rejected(self):
         model, ref, quad = self._instance(y_ls=False)
@@ -656,3 +656,83 @@ class TestBundleValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             obj.ObjectiveConfig("kto")
+
+
+ALL_ROLES = ("w", "l", "w_s", "w_t", "l_s", "l_t")
+
+
+def as_columns(records):
+    """One RoleLogProb of per-record columns per role, from per-record role dicts."""
+    return {
+        name: obj.RoleLogProb(
+            np.array([r[name].theta for r in records]),
+            np.array([r[name].ref for r in records]),
+            np.array([r[name].length for r in records]),
+        )
+        for name in records[0]
+    }
+
+
+class TestColumns:
+    """evaluate_loss on per-record columns: each entry is the scalar call's float."""
+
+    @pytest.mark.parametrize("pairing", ["on_policy", "hybrid"])
+    @pytest.mark.parametrize("kind", obj.KINDS)
+    def test_equals_the_scalar_call_record_by_record(self, kind, pairing):
+        rng = np.random.default_rng(stream_salt(kind))
+        cfg, alpha = cfg_for(kind, rng)
+        cfg = replace(cfg, pairing=pairing)
+        records = [{name: rand_role(rng) for name in ALL_ROLES} for _ in range(40)]
+        # Margins far in both tails of the links, and equal log-probs.
+        records[0] = {name: role(-0.001 if name[0] == "w" else -700.0) for name in ALL_ROLES}
+        records[1] = {name: role(-700.0 if name[0] == "w" else -0.001) for name in ALL_ROLES}
+        records[2] = {name: role(-3.0, -3.0, 4) for name in ALL_ROLES}
+        result = obj.evaluate_loss(as_columns(records), cfg, alpha)
+        assert isinstance(result.loss, list) and len(result.loss) == len(records)
+        want = [obj.evaluate_loss(r, cfg, alpha) for r in records]
+        assert [result.record(i) for i in range(len(records))] == want
+
+    def test_wrpo_kind_without_alpha_rejected(self):
+        rng = np.random.default_rng(0)
+        columns = as_columns([{name: rand_role(rng) for name in ALL_ROLES} for _ in range(3)])
+        with pytest.raises(InputError, match="requires alpha"):
+            obj.evaluate_loss(columns, obj.ObjectiveConfig("wrpo_dpo"))
+
+    @pytest.mark.parametrize("field", ["theta", "ref"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf, 0.5])
+    def test_bad_log_prob_in_a_column_rejected(self, field, bad):
+        values = {"theta": np.array([-1.0, -2.0, -3.0]), "ref": np.array([-1.0, -2.0, -3.0])}
+        values[field][1] = bad
+        message = "must be <= 0" if bad == 0.5 else "must be finite"
+        with pytest.raises(InputError, match=f"{field} log-prob {message}"):
+            obj.RoleLogProb(values["theta"], values["ref"], np.array([1, 2, 3]))
+
+    def test_zero_length_in_a_column_rejected(self):
+        with pytest.raises(InputError, match="length must be >= 1"):
+            obj.RoleLogProb(np.array([-1.0, -2.0]), np.array([-1.0, -2.0]), np.array([3, 0]))
+
+    @pytest.mark.parametrize(
+        "theta, ref, length",
+        [
+            (np.full((2, 2), -1.0), 0.0, 1),
+            (np.full(3, -1.0), np.full(2, -1.0), 1),
+            (np.full(3, -1.0), 0.0, np.ones(2, dtype=int)),
+            (-1.0, np.full(2, -1.0), 1),
+        ],
+        ids=["2-d", "ref-shorter", "length-shorter", "scalar-theta-column-ref"],
+    )
+    def test_fields_of_other_shapes_rejected(self, theta, ref, length):
+        with pytest.raises(InputError, match="1-D columns of one length"):
+            obj.RoleLogProb(theta, ref, length)
+
+    def test_roles_of_different_record_counts_rejected(self):
+        rng = np.random.default_rng(1)
+        roles = as_columns([{name: rand_role(rng) for name in ("w", "l")} for _ in range(3)])
+        roles["l"] = as_columns([{"l": rand_role(rng)} for _ in range(2)])["l"]
+        with pytest.raises(InputError, match="different numbers of records"):
+            obj.evaluate_loss(roles, obj.ObjectiveConfig("dpo"))
+
+    def test_scalar_roles_give_floats(self):
+        out = obj.evaluate_loss(pair(role(-1.0, -2.0), role(-3.0, -1.0)), obj.ObjectiveConfig("dpo"))
+        values = [out.loss, *out.internal_rewards.values(), *out.grad_wrt_logps.values()]
+        assert all(type(v) is float for v in [*values, out.on_policy_margin])

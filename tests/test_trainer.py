@@ -596,11 +596,78 @@ class TestPackedBatchesEqualThePerRecordLoop:
         packed = obj.PackedRecords(policy, ref, quads, cfg)
         for batch_size in (1, 16):
             for batch in trainer._batches(len(quads), batch_size, 1, seed=batch_size):
-                results, grad = packed.loss_gradient(policy, batch, alpha)
+                result, grad = packed.loss_gradient(policy, batch, alpha)
                 want_results, want_grad = _loop_po_step(policy, ref, quads, batch, cfg, alpha)
-                assert results == want_results  # loss, rewards, margins, role slopes
+                # loss, rewards, margins, role slopes
+                assert [result.record(i) for i in range(len(batch))] == want_results
                 assert np.array_equal(grad, want_grad)
                 assert not np.signbit(grad[grad == 0.0]).any()
+
+    def test_forward_sums_of_lengths_1_to_300(self):
+        # Across numpy's 8-term unrolled sum and its 128-term pairwise block, with
+        # several sequences of one length, in a batch order that is not the packing's.
+        rng = np.random.default_rng(11)
+        vocab = default_vocabulary(2)
+        lengths = rng.permutation([*range(1, 301), *rng.integers(1, 301, 60)])
+
+        def sequence(n):
+            body = tuple(int(t) for t in rng.choice(vocab.content_ids, size=n - 1))
+            return Sequence((vocab.content_ids[0],), (*body, vocab.eos_id))
+
+        groups = [(sequence(a), sequence(b)) for a, b in lengths.reshape(-1, 2).tolist()]
+        model = PolicyModel.random_init(vocab, 2, 1.5, seed=6)
+        ids = rng.permutation(len(groups))
+        got = PackedSequences(model, groups).forward(model, ids).log_probs
+        want = [[_loop_log_prob(model, seq) for seq in groups[i]] for i in ids.tolist()]
+        assert got.tolist() == want
+
+    def test_gradient_of_width_8_groups_with_zero_coefficients(self):
+        rng = np.random.default_rng(12)
+        vocab, quads = repetitive_quadruples(rng, 38)
+        fields = ("y_ws", "y_wt", "y_l", "y_ls")
+        groups = [
+            tuple(getattr(q, name).sequence for q in two for name in fields)
+            for two in zip(quads[::2], quads[1::2])
+        ]
+        model = PolicyModel.random_init(vocab, 2, 1.5, seed=8)
+        packed = PackedSequences(model, groups)
+        coefficients = rng.choice([0.0, -0.0, 0.75, -1.5, 3.0], size=(len(groups), 8))
+        coefficients[:2] = [[0.0], [-0.0]]  # whole groups of signed zeros
+        ids = rng.permutation(len(groups))
+        grad = packed.gradient(model, packed.forward(model, ids), coefficients[ids])
+        want = np.zeros_like(model.logits)
+        for i in ids.tolist():
+            table = np.zeros_like(model.logits)
+            for seq, c in zip(groups[i], coefficients[i].tolist()):
+                table += c * _loop_log_prob_gradient(model, seq)
+            want += table
+        assert np.array_equal(grad, want)
+        assert not np.signbit(grad[grad == 0.0]).any()
+
+    def test_non_finite_policy_log_prob_names_the_first_record_in_batch_order(self):
+        _, ref, quads = toy_quadruples()
+        policy = ref.copy(frozen=False)
+        packed = obj.PackedRecords(policy, ref, quads, obj.ObjectiveConfig("wrpo_with_yls"))
+        visits = [set(np.concatenate([_loop_rows(policy, s) for s in g]).tolist()) for g in packed.groups]
+        counts = Counter(row for v in visits for row in v)
+        row = min((r for r, c in counts.items() if c >= 2), key=counts.get)
+        bad = [i for i, v in enumerate(visits) if row in v]
+        good = [i for i, v in enumerate(visits) if row not in v]
+        assert good and len(bad) >= 2
+        policy.logits[row] = np.nan
+        batch = [good[0], bad[-1], *bad[:-1]]
+        with pytest.raises(NumericError, match=f"^record {bad[-1]} has a non-finite policy log-prob"):
+            packed.loss_gradient(policy, batch, 0.5)
+
+    def test_non_finite_reference_log_prob_raises_input_error(self):
+        vocab, quads = repetitive_quadruples(np.random.default_rng(14), 6)
+        policy = PolicyModel.random_init(vocab, 2, 1.5, seed=1)
+        ref = PolicyModel.random_init(vocab, 2, 1.5, seed=2, frozen=True)
+        packed = obj.PackedRecords(policy, ref, quads, obj.ObjectiveConfig("wrpo_dpo"))
+        packed.ref[4, 2] = -np.inf
+        packed.loss_gradient(policy, [0, 1, 2], 0.5)
+        with pytest.raises(InputError, match="ref log-prob must be finite"):
+            packed.loss_gradient(policy, [0, 4, 2], 0.5)
 
     @pytest.mark.parametrize("batch_size", [1, 16])
     def test_sft_run(self, batch_size):
