@@ -19,10 +19,12 @@ from pathlib import Path
 
 from . import datagen, pipeline, trainer
 from .config import ALPHA_SWEEP_TARGETS, RunConfig, load_config, write_resolved_config
-from .errors import ConfigError, DataError, InputError, NumericError, is_number
+from .errors import (
+    ConfigError, DataError, InputError, NumericError, read_json, reading, require_json
+)
 from .objectives import WRPO_KINDS
 from .policy import PolicyModel, load_checkpoint, parameter_hash, save_checkpoint
-from .schedule import SCHEDULE_KINDS
+from .schedule import SCHEDULE_KINDS, FusionSchedule
 
 log = logging.getLogger(__name__)
 
@@ -219,45 +221,29 @@ def cmd_sweep_alpha(cfg: RunConfig, targets: list[float], kinds: list[str]) -> i
 
 
 def _read_deviation(path: str) -> tuple[list, dict]:
-    """(bin edges, roles) of a deviation report; DataError unless every role's
-    histogram is a list of len(edges) - 1 ints."""
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-        edges, roles = report["bin_edges"], report["roles"]
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: malformed deviation report ({exc!r})") from exc
-    if not (isinstance(edges, list) and all(is_number(e) for e in edges)):
-        raise DataError(f"{path}: bin_edges must be a list of numbers")
-    if not isinstance(roles, dict):
-        raise DataError(f"{path}: roles must be an object")
+    """(bin edges, roles) of a deviation report; DataError unless its bin edges are
+    finite numbers and every role's histogram is a list of len(edges) - 1 ints."""
+    report = read_json(path, DataError)
+    require_json(report, "dict", path, DataError)
+    edges, roles = report.get("bin_edges"), report.get("roles")
+    require_json(edges, "list[float]", f"{path}: bin_edges", DataError)
+    require_json(roles, "dict", f"{path}: roles", DataError)
+    bins = len(edges) - 1
     for role, stats in roles.items():
         hist = stats.get("histogram") if isinstance(stats, dict) else None
-        if not (
-            isinstance(hist, list)
-            and len(hist) == len(edges) - 1
-            and all(is_number(c, integer=True) for c in hist)
-        ):
-            raise DataError(
-                f"{path}: roles.{role} must be an object whose histogram is a list of "
-                f"{len(edges) - 1} ints"
-            )
+        require_json(hist, "list[int]", f"{path}: roles.{role}.histogram", DataError)
+        if len(hist) != bins:
+            raise DataError(f"{path}: roles.{role}.histogram must be a list of {bins} ints")
     return edges, roles
 
 
 def _read_sweep(path: str) -> list[list[str]]:
     """The rows of a sweep.csv, header first; DataError unless its header is
-    SWEEP_COLUMNS and every row has one cell per column, a numeric target and a
-    schedule kind."""
+    SWEEP_COLUMNS and every row has one cell per column and a target and schedule
+    kind that FusionSchedule accepts (a number in [0, 1], a SCHEDULE_KINDS name)."""
     try:
-        with open(path, newline="") as fh:
+        with reading(path, DataError), open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: undecodable bytes ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
     except csv.Error as exc:
         raise DataError(f"{path}: malformed CSV ({exc})") from exc
     if rows[:1] != [list(SWEEP_COLUMNS)]:
@@ -266,11 +252,9 @@ def _read_sweep(path: str) -> list[list[str]]:
         if len(row) != len(SWEEP_COLUMNS):
             raise DataError(f"{path}: line {line} has {len(row)} cells, not {len(SWEEP_COLUMNS)}")
         try:
-            float(row[0])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {line}: target {row[0]!r} is not a number") from exc
-        if row[1] not in SCHEDULE_KINDS:
-            raise DataError(f"{path}: line {line}: kind must be one of {SCHEDULE_KINDS}")
+            FusionSchedule(kind=row[1], target=float(row[0]), total_steps=1)
+        except ValueError as exc:  # a target that is no float, or InputError
+            raise DataError(f"{path}: line {line}: {exc}") from exc
     return rows
 
 

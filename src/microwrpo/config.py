@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .datagen import BigramRewardOracle, make_oracle, make_prompts, make_source_ensemble
-from .errors import ConfigError, InputError, is_number
+from .errors import ConfigError, InputError, read_json, require_json
 from .objectives import ObjectiveConfig
 from .policy import PolicyModel, SamplingConfig, Vocabulary, default_vocabulary, derive_seed, stream_salt
 from .schedule import FusionSchedule
@@ -117,11 +117,12 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-# The leaves that may be null, with the type each takes otherwise; every other
-# leaf takes the type of its default.
-_NULLABLE = {"schedule.total_steps": int, "objective.tau": float, "objective.gamma": float}
-_TYPE_NAMES = {
-    int: "an int", float: "a number", bool: "true or false", str: "a string", list: "a list"
+# The leaves that may be null, with their JSON kind (errors.JSON_TYPES); every other
+# leaf takes the kind of its default.
+_NULLABLE = {
+    "schedule.total_steps": "int | None",
+    "objective.tau": "float | None",
+    "objective.gamma": "float | None",
 }
 
 
@@ -135,17 +136,21 @@ def _require_space(base: int, exponent: int, what: str) -> None:
 
 
 def _check_types(value, default, path: str = "") -> None:
-    """ConfigError unless every leaf of value has the type of its default: an int
-    default takes an int, a float default any finite number (errors.is_number)."""
+    """ConfigError unless value has the shape of default: an object with exactly its
+    keys, a list of members shaped like its first member (an ensemble member), or a
+    leaf of its JSON kind (an int default takes an int, a float any finite number)."""
     if isinstance(default, dict):
+        require_json(value, "dict", path, ConfigError)
+        _check_keys(value, set(default), path)
         for key, sub in default.items():
+            _require(key in value, f"{path} is missing {key!r}")
             _check_types(value[key], sub, f"{path}.{key}" if path else key)
-        return
-    if value is None and path in _NULLABLE:
-        return
-    kind = _NULLABLE.get(path, type(default))
-    ok = is_number(value, kind is int) if kind in (int, float) else isinstance(value, kind)
-    _require(ok, f"{path} must be {_TYPE_NAMES[kind]}")
+    elif isinstance(default, list):
+        require_json(value, "list", path, ConfigError)
+        for i, member in enumerate(value):
+            _check_types(member, default[0], f"{path}[{i}]")
+    else:
+        require_json(value, _NULLABLE.get(path, type(default).__name__), path, ConfigError)
 
 
 @dataclass
@@ -174,15 +179,6 @@ class RunConfig:
             "the prompt space, task.n_content_tokens ** task.prompt_length,",
         )
         _require(len(d["ensemble"]) >= 1, "ensemble must be a non-empty list")
-        for i, member in enumerate(d["ensemble"]):
-            if not isinstance(member, dict):
-                raise ConfigError(f"ensemble[{i}] must be an object")
-            _check_keys(member, {"name", "sharpness", "noise"}, f"ensemble[{i}]")
-            for key in ("name", "sharpness", "noise"):
-                _require(key in member, f"ensemble[{i}] is missing {key!r}")
-            _require(isinstance(member["name"], str), f"ensemble[{i}].name must be a string")
-            for key in ("sharpness", "noise"):
-                _require(is_number(member[key]), f"ensemble[{i}].{key} must be a number")
         names = [m["name"] for m in d["ensemble"]]
         _require(len(set(names)) == len(names), "ensemble member names must be unique")
         samp = d["sampling"]
@@ -314,19 +310,9 @@ def load_config(
 
     CLI flags (seed, out) beat the file.
     """
-    data: dict = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except OSError as exc:  # a directory, or a file that cannot be read
-            raise ConfigError(f"{path}: cannot read config ({exc.strerror})") from exc
-        except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: top level must be an object")
+    data = {} if path is None else read_json(path, ConfigError)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: top level must be an object")
     from_file = RunConfig(raw=_merge(default_config_dict(), data, "config"))
     flags = {"seed": seed, "out_dir": out_dir}
     return from_file.with_overrides({key: v for key, v in flags.items() if v is not None})

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .errors import DataError, InputError, is_number
+from .errors import DataError, InputError, is_number, reading, require_json
 from .policy import (
     NucleusRows,
     PackedSequences,
@@ -398,13 +398,8 @@ def _is_token_list(value) -> bool:
     return isinstance(value, list) and {*map(type, value)} == {int} and min(value) >= 0
 
 
-# role field -> (type test, what the field must be)
-_ROLE_FIELDS = {
-    "tokens": (_is_token_list, "a non-empty list of token ids"),
-    "score": (is_number, "a finite number"),
-    "model": (lambda v: isinstance(v, str), "a string"),
-    "sample_index": (lambda v: is_number(v, integer=True), "an int"),
-}
+# role field -> its JSON kind (errors.JSON_TYPES), checked after the tokens
+_ROLE_FIELDS = {"score": "float", "model": "str", "sample_index": "int"}
 
 
 def _check_range(tokens: list[int], vocab_size: int, field: str) -> None:
@@ -415,9 +410,10 @@ def _check_range(tokens: list[int], vocab_size: int, field: str) -> None:
 def _role_from_dict(prompt: tuple[int, ...], d, role: str, vocab: Vocabulary) -> ScoredResponse:
     if not isinstance(d, dict):
         raise DataError(f"{role} must be an object")
-    for key, (ok, what) in _ROLE_FIELDS.items():
-        if not ok(d.get(key)):
-            raise DataError(f"{role}.{key} must be {what}")
+    if not _is_token_list(d.get("tokens")):
+        raise DataError(f"{role}.tokens must be a non-empty list of token ids")
+    for key, kind in _ROLE_FIELDS.items():
+        require_json(d.get(key), kind, f"{role}.{key}", DataError)
     _check_range(d["tokens"], vocab.size, f"{role}.tokens")
     if d["tokens"][-1] != vocab.eos_id:
         raise DataError(f"{role}.tokens must end in eos")
@@ -460,21 +456,16 @@ def jsonl_records(path):
     text and lines that are not JSON (or hold an integer literal too long to
     convert) raise DataError.
     """
-    try:
-        with open(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    value = json.loads(line)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
-                yield line_no, value
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: undecodable bytes ({exc})") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
+    with reading(path, DataError), open(path) as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = json.loads(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{line_no}: invalid JSON ({exc})") from exc
+            yield line_no, value
 
 
 def read_quadruples(path, vocab: Vocabulary) -> list[PreferenceQuadruple]:
@@ -485,10 +476,9 @@ def read_quadruples(path, vocab: Vocabulary) -> list[PreferenceQuadruple]:
     for line_no, d in jsonl_records(path):
         if not isinstance(d, dict):
             raise DataError(f"{path}:{line_no}: a record must be a JSON object")
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise DataError(
-                f"{path}:{line_no}: unsupported schema version {d.get('schema_version')!r}"
-            )
+        version = d.get("schema_version")
+        if not is_number(version, integer=True) or version != SCHEMA_VERSION:
+            raise DataError(f"{path}:{line_no}: unsupported schema version {version!r}")
         try:
             quadruple = _quadruple_from_dict(d, vocab)
         except DataError as exc:

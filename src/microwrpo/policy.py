@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, InputError, UsageError, is_number
+from .errors import DataError, InputError, UsageError, is_number, read_json, require_json
 
 __all__ = [
     "Vocabulary",
@@ -821,28 +821,22 @@ def save_checkpoint(model: PolicyModel, path, label: str | None = None) -> None:
 
 def load_checkpoint(path) -> PolicyModel:
     """Read a checkpoint written by save_checkpoint; malformed content raises DataError."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read ({exc.strerror})") from exc
-    except ValueError as exc:  # JSONDecodeError, or an int literal too long to convert
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    payload = read_json(path, DataError)
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path}: not a policy checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
+    version = payload.get("version")
+    if not is_number(version, integer=True) or version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         params, order, frozen = payload["params"], payload["order"], payload["frozen"]
         shape = params["shape"]
-        if not isinstance(shape, list) or not all(is_number(n, integer=True) for n in shape):
-            raise TypeError("params.shape must be a list of ints")
-        if not is_number(order, integer=True) or not isinstance(frozen, bool):
-            raise TypeError("order must be an int and frozen a bool")
         raw = base64.b64decode(params["data_b64"], validate=True)
         vocab = Vocabulary.from_dict(payload["vocab"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint ({exc!r})") from exc
+    require_json(shape, "list[int]", f"{path}: params.shape", DataError)
+    require_json(order, "int", f"{path}: order", DataError)
+    require_json(frozen, "bool", f"{path}: frozen", DataError)
     if any(n < 0 for n in shape) or len(raw) != 8 * math.prod(shape):
         raise DataError(f"{path}: {len(raw)} parameter bytes do not fill shape {shape}")
     table = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)

@@ -23,7 +23,9 @@ from .datagen import (
     sample_scored,
     target_pairs,
 )
-from .errors import ConfigError, DataError, InputError, NumericError, UsageError, is_number
+from .errors import (
+    ConfigError, DataError, InputError, NumericError, UsageError, is_number, require_json
+)
 from .policy import PackedSequences, PolicyModel, SamplingConfig, Sequence
 from .schedule import FusionSchedule, alpha_at
 
@@ -425,21 +427,9 @@ def write_telemetry(path, telemetry: TrainingTelemetry) -> None:
             fh.write(json.dumps({"type": kind, **vars(record)}) + "\n")
 
 
-# A telemetry field's annotation -> (the test of its JSON value, what that value must be).
-_FIELD_TYPES = {
-    "int": (lambda v: is_number(v, integer=True), "an int"),
-    "float": (is_number, "a number"),
-    "float | None": (lambda v: v is None or is_number(v), "a number or null"),
-    "dict[str, float]": (
-        lambda v: isinstance(v, dict) and all(map(is_number, v.values())),
-        "an object of numbers",
-    ),
-}
-
-
 def read_telemetry(path) -> TrainingTelemetry:
     """Read write_telemetry's JSONL. Each field of a record's dataclass must be
-    present and pass the test of its annotation (_FIELD_TYPES); a record of an
+    present and pass the test of its annotation (errors.JSON_TYPES); a record of an
     unknown type or with a missing or ill-typed field raises DataError, which
     names the field."""
     telemetry = TrainingTelemetry()
@@ -450,8 +440,8 @@ def read_telemetry(path) -> TrainingTelemetry:
             raise DataError(f"{path}:{line_no}: unknown record type")
         cls, records = kinds[kind]
         for f in fields(cls):
-            ok, what = _FIELD_TYPES[f.type]
-            if f.name not in rec or not ok(rec[f.name]):
-                raise DataError(f"{path}:{line_no}: {kind} record field {f.name!r} must be {what}")
+            # A missing field reads as ..., which no JSON kind accepts.
+            name = f"{path}:{line_no}: {kind} record field {f.name!r}"
+            require_json(rec.get(f.name, ...), f.type, name, DataError)
         records.append(cls(**{f.name: rec[f.name] for f in fields(cls)}))
     return telemetry

@@ -230,6 +230,33 @@ class TestGenData:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"ensemble": ["solo"]}, "ensemble[0] must be an object"),
+            (
+                {"ensemble": [{"name": 7, "sharpness": 6.0, "noise": 0.3}]},
+                "ensemble[0].name must be a string",
+            ),
+            ({"ensemble": [{"name": "a", "sharpness": 6.0}]}, "ensemble[0] is missing 'noise'"),
+            (
+                {"ensemble": [{"name": "a", "sharpness": True, "noise": 0.3}]},
+                "ensemble[0].sharpness must be a finite number",
+            ),
+            ({"objective": {"beta": 10**400}}, "objective.beta must be a finite number"),
+            ({"schedule": {"total_steps": 1.5}}, "schedule.total_steps must be an int or null"),
+            ({"objective": {"tau": "0.1"}}, "objective.tau must be a finite number or null"),
+        ],
+        ids=[
+            "member-not-an-object", "int-name", "missing-key", "bool-sharpness",
+            "int-over-float-beta", "float-total_steps", "str-tau",
+        ],
+    )
+    def test_ill_typed_value_names_the_leaf_and_its_kind(self, overrides, message):
+        with pytest.raises(ConfigError) as info:
+            load_config().with_overrides(overrides)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("objective", "tau", None), ("schedule", "total_steps", 7)],
         ids=["null-tau", "int-total_steps"],
@@ -683,10 +710,15 @@ class TestExportFigures:
             SWEEP_HEADER + "half,linear,0.6,0.4,0.5\n",
             SWEEP_HEADER + "0.5,cosine,0.6,0.4,0.5\n",
             SWEEP_HEADER + "x" * 200_000 + "\n",
+            SWEEP_HEADER + "nan,linear,0.5,0.5,0.5\n",
+            SWEEP_HEADER + "inf,linear,0.5,0.5,0.5\n",
+            SWEEP_HEADER + "1.5,linear,0.5,0.5,0.5\n",
+            SWEEP_HEADER + "0.5,static,0.6,0.4,0.5\n-0.1,linear,0.5,0.5,0.5\n",
         ],
         ids=[
             "hello", "wrong-header", "short-row", "non-numeric-target", "unknown-kind",
-            "cell-over-the-csv-field-limit",
+            "cell-over-the-csv-field-limit", "nan-target", "inf-target", "target-over-1",
+            "negative-target-on-line-3",
         ],
     )
     def test_malformed_sweep_exit_3_and_no_output_dir(self, tmp_path, capsys, text):
@@ -739,6 +771,17 @@ def _edit_first_line(path, edit):
     record = json.loads(first)
     edit(record)
     path.write_text("".join([json.dumps(record) + "\n", *rest]))
+
+
+# Bytes that do not decode as text in any reader.
+UNDECODABLE = b"\xff\xfe{}\n"
+
+
+def assert_one_undecodable_line(capsys, kind, path):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"{kind} error: {path}: undecodable bytes (") and line.endswith(")")
 
 
 # Valid JSON that Python refuses to convert: an int literal over 4,300 digits.
@@ -1100,16 +1143,49 @@ class TestMalformedInput:
 
     def test_undecodable_dataset(self, run_dir):
         path, out = run_dir
-        (out / "dataset.jsonl").write_bytes(b"\xff\xfe{}\n")
+        (out / "dataset.jsonl").write_bytes(UNDECODABLE)
         assert run_cli("train", "--config", path, "--stage", "sft", "--out", str(out)) == 3
 
-    @pytest.mark.parametrize("flag", ["--telemetry", "--sweep"])
-    def test_undecodable_figure_input(self, tmp_path, flag):
+    def test_undecodable_checkpoint(self, run_dir, capsys):
+        path, out = run_dir
+        (out / "target_sft.json").write_bytes(UNDECODABLE)
+        capsys.readouterr()
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+        assert_one_undecodable_line(capsys, "data", out / "target_sft.json")
+
+    def test_undecodable_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(UNDECODABLE)
+        assert run_cli("gen-data", "--config", str(path), "--out", str(tmp_path / "run")) == 2
+        assert_one_undecodable_line(capsys, "config", path)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--deviation", "--sweep"])
+    def test_undecodable_figure_input(self, tmp_path, capsys, flag):
         path = tmp_path / "input"
-        path.write_bytes(b"\xff\xfe{}\n")
+        path.write_bytes(UNDECODABLE)
         figs = tmp_path / "figs"
         assert run_cli("export-figures", flag, str(path), "--out", str(figs)) == 3
+        assert_one_undecodable_line(capsys, "data", path)
         assert not figs.exists()
+
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    @pytest.mark.parametrize(
+        "name, field",
+        [("target_sft.json", "version"), ("dataset.jsonl", "schema_version")],
+        ids=["checkpoint", "dataset"],
+    )
+    def test_version_field_must_be_the_int_1(self, run_dir, capsys, name, field, value):
+        # True == 1 and 1.0 == 1 in Python, but neither is the JSON int 1.
+        path, out = run_dir
+        edit = _edit_json if name.endswith(".json") else _edit_first_line
+        edit(out / name, lambda r: r.update({field: value}))
+        capsys.readouterr()
+        assert run_cli("train", "--config", path, "--stage", "po", "--out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"data error: {out / name}") and line.endswith(f"version {value!r}")
 
     @pytest.mark.parametrize(
         "edit",

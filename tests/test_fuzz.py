@@ -1,6 +1,8 @@
 """Fuzzed CLI input: wrong-typed and out-of-range config leaves, corrupted
-dataset lines and corrupted checkpoint fields. Every run must exit with 0, 2
-or 3, never with a traceback."""
+dataset lines and checkpoint fields, and corrupted export-figures inputs (a
+telemetry field, a deviation report leaf, a sweep.csv cell). Every run must
+exit with 0, 2 or 3, never with a traceback; export-figures exits 0 or 3 and
+leaves no output directory on 3."""
 
 import contextlib
 import io
@@ -172,3 +174,72 @@ def test_truncated_dataset_line(tiny_run, line, cut):
         run = _corrupted_copy(tiny_run, tmp, "dataset.jsonl", edit)
         cfg = str(tiny_run / "cfg.json")
         assert run_quietly("train", "--stage", "sft", "--config", cfg, "--out", str(run)) in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def figure_inputs(tiny_run, tmp_path_factory) -> Path:
+    """po_telemetry.jsonl and deviation.json of a PO run on TINY, and a sweep.csv."""
+    root = tmp_path_factory.mktemp("figures")
+    shutil.copytree(tiny_run / "run", root / "run")
+    cfg, out = str(tiny_run / "cfg.json"), str(root / "run")
+    assert run_quietly("train", "--stage", "po", "--config", cfg, "--out", out) == 0
+    sweep = ("sweep-alpha", "--targets", "0.3", "0.5", "--kinds", "linear", "static")
+    assert run_quietly(*sweep, "--config", cfg, "--out", out) == 0
+    return root / "run"
+
+
+def check_figure_input(figure_inputs: Path, flag: str, name: str, edit) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        shutil.copy(figure_inputs / name, path)
+        edit(path)
+        figs = Path(tmp) / "figs"
+        code = run_quietly("export-figures", flag, str(path), "--out", str(figs))
+        assert code in (0, 3)
+        assert code == 0 or not figs.exists()
+
+
+@FUZZ
+@given(data=st.data(), value=FILE_VALUES)
+def test_telemetry_field(figure_inputs, data, value):
+    def edit(path):
+        lines = path.read_text().splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1))
+        record = json.loads(lines[line])
+        corrupt(record, data.draw(st.sampled_from(leaves(record))), value)
+        lines[line] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+
+    check_figure_input(figure_inputs, "--telemetry", "po_telemetry.jsonl", edit)
+
+
+@FUZZ
+@given(data=st.data(), value=FILE_VALUES)
+def test_deviation_leaf(figure_inputs, data, value):
+    def edit(path):
+        report = json.loads(path.read_text())
+        corrupt(report, data.draw(st.sampled_from(leaves(report))), value)
+        path.write_text(json.dumps(report))
+
+    check_figure_input(figure_inputs, "--deviation", "deviation.json", edit)
+
+
+# Near-misses of a valid cell, and any short text (a comma, quote or newline included).
+CELLS = st.one_of(
+    st.sampled_from(
+        ["", "0", "1", "0.5", "-0.1", "1.5", "nan", "inf", "1e999", "linear", "cosine"]
+    ),
+    st.text(max_size=4),
+)
+
+
+@FUZZ
+@given(data=st.data(), cell=CELLS)
+def test_sweep_cell(figure_inputs, data, cell):
+    def edit(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        row = data.draw(st.integers(0, len(rows) - 1))
+        rows[row][data.draw(st.integers(0, len(rows[row]) - 1))] = cell
+        path.write_text("".join(",".join(r) + "\r\n" for r in rows))
+
+    check_figure_input(figure_inputs, "--sweep", "sweep.csv", edit)

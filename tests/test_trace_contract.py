@@ -17,6 +17,12 @@ from microwrpo import cli, config, datagen, objectives, policy, schedule, traine
 from microwrpo.policy import PolicyModel, SamplingConfig, default_vocabulary
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+MINI_CONFIG = {
+    "task": {"n_prompts": 24, "n_content_tokens": 6, "prompt_length": 2},
+    "ensemble": [{"name": "solo", "sharpness": 6.0, "noise": 0.3}],
+    "sampling": {"n_samples": 2, "max_length": 8},
+    "eval": {"n_prompts": 10},
+}
 
 
 def load_spans():
@@ -71,12 +77,7 @@ def test_io_bytes_written_counts_every_byte_a_command_writes(tmp_path, monkeypat
     # module; a file written any other way would be missing from the count.
     spans = load_spans()
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        "task": {"n_prompts": 24, "n_content_tokens": 6, "prompt_length": 2},
-        "ensemble": [{"name": "solo", "sharpness": 6.0, "noise": 0.3}],
-        "sampling": {"n_samples": 2, "max_length": 8},
-        "eval": {"n_prompts": 10},
-    }))
+    config.write_text(json.dumps(MINI_CONFIG))
     bypasses = []
     for owner, name in ((os, "replace"), (Path, "write_text"), (Path, "write_bytes")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: bypasses.append(_name))
@@ -117,3 +118,30 @@ def test_io_bytes_written_counts_every_byte_a_command_writes(tmp_path, monkeypat
     # export-figures, the last run, reads each of its inputs through open once.
     assert tracer.counts["io.bytes_read"] == sum(path.stat().st_size for path in figure_inputs)
     assert bypasses == []
+
+
+def test_train_po_reads_each_input_once(tmp_path, monkeypatch):
+    # The config, dataset.jsonl, target_init.json and target_sft.json, each opened
+    # once through the tracer's open, so io.bytes_read is the sum of their sizes.
+    spans = load_spans()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(MINI_CONFIG))
+    out = tmp_path / "run"
+    for argv in (["gen-data"], ["train", "--stage", "sft"]):
+        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    tracer, opened = spans.Tracer(), []
+
+    def traced_open(file, mode="r", *args, **kwargs):
+        if "r" in mode:
+            opened.append(Path(file).name)
+        return tracer.open(file, mode, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "microwrpo" and "open" not in vars(module):
+            monkeypatch.setattr(module, "open", traced_open, raising=False)
+    argv = ["train", "--stage", "po", "--config", str(config), "--out", str(out)]
+    inputs = [config, out / cli.DATASET_FILE, out / cli.INIT_CKPT, out / cli.SFT_CKPT]
+    sizes = [path.stat().st_size for path in inputs]
+    assert cli.main(argv) == 0
+    assert opened == [path.name for path in inputs]
+    assert tracer.counts["io.bytes_read"] == sum(sizes)
